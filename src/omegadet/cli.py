@@ -26,7 +26,7 @@ from .nba import (
     parse_nba,
 )
 from .oracle import enumerate_lassos, nba_accepts_lasso, sample_lassos
-from .parity import DpaFormatError, MissingEdgeError, ParityAutomaton, parse_dpa, run_lasso, serialize_dpa
+from .parity import DpaFormatError, MissingEdgeError, parse_dpa, run_lasso, serialize_dpa
 from .safra import InvalidTreeError, TreeFormatError, format_tree, safra_to_slice, slice_to_safra
 from .slices import InvalidSliceError, SliceFormatError, format_slice, parse_slice
 
@@ -53,6 +53,19 @@ class AlphabetMismatchError(ValueError):
     """NBA and DPA disagree on the (ordered) alphabet."""
 
 
+def _int_at_least(minimum: int):
+    """argparse type: an integer no smaller than ``minimum``, else a usage error."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    parse.__name__ = "integer"  # argparse reports a non-number as "invalid integer value"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="omegadet", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -74,9 +87,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dpa", help="check this .dpa file instead of determinizing")
     p.add_argument("--strategy", choices=_STRATEGY_TOKENS, default="ms")
     p.add_argument("--cap", type=int, default=1_000_000)
-    p.add_argument("--max-u", type=int, default=3, help="maximum stem length")
-    p.add_argument("--max-v", type=int, default=3, help="maximum cycle length")
-    p.add_argument("--random", type=int, default=None, metavar="N", help="sample N lassos instead")
+    p.add_argument("--max-u", type=_int_at_least(0), default=3, help="maximum stem length (>= 0)")
+    p.add_argument("--max-v", type=_int_at_least(1), default=3, help="maximum cycle length (>= 1)")
+    p.add_argument(
+        "--random", type=_int_at_least(1), default=None, metavar="N", help="sample N >= 1 lassos instead"
+    )
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(handler=cmd_check)
 
@@ -115,14 +130,7 @@ def _load_nba(path: str) -> BuchiAutomaton:
 
 def cmd_determinize(args) -> int:
     aut = _load_nba(args.input)
-    dpa = determinize(aut, as_strategy(args.strategy), cap=args.cap)
-    if not args.labels:
-        dpa = ParityAutomaton(
-            num_states=dpa.num_states,
-            alphabet=dpa.alphabet,
-            initial=dpa.initial,
-            edges=dpa.edges,
-        )
+    dpa = determinize(aut, as_strategy(args.strategy), cap=args.cap, labels=args.labels)
     data = serialize_dpa(dpa)
     if args.output:
         Path(args.output).write_bytes(data)
@@ -140,7 +148,7 @@ def cmd_check(args) -> int:
                 f"alphabet mismatch: nba {aut.alphabet} vs dpa {dpa.alphabet}"
             )
     else:
-        dpa = determinize(aut, as_strategy(args.strategy), cap=args.cap)
+        dpa = determinize(aut, as_strategy(args.strategy), cap=args.cap, labels=False)
     if args.random is not None:
         lassos = sample_lassos(aut.alphabet, args.random, args.max_u, args.max_v, args.seed)
     else:
@@ -169,7 +177,7 @@ def cmd_stats(args) -> int:
     print(f"{'strategy':<10} {'states':>8} {'edges':>8}")
     for token in _STRATEGY_TOKENS:
         try:
-            dpa = determinize(aut, as_strategy(token), cap=args.cap)
+            dpa = determinize(aut, as_strategy(token), cap=args.cap, labels=False)
         except CapacityError:
             print(f"{token:<10} {'cap exceeded (> ' + str(args.cap) + ')':>8}")
             continue

@@ -19,17 +19,25 @@ The edge priority is ``2k`` when the dominating rank ``k`` (the minimum green
 or red rank) is green and ``2k - 1`` otherwise; when no rank is active it is
 ``2(|Q|+1) - 1``.  If every set dies the successor is the unique empty sink
 slice, entered and left with priority 1.
+
+Inside the pipeline a macrostate is a pair ``(masks, ranks)`` of int tuples:
+one state-set bitmask (see :mod:`omegadet.nba`) and one rank per position.
+Green and red rank sets are bitmasks over ranks.  The stage kernels
+(``_step``, ``_prune``, ``_merge``, ``_normalize``) work on these pairs, and
+:func:`determinize` interns them directly.  The public ``step``, ``prune``,
+``merge``, ``normalize``, ``choose_partition`` and ``transition_stages``
+convert ``PreSlice``/``RankedSlice`` values at the boundary.
 """
 from __future__ import annotations
 
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Container, Iterable, Iterator, NamedTuple
 
-from .nba import BuchiAutomaton, UnknownSymbolError, successors
+from .nba import BuchiAutomaton, InvalidAutomatonError, SuccessorMasks, from_mask, successors, to_mask
 from .parity import ParityAutomaton
-from .slices import PreSlice, RankedSlice, format_slice, index_of
+from .slices import InvalidSliceError, PreSlice, RankedSlice, format_entries, format_set, index_of
 from .safra import unflatten
 
 
@@ -91,6 +99,7 @@ def as_strategy(value: MergeStrategy | str) -> MergeStrategy:
 
 Interval = tuple[int, int]
 IntervalPartition = tuple[Interval, ...]
+Macrostate = tuple[tuple[int, ...], tuple[int, ...]]
 
 
 @dataclass(frozen=True)
@@ -131,76 +140,58 @@ class TransitionTrace:
         )
 
 
-def restricted_successors(aut: BuchiAutomaton, slice_: RankedSlice, q: int, symbol: str) -> frozenset[int]:
-    """Successors of ``q`` minus successors of all states in strictly earlier positions."""
-    pos = index_of(slice_, q)
-    stolen: set[int] = set()
-    for block in slice_.sets[: pos - 1]:
-        stolen |= successors(aut, block, symbol)
-    return aut.successors_of(q, symbol) - stolen
+# --- Stage kernels on (masks, ranks) macrostates -----------------------------
 
 
-def step(aut: BuchiAutomaton, slice_: RankedSlice, symbol: str) -> PreSlice:
-    """Advance one split-tree level: per position, accepting then non-accepting successors."""
-    if symbol not in aut.alphabet:
-        raise UnknownSymbolError(f"symbol {symbol!r} not in alphabet")
-    n = len(slice_)
-    claimed: frozenset[int] = frozenset()
-    sets: list[frozenset[int]] = []
-    ranks: list[int] = []
-    fresh = n + 1
-    for block, rank in zip(slice_.sets, slice_.ranks):
-        block_successors = successors(aut, block, symbol)
-        restricted = block_successors - claimed
-        claimed |= block_successors
-        sets.append(restricted & aut.accepting)
-        ranks.append(fresh)
+def _step(post: SuccessorMasks, accepting: int, masks: tuple[int, ...], ranks: tuple[int, ...]) -> Macrostate:
+    claimed = 0
+    out_masks: list[int] = []
+    out_ranks: list[int] = []
+    fresh = len(masks) + 1
+    for mask, rank in zip(masks, ranks):
+        image = post[mask]
+        restricted = image & ~claimed
+        claimed |= image
+        out_masks += (restricted & accepting, restricted & ~accepting)
+        out_ranks += (fresh, rank)
         fresh += 1
-        sets.append(restricted - aut.accepting)
-        ranks.append(rank)
-    return PreSlice(sets=tuple(sets), ranks=tuple(ranks))
+    return tuple(out_masks), tuple(out_ranks)
 
 
-def prune(pre: PreSlice) -> tuple[PreSlice, frozenset[int], frozenset[int]]:
-    """Drop empty sets; relocate ranks leftward by block minimum.
+def _prune(masks: tuple[int, ...], ranks: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...], int, int]:
+    """Pruned macrostate plus the green and red rank sets as rank bitmasks."""
+    out_masks: list[int] = []
+    out_ranks: list[int] = []
+    every = 0
+    marks = 0
+    for mask, rank in zip(masks, ranks):
+        every |= 1 << rank
+        if mask:
+            out_masks.append(mask)
+            out_ranks.append(rank)
+        else:
+            marks |= 1 << rank
+            if out_ranks and rank < out_ranks[-1]:
+                out_ranks[-1] = rank
+    surviving = 0
+    for rank in out_ranks:
+        surviving |= 1 << rank
+    return tuple(out_masks), tuple(out_ranks), surviving & marks, every & ~surviving
 
-    Returns the pruned pre-slice together with the green ranks (survivors
-    that marked an empty set) and the red ranks (non-survivors).
-    """
-    occupied = [i for i, block in enumerate(pre.sets) if block]
-    sets: list[frozenset[int]] = []
-    ranks: list[int] = []
-    for j, start in enumerate(occupied):
-        end = occupied[j + 1] if j + 1 < len(occupied) else len(pre.sets)
-        sets.append(pre.sets[start])
-        ranks.append(min(pre.ranks[start:end]))
-    surviving = set(ranks)
-    empty_marks = {pre.ranks[i] for i, block in enumerate(pre.sets) if not block}
-    green = frozenset(surviving & empty_marks)
-    red = frozenset(set(pre.ranks) - surviving)
-    return PreSlice(sets=tuple(sets), ranks=tuple(ranks)), green, red
 
-
-def dominating_rank(green: frozenset[int], red: frozenset[int], num_states: int) -> tuple[int, int]:
-    """Minimum active rank and the edge priority it induces.
-
-    With no active ranks the dominating rank defaults to ``num_states + 1``
-    and the priority is odd.
-    """
+def _dominating(green: int, red: int, num_states: int) -> tuple[int, int]:
     if green & red:
-        raise InternalInvariantError(f"green and red overlap: {sorted(green & red)}")
+        raise InternalInvariantError(f"green and red overlap: {sorted(from_mask(green & red))}")
     active = green | red
-    k = min(active) if active else num_states + 1
-    priority = 2 * k if k in green else 2 * k - 1
-    return k, priority
+    k = (active & -active).bit_length() - 1 if active else num_states + 1
+    return k, 2 * k if green >> k & 1 else 2 * k - 1
 
 
-def _forced_cuts(pre: PreSlice, k: int) -> set[int]:
+def _forced_cuts(ranks: tuple[int, ...], k: int) -> set[int]:
     """Mandatory interval boundaries: around every rank below ``k``, after the rank-``k`` set."""
-    n = len(pre)
+    n = len(ranks)
     cuts: set[int] = set()
-    for pos in range(1, n + 1):
-        rank = pre.ranks[pos - 1]
+    for pos, rank in enumerate(ranks, start=1):
         if rank < k:
             if pos < n:
                 cuts.add(pos)
@@ -222,6 +213,207 @@ def _partition_from_cuts(n: int, cuts: Iterable[int]) -> IntervalPartition:
     return tuple(intervals)
 
 
+def _iter_partitions(ranks: tuple[int, ...], k: int) -> Iterator[IntervalPartition]:
+    n = len(ranks)
+    if n == 0:
+        yield ()
+        return
+    forced = _forced_cuts(ranks, k)
+    free = [c for c in range(1, n) if c not in forced]
+    for size in range(len(free) + 1):
+        for extra in itertools.combinations(free, size):
+            yield _partition_from_cuts(n, forced.union(extra))
+
+
+def _choose(
+    masks: tuple[int, ...],
+    ranks: tuple[int, ...],
+    k: int,
+    green: int,
+    strategy: MergeStrategy,
+    explored: Container[Macrostate],
+) -> IntervalPartition:
+    n = len(ranks)
+    if n == 0:
+        return ()
+    if strategy.kind == "ms":
+        positions = range(1, n + 1)
+        return tuple(zip(positions, positions))
+    if strategy.kind == "max":
+        return _partition_from_cuts(n, _forced_cuts(ranks, k))
+    if strategy.kind == "safra":
+        shape = unflatten(ranks)
+        cuts = set(range(1, n))
+        for pos, rank in enumerate(ranks, start=1):
+            if green >> rank & 1:
+                cuts.difference_update(range(shape.left_boundary_of[pos - 1] + 1, pos))
+        return _partition_from_cuts(n, cuts)
+    # adaptive: reuse an already constructed successor when permitted
+    for partition in itertools.islice(_iter_partitions(ranks, k), strategy.partition_cap):
+        if _normalize(*_merge(masks, ranks, partition)) in explored:
+            return partition
+    return _choose(masks, ranks, k, green, STRATEGIES[strategy.fallback], explored)
+
+
+def _merge(masks: tuple[int, ...], ranks: tuple[int, ...], partition: IntervalPartition) -> Macrostate:
+    n = len(masks)
+    if len(partition) == n:
+        # n intervals tile 1..n only as singletons, and merging singletons changes nothing.
+        positions = range(1, n + 1)
+        if partition != tuple(zip(positions, positions)):
+            raise InternalInvariantError(f"partition {partition} does not tile 1..{n}")
+        return masks, ranks
+    out_masks: list[int] = []
+    out_ranks: list[int] = []
+    covered = 0
+    for lo, hi in partition:
+        if lo != covered + 1 or hi < lo or hi > n:
+            raise InternalInvariantError(f"partition {partition} does not tile 1..{n}")
+        covered = hi
+        block = 0
+        for mask in masks[lo - 1 : hi]:
+            block |= mask
+        out_masks.append(block)
+        out_ranks.append(min(ranks[lo - 1 : hi]))
+    if covered != n:
+        raise InternalInvariantError(f"partition {partition} does not cover 1..{n}")
+    return tuple(out_masks), tuple(out_ranks)
+
+
+_SINK: Macrostate = ((), ())
+
+
+def _normalize(masks: tuple[int, ...], ranks: tuple[int, ...]) -> Macrostate:
+    """Compact ranks onto ``1..n``, checking the ranked-slice invariants on the way."""
+    if not masks:
+        return _SINK
+    seen = 0
+    for mask in masks:
+        if not mask:
+            raise InternalInvariantError("normalize requires a pre-slice without empty sets")
+        if mask & seen:
+            raise InvalidSliceError(f"sets are not pairwise disjoint: {sorted(from_mask(mask & seen))} repeated")
+        seen |= mask
+    order = sorted(ranks)
+    if order[0] < 1 or len(set(order)) != len(order):
+        raise InternalInvariantError(f"normalize requires pairwise distinct positive ranks, got {ranks}")
+    if ranks[-1] != order[0]:
+        raise InvalidSliceError("the rightmost set must carry rank 1")
+    dense = {rank: i for i, rank in enumerate(order, start=1)}
+    return masks, tuple([dense[rank] for rank in ranks])
+
+
+class _Stages(NamedTuple):
+    stepped: Macrostate
+    pruned: Macrostate
+    green: int
+    red: int
+    dominating: int
+    priority: int
+    partition: IntervalPartition
+    merged: Macrostate
+    successor: Macrostate
+
+
+# Sink self-loop: rank 1 stays dead, so the edge keeps priority 1.
+_SINK_STAGES = _Stages(_SINK, _SINK, 0, 1 << 1, 1, 1, (), _SINK, _SINK)
+
+
+def _stages(
+    aut: BuchiAutomaton,
+    post: SuccessorMasks,
+    source: Macrostate,
+    strategy: MergeStrategy,
+    explored: Container[Macrostate],
+) -> _Stages:
+    masks, ranks = source
+    if not masks:
+        return _SINK_STAGES
+    stepped = _step(post, aut.accepting_mask, masks, ranks)  # type: ignore[attr-defined]
+    pruned_masks, pruned_ranks, green, red = _prune(*stepped)
+    k, priority = _dominating(green, red, aut.num_states)
+    partition = _choose(pruned_masks, pruned_ranks, k, green, strategy, explored)
+    merged = _merge(pruned_masks, pruned_ranks, partition)
+    return _Stages(
+        stepped, (pruned_masks, pruned_ranks), green, red, k, priority, partition, merged, _normalize(*merged)
+    )
+
+
+# --- Conversion at the PreSlice/RankedSlice boundary --------------------------
+
+
+def _key(slice_: PreSlice | RankedSlice) -> Macrostate:
+    return tuple([to_mask(block) for block in slice_.sets]), slice_.ranks
+
+
+def _source(aut: BuchiAutomaton, slice_: RankedSlice) -> Macrostate:
+    if any(not 0 <= q < aut.num_states for block in slice_.sets for q in block):
+        raise InvalidAutomatonError(f"slice holds a state out of range for {aut.num_states} states")
+    return _key(slice_)
+
+
+def _explored(strategy: MergeStrategy, context: Iterable[RankedSlice]) -> set[Macrostate]:
+    return {_key(s) for s in context} if strategy.kind == "adaptive" else set()
+
+
+def _pre(masks: tuple[int, ...], ranks: tuple[int, ...]) -> PreSlice:
+    return PreSlice(sets=tuple([from_mask(mask) for mask in masks]), ranks=ranks)
+
+
+def _ranked(masks: tuple[int, ...], ranks: tuple[int, ...]) -> RankedSlice:
+    return RankedSlice(sets=tuple([from_mask(mask) for mask in masks]), ranks=ranks)
+
+
+def _trace(source: RankedSlice, symbol: str, stages: _Stages) -> TransitionTrace:
+    return TransitionTrace(
+        source=source,
+        symbol=symbol,
+        stepped=_pre(*stages.stepped),
+        pruned=_pre(*stages.pruned),
+        green=from_mask(stages.green),
+        red=from_mask(stages.red),
+        dominating=stages.dominating,
+        priority=stages.priority,
+        partition=stages.partition,
+        merged=_pre(*stages.merged),
+        successor=_ranked(*stages.successor),
+    )
+
+
+def restricted_successors(aut: BuchiAutomaton, slice_: RankedSlice, q: int, symbol: str) -> frozenset[int]:
+    """Successors of ``q`` minus successors of all states in strictly earlier positions."""
+    pos = index_of(slice_, q)
+    stolen: set[int] = set()
+    for block in slice_.sets[: pos - 1]:
+        stolen |= successors(aut, block, symbol)
+    return aut.successors_of(q, symbol) - stolen
+
+
+def step(aut: BuchiAutomaton, slice_: RankedSlice, symbol: str) -> PreSlice:
+    """Advance one split-tree level: per position, accepting then non-accepting successors."""
+    post = aut.post(symbol)
+    return _pre(*_step(post, aut.accepting_mask, *_source(aut, slice_)))  # type: ignore[attr-defined]
+
+
+def prune(pre: PreSlice) -> tuple[PreSlice, frozenset[int], frozenset[int]]:
+    """Drop empty sets; relocate ranks leftward by block minimum.
+
+    Returns the pruned pre-slice together with the green ranks (survivors
+    that marked an empty set) and the red ranks (non-survivors).
+    """
+    masks, ranks, green, red = _prune(*_key(pre))
+    return _pre(masks, ranks), from_mask(green), from_mask(red)
+
+
+def dominating_rank(green: frozenset[int], red: frozenset[int], num_states: int) -> tuple[int, int]:
+    """Minimum active rank and the edge priority it induces.
+
+    With no active ranks the dominating rank defaults to ``num_states + 1``
+    and the priority is odd.
+    """
+    return _dominating(to_mask(green), to_mask(red), num_states)
+
+
 def iter_valid_partitions(pre: PreSlice, k: int) -> Iterator[IntervalPartition]:
     """All interval partitions permitted for the merge stage, coarsest first.
 
@@ -229,15 +421,7 @@ def iter_valid_partitions(pre: PreSlice, k: int) -> Iterator[IntervalPartition]:
     their optional boundary positions; the all-singleton partition is always
     last and always present.
     """
-    n = len(pre)
-    if n == 0:
-        yield ()
-        return
-    forced = _forced_cuts(pre, k)
-    free = [c for c in range(1, n) if c not in forced]
-    for size in range(len(free) + 1):
-        for extra in itertools.combinations(free, size):
-            yield _partition_from_cuts(n, forced.union(extra))
+    return _iter_partitions(pre.ranks, k)
 
 
 def valid_partitions(pre: PreSlice, k: int) -> list[IntervalPartition]:
@@ -279,63 +463,17 @@ def choose_partition(
     for one whose successor is already in ``context`` before falling back.
     """
     strategy = as_strategy(strategy)
-    n = len(pre)
-    if n == 0:
-        return ()
-    if strategy.kind == "ms":
-        return _partition_from_cuts(n, range(1, n))
-    if strategy.kind == "max":
-        return _partition_from_cuts(n, _forced_cuts(pre, k))
-    if strategy.kind == "safra":
-        shape = unflatten(pre.ranks)
-        cuts = set(range(1, n))
-        for pos in range(1, n + 1):
-            if pre.ranks[pos - 1] in green:
-                span_lo = shape.left_boundary_of[pos - 1] + 1
-                cuts.difference_update(range(span_lo, pos))
-        return _partition_from_cuts(n, cuts)
-    # adaptive: reuse an already constructed successor when permitted
-    explored = context if isinstance(context, (set, frozenset, dict)) else set(context)
-    candidates = itertools.islice(iter_valid_partitions(pre, k), strategy.partition_cap)
-    for partition in candidates:
-        if normalize(merge(pre, partition)) in explored:
-            return partition
-    return choose_partition(pre, k, green, MergeStrategy(strategy.fallback), context)
+    return _choose(*_key(pre), k, to_mask(green), strategy, _explored(strategy, context))
 
 
 def merge(pre: PreSlice, partition: IntervalPartition) -> PreSlice:
     """Union the sets and keep the minimum rank within each interval."""
-    sets: list[frozenset[int]] = []
-    ranks: list[int] = []
-    covered = 0
-    for lo, hi in partition:
-        if lo != covered + 1 or hi < lo or hi > len(pre):
-            raise InternalInvariantError(f"partition {partition} does not tile 1..{len(pre)}")
-        covered = hi
-        block: set[int] = set()
-        for member in pre.sets[lo - 1 : hi]:
-            block |= member
-        sets.append(frozenset(block))
-        ranks.append(min(pre.ranks[lo - 1 : hi]))
-    if covered != len(pre):
-        raise InternalInvariantError(f"partition {partition} does not cover 1..{len(pre)}")
-    return PreSlice(sets=tuple(sets), ranks=tuple(ranks))
+    return _pre(*_merge(*_key(pre), partition))
 
 
 def normalize(pre: PreSlice) -> RankedSlice:
     """Compact pairwise distinct ranks onto ``1..n`` preserving their order."""
-    if not pre.sets:
-        return RankedSlice(sets=(), ranks=())
-    if any(not block for block in pre.sets):
-        raise InternalInvariantError("normalize requires a pre-slice without empty sets")
-    if len(set(pre.ranks)) != len(pre.ranks):
-        raise InternalInvariantError(f"normalize requires pairwise distinct ranks, got {pre.ranks}")
-    dense = {rank: i for i, rank in enumerate(sorted(pre.ranks), start=1)}
-    return RankedSlice(sets=pre.sets, ranks=tuple(dense[r] for r in pre.ranks))
-
-
-_EMPTY_SLICE = RankedSlice(sets=(), ranks=())
-_EMPTY_PRE = PreSlice(sets=(), ranks=())
+    return _ranked(*_normalize(*_key(pre)))
 
 
 def transition_stages(
@@ -347,42 +485,9 @@ def transition_stages(
 ) -> TransitionTrace:
     """Run step, prune, merge, and normalize, keeping every intermediate stage."""
     strategy = as_strategy(strategy)
-    if symbol not in aut.alphabet:
-        raise UnknownSymbolError(f"symbol {symbol!r} not in alphabet")
-    if len(slice_) == 0:
-        # Sink self-loop: rank 1 stays dead, so the edge keeps priority 1.
-        return TransitionTrace(
-            source=slice_,
-            symbol=symbol,
-            stepped=_EMPTY_PRE,
-            pruned=_EMPTY_PRE,
-            green=frozenset(),
-            red=frozenset({1}),
-            dominating=1,
-            priority=1,
-            partition=(),
-            merged=_EMPTY_PRE,
-            successor=_EMPTY_SLICE,
-        )
-    stepped = step(aut, slice_, symbol)
-    pruned, green, red = prune(stepped)
-    k, priority = dominating_rank(green, red, aut.num_states)
-    partition = choose_partition(pruned, k, green, strategy, context)
-    merged = merge(pruned, partition)
-    successor = normalize(merged)
-    return TransitionTrace(
-        source=slice_,
-        symbol=symbol,
-        stepped=stepped,
-        pruned=pruned,
-        green=green,
-        red=red,
-        dominating=k,
-        priority=priority,
-        partition=partition,
-        merged=merged,
-        successor=successor,
-    )
+    post = aut.post(symbol)
+    stages = _stages(aut, post, _source(aut, slice_), strategy, _explored(strategy, context))
+    return _trace(slice_, symbol, stages)
 
 
 def transition(
@@ -407,42 +512,56 @@ def determinize(
     *,
     cap: int = 1_000_000,
     validate: bool = False,
+    labels: bool = True,
 ) -> ParityAutomaton:
     """Breadth-first exploration of the macrostate graph into a parity automaton.
 
     Macrostates are deduplicated by structural slice equality and numbered in
     discovery order, so the output is a deterministic function of the input
     automaton and strategy.  ``validate`` re-checks the pipeline invariants on
-    every generated transition.  Exceeding ``cap`` macrostates raises
+    every generated transition.  ``labels`` annotates every state with its
+    canonical slice string.  Exceeding ``cap`` macrostates raises
     :class:`CapacityError`.
     """
     strategy = as_strategy(strategy)
-    start = initial_slice(aut)
-    ids: dict[RankedSlice, int] = {start: 0}
+    posts = [(symbol, aut.post(symbol)) for symbol in aut.alphabet]
+    start: Macrostate = ((to_mask(aut.initial),), (1,))
+    ids: dict[Macrostate, int] = {start: 0}
     edges: dict[tuple[int, str], tuple[int, int]] = {}
-    queue: deque[RankedSlice] = deque([start])
+    queue: deque[Macrostate] = deque([start])
     while queue:
         current = queue.popleft()
         src = ids[current]
-        for symbol in aut.alphabet:
-            trace = transition_stages(aut, current, symbol, strategy, context=ids)
+        for symbol, post in posts:
+            stages = _stages(aut, post, current, strategy, ids)
             if validate:
-                check_transition_invariants(aut, trace)
-            succ = trace.successor
+                check_transition_invariants(aut, _trace(_ranked(*current), symbol, stages))
+            succ = stages.successor
             if succ not in ids:
                 if len(ids) >= cap:
                     raise CapacityError(f"macrostate cap of {cap} exceeded")
                 ids[succ] = len(ids)
                 queue.append(succ)
-            edges[(src, symbol)] = (ids[succ], trace.priority)
-    labels = {i: format_slice(s) for s, i in ids.items()}
+            edges[(src, symbol)] = (ids[succ], stages.priority)
     return ParityAutomaton(
         num_states=len(ids),
         alphabet=aut.alphabet,
         initial=0,
         edges=edges,
-        labels=labels,
+        labels=_labels(ids) if labels else {},
     )
+
+
+def _labels(ids: dict[Macrostate, int]) -> dict[int, str]:
+    """Canonical slice text of every macrostate, formatting each distinct set once."""
+    set_texts: dict[int, str] = {}
+    out: dict[int, str] = {}
+    for (masks, ranks), i in ids.items():
+        for mask in masks:
+            if mask not in set_texts:
+                set_texts[mask] = format_set(from_mask(mask))
+        out[i] = format_entries([set_texts[mask] for mask in masks], ranks)
+    return out
 
 
 def check_transition_invariants(aut: BuchiAutomaton, trace: TransitionTrace) -> None:

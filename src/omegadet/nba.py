@@ -4,10 +4,16 @@ States are dense integer ids ``0 .. num_states-1``; alphabet symbols are
 arbitrary whitespace-free tokens.  All values are immutable after construction
 and every operation is a pure function, so automata are safe to share across
 threads.
+
+Inside the determinization pipeline a state set is an ``int`` bitmask with bit
+``q`` standing for state ``q``.  This module owns that encoding: ``to_mask``
+and ``from_mask`` convert, and :meth:`BuchiAutomaton.post` maps set masks to
+successor masks.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 
 class NbaFormatError(ValueError):
@@ -38,7 +44,10 @@ def _check_token(token: str) -> str:
 
 @dataclass(frozen=True)
 class BuchiAutomaton:
-    """NBA as a tuple of state count, ordered alphabet, transitions, initial and accepting sets."""
+    """NBA as a tuple of state count, ordered alphabet, transitions, initial and accepting sets.
+
+    Construction also derives ``accepting_mask``, the accepting set as a bitmask.
+    """
 
     num_states: int
     alphabet: tuple[str, ...]
@@ -66,15 +75,72 @@ class BuchiAutomaton:
                 if not 0 <= q < self.num_states:
                     raise InvalidAutomatonError(f"{name} state {q} out of range")
         delta: dict[tuple[int, str], set[int]] = {}
+        tables = {sym: [0] * self.num_states for sym in self.alphabet}
         for src, sym, dst in self.transitions:
             delta.setdefault((src, sym), set()).add(dst)
+            tables[sym][src] |= 1 << dst
         object.__setattr__(self, "_delta", {k: frozenset(v) for k, v in delta.items()})
+        object.__setattr__(self, "_post_tables", {sym: tuple(t) for sym, t in tables.items()})
+        object.__setattr__(self, "accepting_mask", to_mask(self.accepting))
 
     def successors_of(self, state: int, symbol: str) -> frozenset[int]:
         """Successor states of a single state on one symbol."""
         if symbol not in self.alphabet:
             raise UnknownSymbolError(f"symbol {symbol!r} not in alphabet")
         return self._delta.get((state, symbol), frozenset())  # type: ignore[attr-defined]
+
+    def post(self, symbol: str) -> "SuccessorMasks":
+        """Fresh memo mapping a state-set mask to its successor mask on ``symbol``."""
+        try:
+            return SuccessorMasks(self._post_tables[symbol])  # type: ignore[attr-defined]
+        except KeyError:
+            raise UnknownSymbolError(f"symbol {symbol!r} not in alphabet") from None
+
+
+class SuccessorMasks(dict):
+    """Successor mask of every state-set mask looked up, computed once per mask.
+
+    ``table[q]`` is the successor mask of state ``q``.  Instances are private
+    to one caller (see :meth:`BuchiAutomaton.post`), so the memo is never
+    shared between threads.
+    """
+
+    __slots__ = ("table",)
+
+    def __init__(self, table: tuple[int, ...]):
+        super().__init__()
+        self.table = table
+
+    def __missing__(self, mask: int) -> int:
+        table = self.table
+        out = 0
+        rest = mask
+        while rest:
+            low = rest & -rest
+            out |= table[low.bit_length() - 1]
+            rest ^= low
+        self[mask] = out
+        return out
+
+
+def to_mask(states: Iterable[int]) -> int:
+    """Bitmask with bit ``q`` set for every state ``q``."""
+    mask = 0
+    for q in states:
+        if q < 0:
+            raise ValueError(f"state id {q} is negative")
+        mask |= 1 << q
+    return mask
+
+
+def from_mask(mask: int) -> frozenset[int]:
+    """The states whose bits are set in ``mask``."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return frozenset(out)
 
 
 @dataclass(frozen=True)
@@ -108,14 +174,6 @@ def successors(aut: BuchiAutomaton, source_set: frozenset[int] | set[int], symbo
             raise InvalidAutomatonError(f"source state {q} out of range")
         out |= aut.successors_of(q, symbol)
     return frozenset(out)
-
-
-def run_set(aut: BuchiAutomaton, source_set: frozenset[int], word: tuple[str, ...]) -> frozenset[int]:
-    """States reachable from ``source_set`` after reading a finite word."""
-    current = frozenset(source_set)
-    for symbol in word:
-        current = successors(aut, current, symbol)
-    return current
 
 
 def parse_nba(data: bytes | str) -> BuchiAutomaton:

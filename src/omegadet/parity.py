@@ -6,6 +6,8 @@ smallest priority occurring infinitely often along its edges is even.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Mapping
 
 from .nba import Lasso, UnknownSymbolError
 
@@ -27,16 +29,19 @@ class ParityAutomaton:
     """Deterministic automaton with per-edge priorities and one initial state.
 
     ``edges`` maps ``(state, symbol)`` to ``(target, priority)``.  ``labels``
-    optionally annotate states with their canonical slice string.
+    optionally annotate states with their canonical slice string.  Both are
+    stored as read-only copies of the mappings passed in.
     """
 
     num_states: int
     alphabet: tuple[str, ...]
     initial: int
-    edges: dict[tuple[int, str], tuple[int, int]]
-    labels: dict[int, str] = field(default_factory=dict)
+    edges: Mapping[tuple[int, str], tuple[int, int]]
+    labels: Mapping[int, str] = field(default_factory=dict)
 
     def __post_init__(self):
+        object.__setattr__(self, "edges", MappingProxyType(dict(self.edges)))
+        object.__setattr__(self, "labels", MappingProxyType(dict(self.labels)))
         if not 0 <= self.initial < self.num_states:
             raise DpaFormatError(f"initial state {self.initial} out of range")
         symbols = set(self.alphabet)

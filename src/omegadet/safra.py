@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .slices import RankedSlice, _format_set
+from .slices import RankedSlice, format_set
 
 
 class InvalidTreeError(ValueError):
@@ -151,7 +151,7 @@ def slice_to_safra(slice_: RankedSlice) -> SafraNode:
 
 def format_tree(root: SafraNode) -> str:
     """Nested ``{ids}:rank(child,...)`` rendering; round-trips with :func:`parse_tree`."""
-    text = f"{_format_set(root.label)}:{root.rank}"
+    text = f"{format_set(root.label)}:{root.rank}"
     if root.children:
         text += "(" + ",".join(format_tree(c) for c in root.children) + ")"
     return text

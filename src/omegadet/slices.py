@@ -187,23 +187,25 @@ def _check_position(slice_: SliceLike, i: int) -> None:
         raise InvalidSliceError(f"position {i} out of range 1..{len(slice_.sets)}")
 
 
-def _format_set(block: Iterable[int]) -> str:
+def format_set(block: Iterable[int]) -> str:
+    """Canonical set text ``{ids}`` with ascending ids."""
     return "{" + ",".join(map(str, sorted(block))) + "}"
+
+
+def format_entries(set_texts: Iterable[str], ranks: Iterable[int]) -> str:
+    """Canonical slice text from already formatted sets (see :func:`format_set`) and their ranks."""
+    return "(" + ",".join([f"{text}:{rank}" for text, rank in zip(set_texts, ranks)]) + ")"
 
 
 def format_slice(slice_: SliceLike) -> str:
     """Canonical text form ``({ids}:rank,...)`` with ascending ids inside each set."""
-    entries = (f"{_format_set(block)}:{rank}" for block, rank in zip(slice_.sets, slice_.ranks))
-    return "(" + ",".join(entries) + ")"
+    return format_entries(map(format_set, slice_.sets), slice_.ranks)
 
 
 def parse_slice(text: str) -> RankedSlice:
     """Parse the canonical slice string; strict, no whitespace tolerated."""
     sets, ranks = _parse_entries(text)
-    try:
-        return RankedSlice(sets=sets, ranks=ranks)
-    except InvalidSliceError:
-        raise
+    return RankedSlice(sets=sets, ranks=ranks)
 
 
 def parse_preslice(text: str) -> PreSlice:

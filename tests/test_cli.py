@@ -3,6 +3,10 @@ import sys
 
 import pytest
 
+from omegadet.determinize import determinize
+from omegadet.nba import BuchiAutomaton, parse_nba, serialize_nba
+from omegadet.slices import parse_slice
+
 from .conftest import MEDIUM_STAGED_NBA, SMALL_NBA, WIDE_STAGED_NBA
 
 
@@ -94,6 +98,47 @@ def test_check_all_strategies(medium_staged_file):
     for strategy in ("ms", "safra", "max", "adaptive"):
         result = run_cli("check", "-i", str(medium_staged_file), "--strategy", strategy, "--max-u", "2", "--max-v", "2")
         assert result.returncode == 0, result.stdout + result.stderr
+
+
+@pytest.mark.parametrize("flags", [("--max-u", "-1"), ("--max-v", "0"), ("--random", "0"), ("--random", "-4")])
+def test_check_rejects_vacuous_bounds(small_file, flags):
+    result = run_cli("check", "-i", str(small_file), *flags)
+    assert result.returncode == 2
+    assert "must be at least" in result.stderr
+    assert "Traceback" not in result.stderr and result.stdout == ""
+
+
+def test_check_smallest_bounds(small_file):
+    result = run_cli("check", "-i", str(small_file), "--max-u", "0", "--max-v", "1")
+    assert result.returncode == 0
+    assert result.stdout == "checked 1 lassos: agreement\n"
+
+
+def wide_ids_nba() -> BuchiAutomaton:
+    """The wide staged automaton with its six states renamed to ids around bit 63 of 72 states."""
+    aut = parse_nba(WIDE_STAGED_NBA)
+    rename = (70, 63, 64, 1, 65, 62)
+    return BuchiAutomaton(
+        num_states=72,
+        alphabet=aut.alphabet,
+        transitions=frozenset((rename[src], sym, rename[dst]) for src, sym, dst in aut.transitions),
+        initial=frozenset(rename[q] for q in aut.initial),
+        accepting=frozenset(rename[q] for q in aut.accepting),
+    )
+
+
+def test_check_agrees_on_state_ids_beyond_64_bits(tmp_path):
+    aut = wide_ids_nba()
+    reached = set()
+    for label in determinize(aut, "ms").labels.values():
+        reached |= parse_slice(label).state_set
+    assert reached == {1, 62, 63, 64, 65, 70}
+    path = tmp_path / "wide72.nba"
+    path.write_bytes(serialize_nba(aut))
+    for strategy in ("ms", "safra", "max", "adaptive"):
+        result = run_cli("check", "-i", str(path), "--strategy", strategy, "--max-u", "3", "--max-v", "2")
+        assert result.returncode == 0, result.stdout + result.stderr
+        assert "agreement" in result.stdout
 
 
 def test_check_corrupted_priority(small_file, tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -25,9 +26,12 @@ from omegadet.determinize import (
     transition_stages,
     valid_partitions,
 )
-from omegadet.nba import parse_nba
+from omegadet.nba import InvalidAutomatonError, parse_nba
 from omegadet.oracle import random_nba
-from omegadet.slices import PreSlice, RankedSlice, format_slice, parse_preslice, parse_slice
+from omegadet.parity import serialize_dpa
+from omegadet.slices import InvalidSliceError, PreSlice, RankedSlice, format_slice, parse_preslice, parse_slice
+
+from .conftest import build_corpus
 
 # The pruned six-set scenario used across the merge tests: distinct surviving
 # ranks with gaps, green ranks 2 and 6, dominating rank 2.
@@ -196,6 +200,19 @@ def test_normalize_rejects_duplicates():
         normalize(parse_preslice("({0}:2,{1}:2,{2}:1)"))
 
 
+def test_normalize_rejects_empty_sets_and_misplaced_minimum():
+    with pytest.raises(InternalInvariantError):
+        normalize(parse_preslice("({}:2,{1}:1)"))
+    with pytest.raises(InvalidSliceError):
+        normalize(parse_preslice("({0}:1,{1}:2)"))
+
+
+def test_step_rejects_states_outside_the_automaton(small_nba):
+    for text in ("({5}:1)", "({-1}:1)"):
+        with pytest.raises(InvalidAutomatonError):
+            step(small_nba, parse_slice(text), "a")
+
+
 def test_transition_medium_safra(medium_nba):
     out = transition(medium_nba, parse_slice("({1}:2,{2}:3,{0}:1)"), "a", SAFRA)
     assert format_slice(out.successor) == "({2}:2,{3}:3,{0}:1)"
@@ -251,6 +268,13 @@ def test_determinize_strategies_agree_until_merges(medium_nba):
     # This automaton only produces trivial green subtrees, so the reachable
     # macrostates coincide.
     assert set(by_ms.labels.values()) == set(by_safra.labels.values())
+
+
+def test_determinize_without_labels(small_nba):
+    labelled = determinize(small_nba, MULLER_SCHUPP)
+    bare = determinize(small_nba, MULLER_SCHUPP, labels=False)
+    assert bare.labels == {}
+    assert bare.edges == labelled.edges and bare.num_states == labelled.num_states
 
 
 def test_determinize_cap(small_nba):
@@ -327,3 +351,34 @@ def test_strategy_validation():
         MergeStrategy("adaptive", fallback="adaptive")
     with pytest.raises(ValueError):
         MergeStrategy("ms", fallback="max")
+
+
+# SHA-256 over the concatenated labelled .dpa bytes of each automaton set,
+# recorded with the frozenset-based pipeline that the bitmask kernels
+# replaced: the output must stay byte-identical.
+GOLDEN_DPA_SHA256 = {
+    ("corpus", "ms"): "4a66402e76b99c46f215753a0e5b1dcb861815eb4badb8d87097a701ffa4c3aa",
+    ("corpus", "safra"): "68cd4de9b865997252cf6a4243c4f534b2164cc4f43579749eeb934c03171d0c",
+    ("corpus", "max"): "3a7b6a2b468927bf4dcd05e2fc03cc04f785b016265c37adc863ab5b8b042790",
+    ("corpus", "adaptive"): "48ea0737fee3b68a35eb1f0675ad52156ddeee8ed7796d19b994474fad38eb76",
+    ("grid", "ms"): "50a524161fc97ccf12d665d41ebd2137297cc37f29707ca3e71dc0544f328802",
+    ("grid", "safra"): "41a8a7ff6af7c5e8250a6a7f32da6c0bb0670e792db3c11b9ecd9e8ee01304a9",
+    ("grid", "max"): "6ed59599c855141e573084d878151f6c74305e16f364871c4b278c20ba7a0fb7",
+    ("grid", "adaptive"): "8a2283fc5ccd8da01c2ec1cea3c9042758bb50cf99eeb641103d30937df13390",
+}
+
+
+@pytest.fixture(scope="module")
+def golden_automata():
+    # The 300-automaton corpus plus three Tabakov-Vardi automata (n=12, density 1.8/n).
+    grid = [random_nba(12, ("a", "b"), 1.8 / 12, 0.5, seed=9100 * 12 + i) for i in range(3)]
+    return {"corpus": build_corpus(), "grid": grid}
+
+
+@pytest.mark.parametrize("strategy", ["ms", "safra", "max", "adaptive"])
+def test_golden_dpa_bytes(golden_automata, strategy):
+    for name, automata in golden_automata.items():
+        digest = hashlib.sha256()
+        for aut in automata:
+            digest.update(serialize_dpa(determinize(aut, strategy)))
+        assert digest.hexdigest() == GOLDEN_DPA_SHA256[(name, strategy)], name

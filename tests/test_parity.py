@@ -126,6 +126,17 @@ def test_parse_dpa_golden():
     assert dpa.edges[(2, "a")] == (2, 4)
 
 
+def test_parity_automaton_is_read_only():
+    edges = {(0, "a"): (0, 2)}
+    dpa = ParityAutomaton(num_states=1, alphabet=("a",), initial=0, edges=edges, labels={0: "({0}:1)"})
+    with pytest.raises(TypeError):
+        dpa.edges[(0, "a")] = (0, 1)  # type: ignore[index]
+    with pytest.raises(TypeError):
+        dpa.labels[0] = "()"  # type: ignore[index]
+    edges[(0, "a")] = (0, 1)
+    assert dpa.edges[(0, "a")] == (0, 2)
+
+
 def test_parse_dpa_errors():
     with pytest.raises(DpaFormatError):
         parse_dpa(b"nope\n")
