@@ -75,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
         if output:
             p.add_argument("--output", "-o", help="output file (default: stdout)")
         p.add_argument("--strategy", choices=_STRATEGY_TOKENS, default="ms")
-        p.add_argument("--cap", type=int, default=1_000_000, help="macrostate cap")
+        p.add_argument("--cap", type=_int_at_least(1), default=1_000_000, help="macrostate cap (>= 1)")
 
     p = sub.add_parser("determinize", help="translate a .nba file into a .dpa file")
     add_common(p, output=True)
@@ -86,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", "-i", required=True, help="input .nba file")
     p.add_argument("--dpa", help="check this .dpa file instead of determinizing")
     p.add_argument("--strategy", choices=_STRATEGY_TOKENS, default="ms")
-    p.add_argument("--cap", type=int, default=1_000_000)
+    p.add_argument("--cap", type=_int_at_least(1), default=1_000_000, help="macrostate cap (>= 1)")
     p.add_argument("--max-u", type=_int_at_least(0), default=3, help="maximum stem length (>= 0)")
     p.add_argument("--max-v", type=_int_at_least(1), default=3, help="maximum cycle length (>= 1)")
     p.add_argument(
@@ -97,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stats", help="macrostate and edge counts per merge strategy")
     p.add_argument("--input", "-i", required=True, help="input .nba file")
-    p.add_argument("--cap", type=int, default=1_000_000)
+    p.add_argument("--cap", type=_int_at_least(1), default=1_000_000, help="macrostate cap (>= 1)")
     p.set_defaults(handler=cmd_stats)
 
     p = sub.add_parser("roundtrip", help="render a slice as a tree and recover it")

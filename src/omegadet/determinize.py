@@ -33,7 +33,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import Container, Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .nba import BuchiAutomaton, InvalidAutomatonError, SuccessorMasks, from_mask, successors, to_mask
 from .parity import ParityAutomaton
@@ -56,13 +56,12 @@ _KINDS = ("ms", "safra", "max", "adaptive")
 class MergeStrategy:
     """Merge-stage policy: identity, green-subtree collapse, coarsest, or successor reuse.
 
-    ``fallback`` names the policy an adaptive strategy applies when no already
-    explored successor is reachable within ``partition_cap`` candidates.
+    ``fallback`` names the policy an adaptive strategy applies when no
+    permitted partition leads to an already explored successor.
     """
 
     kind: str
     fallback: str | None = None
-    partition_cap: int = 4096
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -100,6 +99,8 @@ def as_strategy(value: MergeStrategy | str) -> MergeStrategy:
 Interval = tuple[int, int]
 IntervalPartition = tuple[Interval, ...]
 Macrostate = tuple[tuple[int, ...], tuple[int, ...]]
+# Explored macrostates grouped by the union of their state sets.
+UnionIndex = dict[int, list[Macrostate]]
 
 
 @dataclass(frozen=True)
@@ -225,13 +226,60 @@ def _iter_partitions(ranks: tuple[int, ...], k: int) -> Iterator[IntervalPartiti
             yield _partition_from_cuts(n, forced.union(extra))
 
 
+def _union(masks: tuple[int, ...]) -> int:
+    union = 0
+    for mask in masks:
+        union |= mask
+    return union
+
+
+def _induced_cuts(
+    masks: tuple[int, ...], ranks: tuple[int, ...], k: int, target: Macrostate
+) -> tuple[int, ...] | None:
+    """Cuts of the permitted partition whose merge normalizes to ``target``, or None.
+
+    One pass checks that every target set is a run of consecutive pruned sets,
+    that the runs keep the forced cuts (a rank below ``k`` only alone, rank
+    ``k`` only at the end of its run), and that the run minima are ordered as
+    the target ranks, which form a bijection onto ``1..m``.
+    """
+    target_masks, target_ranks = target
+    n = len(masks)
+    if len(target_masks) > n:
+        return None
+    minima = [0] * (len(target_masks) + 1)
+    cuts: list[int] = []
+    pos = 0
+    for block, rank in zip(target_masks, target_ranks):
+        start = pos
+        covered = 0
+        low = 0
+        while covered != block:
+            if pos == n or masks[pos] & ~block or (pos > start and low <= k):
+                return None
+            covered |= masks[pos]
+            if pos == start or ranks[pos] < low:
+                low = ranks[pos]
+            pos += 1
+        if pos - start > 1 and low < k:
+            return None
+        minima[rank] = low
+        cuts.append(pos)
+    if pos != n:
+        return None
+    for i in range(2, len(minima)):
+        if minima[i - 1] >= minima[i]:
+            return None
+    return tuple(cuts[:-1])
+
+
 def _choose(
     masks: tuple[int, ...],
     ranks: tuple[int, ...],
     k: int,
     green: int,
     strategy: MergeStrategy,
-    explored: Container[Macrostate],
+    explored: UnionIndex,
 ) -> IntervalPartition:
     n = len(ranks)
     if n == 0:
@@ -248,10 +296,16 @@ def _choose(
             if green >> rank & 1:
                 cuts.difference_update(range(shape.left_boundary_of[pos - 1] + 1, pos))
         return _partition_from_cuts(n, cuts)
-    # adaptive: reuse an already constructed successor when permitted
-    for partition in itertools.islice(_iter_partitions(ranks, k), strategy.partition_cap):
-        if _normalize(*_merge(masks, ranks, partition)) in explored:
-            return partition
+    # adaptive: merge keeps the state union, so only explored macrostates with
+    # the pruned union can be reached.  The first match in the order of
+    # _iter_partitions wins: fewest cuts, then the lexicographic order of cuts.
+    best: tuple[int, ...] | None = None
+    for target in explored.get(_union(masks), ()):
+        cuts = _induced_cuts(masks, ranks, k, target)
+        if cuts is not None and (best is None or (len(cuts), cuts) < (len(best), best)):
+            best = cuts
+    if best is not None:
+        return _partition_from_cuts(n, best)
     return _choose(masks, ranks, k, green, STRATEGIES[strategy.fallback], explored)
 
 
@@ -324,7 +378,7 @@ def _stages(
     post: SuccessorMasks,
     source: Macrostate,
     strategy: MergeStrategy,
-    explored: Container[Macrostate],
+    explored: UnionIndex,
 ) -> _Stages:
     masks, ranks = source
     if not masks:
@@ -352,8 +406,12 @@ def _source(aut: BuchiAutomaton, slice_: RankedSlice) -> Macrostate:
     return _key(slice_)
 
 
-def _explored(strategy: MergeStrategy, context: Iterable[RankedSlice]) -> set[Macrostate]:
-    return {_key(s) for s in context} if strategy.kind == "adaptive" else set()
+def _explored(strategy: MergeStrategy, context: Iterable[RankedSlice]) -> UnionIndex:
+    index: UnionIndex = {}
+    if strategy.kind == "adaptive":
+        for key in map(_key, context):
+            index.setdefault(_union(key[0]), []).append(key)
+    return index
 
 
 def _pre(masks: tuple[int, ...], ranks: tuple[int, ...]) -> PreSlice:
@@ -459,8 +517,10 @@ def choose_partition(
 
     ``ms`` keeps every position separate, ``max`` applies only the mandatory
     boundaries, ``safra`` additionally fuses the complete subtree of every
-    green rank, and ``adaptive`` scans permitted partitions coarsest-first
-    for one whose successor is already in ``context`` before falling back.
+    green rank, and ``adaptive`` picks a permitted partition whose successor
+    is already in ``context`` before falling back.  It looks the successor up
+    among the context slices with the same state union; among several, the
+    first in the order of :func:`iter_valid_partitions` wins.
     """
     strategy = as_strategy(strategy)
     return _choose(*_key(pre), k, to_mask(green), strategy, _explored(strategy, context))
@@ -527,13 +587,15 @@ def determinize(
     posts = [(symbol, aut.post(symbol)) for symbol in aut.alphabet]
     start: Macrostate = ((to_mask(aut.initial),), (1,))
     ids: dict[Macrostate, int] = {start: 0}
+    adaptive = strategy.kind == "adaptive"
+    index: UnionIndex = {start[0][0]: [start]} if adaptive else {}
     edges: dict[tuple[int, str], tuple[int, int]] = {}
     queue: deque[Macrostate] = deque([start])
     while queue:
         current = queue.popleft()
         src = ids[current]
         for symbol, post in posts:
-            stages = _stages(aut, post, current, strategy, ids)
+            stages = _stages(aut, post, current, strategy, index)
             if validate:
                 check_transition_invariants(aut, _trace(_ranked(*current), symbol, stages))
             succ = stages.successor
@@ -542,6 +604,8 @@ def determinize(
                     raise CapacityError(f"macrostate cap of {cap} exceeded")
                 ids[succ] = len(ids)
                 queue.append(succ)
+                if adaptive:
+                    index.setdefault(_union(succ[0]), []).append(succ)
             edges[(src, symbol)] = (ids[succ], stages.priority)
     return ParityAutomaton(
         num_states=len(ids),

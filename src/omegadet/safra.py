@@ -83,24 +83,24 @@ def validate_tree(root: SafraNode) -> int:
     """Check all ranked Safra tree invariants; returns the node count."""
     labels_seen: set[int] = set()
     ranks: list[int] = []
-
-    def visit(node: SafraNode) -> None:
+    # Depth-first pre-order; each entry carries its parent's and left sibling's rank.
+    stack: list[tuple[SafraNode, int | None, int | None]] = [(root, None, None)]
+    while stack:
+        node, parent_rank, previous_rank = stack.pop()
+        if parent_rank is not None:
+            if node.rank <= parent_rank:
+                raise InvalidTreeError("children must outrank their parent")
+            if previous_rank is not None and node.rank <= previous_rank:
+                raise InvalidTreeError("sibling ranks must increase left to right")
         if not node.label:
             raise InvalidTreeError("node labels must be non-empty")
         if node.label & labels_seen:
             raise InvalidTreeError(f"labels are not disjoint: {sorted(node.label & labels_seen)} repeated")
         labels_seen.update(node.label)
         ranks.append(node.rank)
-        previous_rank = None
-        for child in node.children:
-            if child.rank <= node.rank:
-                raise InvalidTreeError("children must outrank their parent")
-            if previous_rank is not None and child.rank <= previous_rank:
-                raise InvalidTreeError("sibling ranks must increase left to right")
-            previous_rank = child.rank
-            visit(child)
-
-    visit(root)
+        children = node.children
+        for i in range(len(children) - 1, -1, -1):
+            stack.append((children[i], node.rank, children[i - 1].rank if i else None))
     n = len(ranks)
     if sorted(ranks) != list(range(1, n + 1)):
         raise InvalidTreeError(f"ranks {sorted(ranks)} are not a bijection onto 1..{n}")
@@ -112,17 +112,15 @@ def validate_tree(root: SafraNode) -> int:
 def safra_to_slice(root: SafraNode) -> RankedSlice:
     """List node labels and ranks in depth-first post-order."""
     validate_tree(root)
-    sets: list[frozenset[int]] = []
-    ranks: list[int] = []
-
-    def visit(node: SafraNode) -> None:
-        for child in node.children:
-            visit(child)
-        sets.append(node.label)
-        ranks.append(node.rank)
-
-    visit(root)
-    return RankedSlice(sets=tuple(sets), ranks=tuple(ranks))
+    # Node before children, children right to left: the reverse is post-order.
+    order: list[SafraNode] = []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        stack.extend(node.children)
+    order.reverse()
+    return RankedSlice(sets=tuple([node.label for node in order]), ranks=tuple([node.rank for node in order]))
 
 
 def slice_to_safra(slice_: RankedSlice) -> SafraNode:
@@ -151,21 +149,56 @@ def slice_to_safra(slice_: RankedSlice) -> SafraNode:
 
 def format_tree(root: SafraNode) -> str:
     """Nested ``{ids}:rank(child,...)`` rendering; round-trips with :func:`parse_tree`."""
-    text = f"{format_set(root.label)}:{root.rank}"
-    if root.children:
-        text += "(" + ",".join(format_tree(c) for c in root.children) + ")"
-    return text
+    parts: list[str] = []
+    stack: list[SafraNode | str] = [root]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            parts.append(item)
+            continue
+        parts.append(f"{format_set(item.label)}:{item.rank}")
+        children = item.children
+        if children:
+            stack.append(")")
+            for i in range(len(children) - 1, -1, -1):
+                stack.append(children[i])
+                if i:
+                    stack.append(",")
+            stack.append("(")
+    return "".join(parts)
 
 
 def parse_tree(text: str) -> SafraNode:
     """Parse the nested tree rendering produced by :func:`format_tree`."""
-    node, pos = _parse_node(text, 0)
-    if pos != len(text):
-        raise TreeFormatError(f"trailing input at offset {pos + 1}")
-    return node
+    # Nodes whose child list is still open, outermost first.
+    open_nodes: list[tuple[frozenset[int], int, list[SafraNode]]] = []
+    pos = 0
+    while True:
+        label, rank, pos = _parse_head(text, pos)
+        if pos < len(text) and text[pos] == "(":
+            open_nodes.append((label, rank, []))
+            pos += 1
+            continue
+        node = SafraNode(label=label, rank=rank)
+        while open_nodes:
+            open_nodes[-1][2].append(node)
+            if pos < len(text) and text[pos] == ",":
+                pos += 1
+                break
+            if pos < len(text) and text[pos] == ")":
+                pos += 1
+                label, rank, children = open_nodes.pop()
+                node = SafraNode(label=label, rank=rank, children=tuple(children))
+                continue
+            raise TreeFormatError(f"expected ',' or ')' at offset {pos + 1}")
+        if not open_nodes:
+            if pos != len(text):
+                raise TreeFormatError(f"trailing input at offset {pos + 1}")
+            return node
 
 
-def _parse_node(text: str, pos: int) -> tuple[SafraNode, int]:
+def _parse_head(text: str, pos: int) -> tuple[frozenset[int], int, int]:
+    """Parse ``{ids}:rank`` at ``pos``; returns the label, the rank and the next offset."""
     if pos >= len(text) or text[pos] != "{":
         raise TreeFormatError(f"expected '{{' at offset {pos + 1}")
     end = text.find("}", pos)
@@ -187,18 +220,4 @@ def _parse_node(text: str, pos: int) -> tuple[SafraNode, int]:
         rank = int(text[pos:stop])
     except ValueError:
         raise TreeFormatError(f"bad rank {text[pos:stop]!r}") from None
-    pos = stop
-    children: list[SafraNode] = []
-    if pos < len(text) and text[pos] == "(":
-        pos += 1
-        while True:
-            child, pos = _parse_node(text, pos)
-            children.append(child)
-            if pos < len(text) and text[pos] == ",":
-                pos += 1
-                continue
-            if pos < len(text) and text[pos] == ")":
-                pos += 1
-                break
-            raise TreeFormatError(f"expected ',' or ')' at offset {pos + 1}")
-    return SafraNode(label=frozenset(ids), rank=rank, children=tuple(children)), pos
+    return frozenset(ids), rank, stop

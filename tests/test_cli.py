@@ -108,6 +108,15 @@ def test_check_rejects_vacuous_bounds(small_file, flags):
     assert "Traceback" not in result.stderr and result.stdout == ""
 
 
+@pytest.mark.parametrize("cap", ["0", "-3"])
+@pytest.mark.parametrize("command", [("determinize",), ("check",), ("stats",), ("trace", "| a")])
+def test_rejects_vacuous_cap(small_file, command, cap):
+    result = run_cli(command[0], "-i", str(small_file), "--cap", cap, *command[1:])
+    assert result.returncode == 2
+    assert "must be at least 1" in result.stderr
+    assert "Traceback" not in result.stderr and result.stdout == ""
+
+
 def test_check_smallest_bounds(small_file):
     result = run_cli("check", "-i", str(small_file), "--max-u", "0", "--max-v", "1")
     assert result.returncode == 0
@@ -209,6 +218,18 @@ def test_roundtrip_rank_placement():
     rejected = run_cli("roundtrip", "({0}:1,{1}:2)")
     assert rejected.returncode == 1
     assert "rank 1" in rejected.stderr or "rightmost" in rejected.stderr
+
+
+def test_roundtrip_deep_chain():
+    # 1500 positions ranked 1500..1: a chain in which every node has one child.
+    n = 1500
+    text = "(" + ",".join(f"{{{i}}}:{n - i}" for i in range(n)) + ")"
+    result = run_cli("roundtrip", text)
+    assert result.returncode == 0, result.stderr
+    tree, recovered = result.stdout.splitlines()
+    assert recovered == text
+    assert tree.startswith(f"{{{n - 1}}}:1({{{n - 2}}}:2(")
+    assert tree.endswith("{0}:1500" + ")" * (n - 1))
 
 
 def test_roundtrip_malformed():

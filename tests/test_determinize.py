@@ -2,6 +2,8 @@ import hashlib
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from omegadet.determinize import (
     ADAPTIVE,
@@ -17,6 +19,7 @@ from omegadet.determinize import (
     dominating_rank,
     initial_slice,
     is_valid_partition,
+    iter_valid_partitions,
     merge,
     normalize,
     prune,
@@ -158,6 +161,80 @@ def test_choose_partition_adaptive_reuses_context():
 def test_choose_partition_adaptive_falls_back():
     partition = choose_partition(WIDE_PRUNED, 2, WIDE_GREEN, ADAPTIVE, context=set())
     assert partition == choose_partition(WIDE_PRUNED, 2, WIDE_GREEN, MAX_COLLAPSE)
+
+
+def _ranked_with_order(sets, order):
+    # Ranks follow ``order`` (distinct values, minimum last), compacted onto 1..n.
+    dense = {rank: i for i, rank in enumerate(sorted(order), start=1)}
+    return RankedSlice(sets=tuple(sets), ranks=tuple(dense[r] for r in order))
+
+
+@st.composite
+def adaptive_scenarios(draw):
+    """A pruned slice, a dominating rank, and a context of reusable successors and decoys."""
+    n = draw(st.integers(1, 8))
+    sizes = draw(st.lists(st.integers(1, 2), min_size=n, max_size=n))
+    states = draw(st.permutations(range(sum(sizes))))
+    sets, start = [], 0
+    for size in sizes:
+        sets.append(frozenset(states[start : start + size]))
+        start += size
+    ranks = draw(st.lists(st.integers(1, 2 * n + 2), min_size=n, max_size=n, unique=True))
+    low = ranks.index(min(ranks))
+    ranks[low], ranks[-1] = ranks[-1], ranks[low]
+    pre = PreSlice(sets=tuple(sets), ranks=tuple(ranks))
+    # Often one of the two lowest ranks, so that the rank-k cut matters.
+    k = draw(st.sampled_from(sorted(ranks)[:2]) | st.integers(1, max(ranks) + 1))
+    valid = valid_partitions(pre, k)
+    context = [normalize(merge(pre, p)) for p in draw(st.lists(st.sampled_from(valid), max_size=3))]
+    # Decoys share the state union: merges under arbitrary interval partitions,
+    # which may break the forced cuts, with their own or shuffled ranks, and
+    # arbitrary regroupings of the states.
+    for _ in range(draw(st.integers(0, 4))):
+        cuts = sorted(draw(st.sets(st.integers(1, n - 1)))) if n > 1 else []
+        merged = merge(pre, tuple(zip([1] + [c + 1 for c in cuts], cuts + [n])))
+        if draw(st.booleans()):
+            context.append(normalize(merged))
+        else:
+            order = draw(st.permutations(range(2, len(merged) + 1))) + [1]
+            context.append(_ranked_with_order(merged.sets, order))
+    if draw(st.booleans()):
+        shuffled = draw(st.permutations(states))
+        cut = draw(st.integers(1, len(shuffled)))
+        groups = [frozenset(shuffled[:cut]), frozenset(shuffled[cut:])]
+        groups = [g for g in groups if g]
+        context.append(_ranked_with_order(groups, list(range(len(groups), 0, -1))))
+    return pre, k, context
+
+
+# Rank k = 2 sits at position 1, so the decoy, which merges positions 1 and
+# 2, lacks the forced cut after the rank-k set and must not be reused.
+RANK_K_DECOY = PreSlice(sets=tuple(frozenset({q}) for q in range(4)), ranks=(2, 4, 3, 1))
+
+
+@settings(max_examples=300)
+@given(adaptive_scenarios())
+@example((RANK_K_DECOY, 2, [normalize(merge(RANK_K_DECOY, ((1, 2), (3, 3), (4, 4))))]))
+def test_adaptive_lookup_matches_uncapped_enumeration(scenario):
+    pre, k, context = scenario
+    known = set(context)
+    expected = next(
+        (p for p in iter_valid_partitions(pre, k) if normalize(merge(pre, p)) in known),
+        choose_partition(pre, k, frozenset(), MAX_COLLAPSE),
+    )
+    assert choose_partition(pre, k, frozenset(), ADAPTIVE, context) == expected
+
+
+def test_adaptive_reuse_beyond_the_old_candidate_cap():
+    # Fifteen sets with rank 1 last and k = 1: no forced cuts, so 14 free cuts
+    # and 2**14 permitted partitions, the all-singleton one last.
+    pre = PreSlice(sets=tuple(frozenset({q}) for q in range(15)), ranks=tuple(range(15, 0, -1)))
+    singletons = tuple((i, i) for i in range(1, 16))
+    partitions = list(iter_valid_partitions(pre, 1))
+    assert len(partitions) == 16384 and partitions[-1] == singletons
+    context = [normalize(pre)]
+    assert choose_partition(pre, 1, frozenset(), ADAPTIVE, context) == singletons
+    assert choose_partition(pre, 1, frozenset(), ADAPTIVE, ()) == ((1, 15),)
 
 
 def test_merge_wide_coarsest():
