@@ -6,10 +6,12 @@ invariant failure, 2 on usage or parse errors.
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 from pathlib import Path
 
 from .determinize import (
+    STRATEGIES,
     CapacityError,
     InternalInvariantError,
     as_strategy,
@@ -22,15 +24,14 @@ from .nba import (
     LassoFormatError,
     NbaFormatError,
     UnknownSymbolError,
+    format_lasso,
     parse_lasso,
     parse_nba,
 )
 from .oracle import enumerate_lassos, nba_accepts_lasso, sample_lassos
-from .parity import DpaFormatError, MissingEdgeError, parse_dpa, run_lasso, serialize_dpa
+from .parity import DpaFormatError, MissingEdgeError, _run_lasso, parse_dpa, run_lasso, serialize_dpa
 from .safra import InvalidTreeError, TreeFormatError, format_tree, safra_to_slice, slice_to_safra
-from .slices import InvalidSliceError, SliceFormatError, format_slice, parse_slice
-
-_STRATEGY_TOKENS = ("ms", "safra", "max", "adaptive")
+from .slices import InvalidSliceError, RankedSlice, SliceFormatError, format_slice, parse_slice
 
 _USAGE_ERRORS = (
     NbaFormatError,
@@ -74,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--input", "-i", required=True, help="input .nba file")
         if output:
             p.add_argument("--output", "-o", help="output file (default: stdout)")
-        p.add_argument("--strategy", choices=_STRATEGY_TOKENS, default="ms")
+        p.add_argument("--strategy", choices=tuple(STRATEGIES), default="ms")
         p.add_argument("--cap", type=_int_at_least(1), default=1_000_000, help="macrostate cap (>= 1)")
 
     p = sub.add_parser("determinize", help="translate a .nba file into a .dpa file")
@@ -85,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="compare DPA decisions against the membership oracle")
     p.add_argument("--input", "-i", required=True, help="input .nba file")
     p.add_argument("--dpa", help="check this .dpa file instead of determinizing")
-    p.add_argument("--strategy", choices=_STRATEGY_TOKENS, default="ms")
+    p.add_argument("--strategy", choices=tuple(STRATEGIES), default="ms")
     p.add_argument("--cap", type=_int_at_least(1), default=1_000_000, help="macrostate cap (>= 1)")
     p.add_argument("--max-u", type=_int_at_least(0), default=3, help="maximum stem length (>= 0)")
     p.add_argument("--max-v", type=_int_at_least(1), default=3, help="maximum cycle length (>= 1)")
@@ -116,7 +117,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (*_USAGE_ERRORS, AlphabetMismatchError) as exc:
+    except (*_USAGE_ERRORS, AlphabetMismatchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except _SEMANTIC_ERRORS as exc:
@@ -159,8 +160,7 @@ def cmd_check(args) -> int:
         run = run_lasso(dpa, lasso)
         checked += 1
         if verdict.accepted != run.accepted:
-            lasso_text = " ".join(lasso.stem) + " | " + " ".join(lasso.cycle)
-            print(f"disagreement on lasso: {lasso_text.strip()}")
+            print(f"disagreement on lasso: {format_lasso(lasso)}")
             if verdict.accepted:
                 print(f"  nba accepts, witness prefix {verdict.prefix_states} loop {verdict.loop_states}")
             else:
@@ -175,9 +175,9 @@ def cmd_check(args) -> int:
 def cmd_stats(args) -> int:
     aut = _load_nba(args.input)
     print(f"{'strategy':<10} {'states':>8} {'edges':>8}")
-    for token in _STRATEGY_TOKENS:
+    for token, strategy in STRATEGIES.items():
         try:
-            dpa = determinize(aut, as_strategy(token), cap=args.cap, labels=False)
+            dpa = determinize(aut, strategy, cap=args.cap, labels=False)
         except CapacityError:
             print(f"{token:<10} {'cap exceeded (> ' + str(args.cap) + ')':>8}")
             continue
@@ -202,17 +202,14 @@ def cmd_trace(args) -> int:
     aut = _load_nba(args.input)
     lasso = parse_lasso(args.lasso)
     strategy = as_strategy(args.strategy)
-    current = initial_slice(aut)
-    context = {current}
-    print(f"initial: {format_slice(current)}")
+    initial = initial_slice(aut)
+    context = {initial}
+    print(f"initial: {format_slice(initial)}")
+    step_numbers = itertools.count(1)
 
-    step_no = 0
-
-    def advance(symbol: str) -> int:
-        nonlocal current, step_no
-        step_no += 1
+    def advance(current: RankedSlice, symbol: str) -> tuple[RankedSlice, int]:
         trace = transition_stages(aut, current, symbol, strategy, context)
-        print(f"step {step_no}: symbol {symbol}")
+        print(f"step {next(step_numbers)}: symbol {symbol}")
         print(f"  slice:     {format_slice(trace.source)}")
         print(f"  step:      {format_slice(trace.stepped)}")
         print(f"  prune:     {format_slice(trace.pruned)}")
@@ -224,30 +221,14 @@ def cmd_trace(args) -> int:
         print(f"  normalize: {format_slice(trace.successor)}")
         if len(trace.successor) == 0:
             print("  note:      sink (all runs died)")
-        current = trace.successor
-        context.add(current)
+        context.add(trace.successor)
         if len(context) > args.cap:
             raise CapacityError(f"macrostate cap of {args.cap} exceeded")
-        return trace.priority
+        return trace.successor, trace.priority
 
-    for symbol in lasso.stem:
-        advance(symbol)
-
-    first_seen: dict = {}
-    boundaries: list = []
-    segment_minimums: list[int] = []
-    while current not in first_seen:
-        first_seen[current] = len(boundaries)
-        boundaries.append(current)
-        segment_min = None
-        for symbol in lasso.cycle:
-            priority = advance(symbol)
-            segment_min = priority if segment_min is None else min(segment_min, priority)
-        assert segment_min is not None
-        segment_minimums.append(segment_min)
-    min_priority = min(segment_minimums[first_seen[current] :])
-    verdict = "accept" if min_priority % 2 == 0 else "reject"
-    print(f"verdict: {verdict} (min recurring priority {min_priority})")
+    run = _run_lasso(initial, advance, lasso)
+    verdict = "accept" if run.accepted else "reject"
+    print(f"verdict: {verdict} (min recurring priority {run.min_priority})")
     return 0
 
 

@@ -49,9 +49,6 @@ class InternalInvariantError(RuntimeError):
     """A pipeline-internal invariant failed; indicates a bug or bad input."""
 
 
-_KINDS = ("ms", "safra", "max", "adaptive")
-
-
 @dataclass(frozen=True)
 class MergeStrategy:
     """Merge-stage policy: identity, green-subtree collapse, coarsest, or successor reuse.
@@ -64,26 +61,21 @@ class MergeStrategy:
     fallback: str | None = None
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in STRATEGIES:
             raise ValueError(f"unknown strategy kind {self.kind!r}")
         if self.kind == "adaptive":
-            if self.fallback not in ("ms", "safra", "max"):
+            if self.fallback not in STRATEGIES or self.fallback == "adaptive":
                 raise ValueError("adaptive strategies need a non-adaptive fallback")
         elif self.fallback is not None:
             raise ValueError("only adaptive strategies take a fallback")
 
 
-MULLER_SCHUPP = MergeStrategy("ms")
-SAFRA = MergeStrategy("safra")
-MAX_COLLAPSE = MergeStrategy("max")
-ADAPTIVE = MergeStrategy("adaptive", fallback="max")
-
-STRATEGIES: dict[str, MergeStrategy] = {
-    "ms": MULLER_SCHUPP,
-    "safra": SAFRA,
-    "max": MAX_COLLAPSE,
-    "adaptive": ADAPTIVE,
-}
+# The built-in strategy of each kind, by CLI token.  The keys come first, so
+# that MergeStrategy can check kinds against them: they are the only list of kinds.
+STRATEGIES: dict[str, MergeStrategy] = dict.fromkeys(("ms", "safra", "max", "adaptive"))  # type: ignore[arg-type]
+for _kind in STRATEGIES:
+    STRATEGIES[_kind] = MergeStrategy(_kind, fallback="max" if _kind == "adaptive" else None)
+MULLER_SCHUPP, SAFRA, MAX_COLLAPSE, ADAPTIVE = STRATEGIES.values()
 
 
 def as_strategy(value: MergeStrategy | str) -> MergeStrategy:

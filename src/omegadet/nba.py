@@ -176,25 +176,57 @@ def successors(aut: BuchiAutomaton, source_set: frozenset[int] | set[int], symbo
     return frozenset(out)
 
 
+def _read_lines(data: bytes | str, header: str, error: type[ValueError]) -> list[tuple[int, list[str]]]:
+    """Tokens of each line of .nba/.dpa text after the ``header`` line, with its 1-based number.
+
+    Bytes must be UTF-8.  ``#`` starts a comment, and lines left blank are
+    skipped.  Faults raise ``error(message, line)``.
+    """
+    if isinstance(data, bytes):
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = len((data[: exc.start] + b".").decode("utf-8").splitlines())
+            raise error(f"input is not UTF-8: {exc.reason}", line) from None
+    items: list[tuple[int, list[str]]] = []
+    for lineno, raw in enumerate(data.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            items.append((lineno, line.split()))
+    if not items or items[0][1] != [header]:
+        raise error(f"expected {header!r} header", items[0][0] if items else 1)
+    return items[1:]
+
+
+def _decimal(token: str) -> int:
+    """``token`` as ASCII decimal digits with an optional leading ``-``; ValueError otherwise."""
+    digits = token[1:] if token[:1] == "-" else token
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not a decimal integer: {token!r}")
+    return int(token)
+
+
+def _read_int(token: str, line: int, error: type[ValueError], states: int | None = None) -> int:
+    """:func:`_decimal` raising ``error(message, line)``; with ``states``, a state id below it."""
+    try:
+        value = _decimal(token)
+    except ValueError:
+        raise error(f"expected an integer, found {token!r}", line) from None
+    if states is not None and not 0 <= value < states:
+        raise error(f"state {value} out of range for {states} states", line)
+    return value
+
+
 def parse_nba(data: bytes | str) -> BuchiAutomaton:
     """Parse the .nba text format.
 
     Line 1 is the literal ``nba`` header, then ``states <n>``,
     ``alphabet <tok> ...``, ``init <id> ...``, ``accept <id> ...``, then zero
     or more ``<src> <symbol> <dst>`` transition lines.  ``#`` starts a comment
-    and blank lines are ignored.
+    and blank lines are ignored.  Bytes must be UTF-8 and integers ASCII
+    decimal.
     """
-    text = data.decode("utf-8") if isinstance(data, bytes) else data
-    items: list[tuple[int, list[str]]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            items.append((lineno, line.split()))
-
-    if not items or items[0][1] != ["nba"]:
-        line = items[0][0] if items else 1
-        raise NbaFormatError("expected 'nba' header", line)
-    items = items[1:]
+    items = _read_lines(data, "nba", NbaFormatError)
 
     def take(keyword: str, min_args: int) -> tuple[int, list[str]]:
         if not items:
@@ -206,15 +238,8 @@ def parse_nba(data: bytes | str) -> BuchiAutomaton:
             raise NbaFormatError(f"'{keyword}' needs at least {min_args} argument(s)", lineno)
         return lineno, tokens[1:]
 
-    def parse_int(token: str, lineno: int) -> int:
-        try:
-            value = int(token)
-        except ValueError:
-            raise NbaFormatError(f"expected an integer, found {token!r}", lineno) from None
-        return value
-
     lineno, args = take("states", 1)
-    num_states = parse_int(args[0], lineno)
+    num_states = _read_int(args[0], lineno, NbaFormatError)
     if num_states < 0 or len(args) != 1:
         raise NbaFormatError("'states' takes one non-negative count", lineno)
 
@@ -223,25 +248,19 @@ def parse_nba(data: bytes | str) -> BuchiAutomaton:
         raise NbaFormatError("duplicate alphabet token", lineno)
     symbol_set = set(alphabet)
 
-    def parse_state(token: str, lineno: int) -> int:
-        q = parse_int(token, lineno)
-        if not 0 <= q < num_states:
-            raise NbaFormatError(f"state {q} out of range for {num_states} states", lineno)
-        return q
-
     lineno, args = take("init", 1)
-    initial = frozenset(parse_state(t, lineno) for t in args)
+    initial = frozenset(_read_int(t, lineno, NbaFormatError, num_states) for t in args)
     lineno, args = take("accept", 0)
-    accepting = frozenset(parse_state(t, lineno) for t in args)
+    accepting = frozenset(_read_int(t, lineno, NbaFormatError, num_states) for t in args)
 
     transitions: set[tuple[int, str, int]] = set()
     for lineno, tokens in items:
         if len(tokens) != 3:
             raise NbaFormatError("transition line must be '<src> <symbol> <dst>'", lineno)
-        src = parse_state(tokens[0], lineno)
+        src = _read_int(tokens[0], lineno, NbaFormatError, num_states)
         if tokens[1] not in symbol_set:
             raise NbaFormatError(f"unknown symbol {tokens[1]!r}", lineno)
-        dst = parse_state(tokens[2], lineno)
+        dst = _read_int(tokens[2], lineno, NbaFormatError, num_states)
         transitions.add((src, tokens[1], dst))
 
     return BuchiAutomaton(

@@ -7,9 +7,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Mapping
+from typing import Any, Callable, Hashable, Mapping
 
-from .nba import Lasso, UnknownSymbolError
+from .nba import Lasso, UnknownSymbolError, _read_int, _read_lines
 
 
 class DpaFormatError(ValueError):
@@ -87,18 +87,22 @@ def run_lasso(dpa: ParityAutomaton, lasso: Lasso) -> LassoRun:
     boundary repeats; the minimum priority over the repeating segment decides
     acceptance.  Terminates within ``num_states + 1`` cycle iterations.
     """
-    state = dpa.initial
+    return _run_lasso(dpa.initial, dpa.follow, lasso)
+
+
+def _run_lasso(state: Hashable, follow: Callable[[Any, str], tuple[Any, int]], lasso: Lasso) -> LassoRun:
+    """The loop of :func:`run_lasso` from ``state`` through any ``follow(state, symbol) -> (state, priority)``."""
     for symbol in lasso.stem:
-        state, _ = dpa.follow(state, symbol)
-    first_seen: dict[int, int] = {}
-    boundary_states: list[int] = []
+        state, _ = follow(state, symbol)
+    first_seen: dict = {}
+    boundary_states: list = []
     segment_minimums: list[int] = []
     while state not in first_seen:
         first_seen[state] = len(boundary_states)
         boundary_states.append(state)
         segment_min = None
         for symbol in lasso.cycle:
-            state, priority = dpa.follow(state, symbol)
+            state, priority = follow(state, symbol)
             segment_min = priority if segment_min is None else min(segment_min, priority)
         assert segment_min is not None
         segment_minimums.append(segment_min)
@@ -129,28 +133,12 @@ def serialize_dpa(dpa: ParityAutomaton) -> bytes:
 
 def parse_dpa(data: bytes | str) -> ParityAutomaton:
     """Parse the .dpa text format (see :func:`serialize_dpa` for the layout)."""
-    text = data.decode("utf-8") if isinstance(data, bytes) else data
-    items: list[tuple[int, list[str]]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            items.append((lineno, line.split()))
-
-    if not items or items[0][1] != ["dpa"]:
-        line = items[0][0] if items else 1
-        raise DpaFormatError("expected 'dpa' header", line)
-    items = items[1:]
-
-    def parse_int(token: str, lineno: int) -> int:
-        try:
-            return int(token)
-        except ValueError:
-            raise DpaFormatError(f"expected an integer, found {token!r}", lineno) from None
+    items = _read_lines(data, "dpa", DpaFormatError)
 
     if not items or items[0][1][0] != "states" or len(items[0][1]) != 2:
         raise DpaFormatError("expected 'states <n>' line", items[0][0] if items else 1)
     lineno, tokens = items.pop(0)
-    num_states = parse_int(tokens[1], lineno)
+    num_states = _read_int(tokens[1], lineno, DpaFormatError)
     if num_states < 1:
         raise DpaFormatError("a parity automaton needs at least one state", lineno)
 
@@ -161,23 +149,17 @@ def parse_dpa(data: bytes | str) -> ParityAutomaton:
     if len(set(alphabet)) != len(alphabet):
         raise DpaFormatError("duplicate alphabet token", lineno)
 
-    def parse_state(token: str, lineno: int) -> int:
-        q = parse_int(token, lineno)
-        if not 0 <= q < num_states:
-            raise DpaFormatError(f"state {q} out of range for {num_states} states", lineno)
-        return q
-
     if not items or items[0][1][0] != "init" or len(items[0][1]) != 2:
         raise DpaFormatError("expected 'init <id>' line", items[0][0] if items else 1)
     lineno, tokens = items.pop(0)
-    initial = parse_state(tokens[1], lineno)
+    initial = _read_int(tokens[1], lineno, DpaFormatError, num_states)
 
     labels: dict[int, str] = {}
     while items and items[0][1][0] == "label":
         lineno, tokens = items.pop(0)
         if len(tokens) != 3:
             raise DpaFormatError("label line must be 'label <id> <slice>'", lineno)
-        state = parse_state(tokens[1], lineno)
+        state = _read_int(tokens[1], lineno, DpaFormatError, num_states)
         if state in labels:
             raise DpaFormatError(f"duplicate label for state {state}", lineno)
         labels[state] = tokens[2]
@@ -187,11 +169,11 @@ def parse_dpa(data: bytes | str) -> ParityAutomaton:
     for lineno, tokens in items:
         if len(tokens) != 4:
             raise DpaFormatError("edge line must be '<src> <symbol> <dst> <priority>'", lineno)
-        src = parse_state(tokens[0], lineno)
+        src = _read_int(tokens[0], lineno, DpaFormatError, num_states)
         if tokens[1] not in symbols:
             raise DpaFormatError(f"unknown symbol {tokens[1]!r}", lineno)
-        dst = parse_state(tokens[2], lineno)
-        priority = parse_int(tokens[3], lineno)
+        dst = _read_int(tokens[2], lineno, DpaFormatError, num_states)
+        priority = _read_int(tokens[3], lineno, DpaFormatError)
         if priority < 1:
             raise DpaFormatError(f"priority must be >= 1, found {priority}", lineno)
         if (src, tokens[1]) in edges:

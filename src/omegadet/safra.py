@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .slices import RankedSlice, format_set
+from .slices import RankedSlice, _parse_entry, format_set
 
 
 class InvalidTreeError(ValueError):
@@ -23,13 +23,38 @@ class TreeFormatError(ValueError):
     """Tree text cannot be parsed."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class SafraNode:
-    """One tree node: reduced (non-redundant) label, rank, ordered children."""
+    """One tree node: reduced (non-redundant) label, rank, ordered children.
+
+    Equality is structural.  Comparing, hashing and printing walk the tree
+    without recursion, so they work on trees of any depth.
+    """
 
     label: frozenset[int]
     rank: int
     children: tuple["SafraNode", ...] = ()
+
+    def _preorder(self) -> list[tuple[frozenset[int], int, int]]:
+        """Label, rank and child count of each node in pre-order, which determine the tree."""
+        out = []
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            out.append((node.label, node.rank, len(node.children)))
+            stack.extend(reversed(node.children))
+        return out
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SafraNode):
+            return NotImplemented
+        return self is other or self._preorder() == other._preorder()
+
+    def __hash__(self) -> int:
+        return hash(tuple(self._preorder()))
+
+    def __repr__(self) -> str:
+        return f"SafraNode({format_tree(self)!r})"
 
 
 @dataclass(frozen=True)
@@ -174,7 +199,7 @@ def parse_tree(text: str) -> SafraNode:
     open_nodes: list[tuple[frozenset[int], int, list[SafraNode]]] = []
     pos = 0
     while True:
-        label, rank, pos = _parse_head(text, pos)
+        label, rank, pos = _parse_entry(text, pos, "(,)", TreeFormatError, "label")
         if pos < len(text) and text[pos] == "(":
             open_nodes.append((label, rank, []))
             pos += 1
@@ -195,29 +220,3 @@ def parse_tree(text: str) -> SafraNode:
             if pos != len(text):
                 raise TreeFormatError(f"trailing input at offset {pos + 1}")
             return node
-
-
-def _parse_head(text: str, pos: int) -> tuple[frozenset[int], int, int]:
-    """Parse ``{ids}:rank`` at ``pos``; returns the label, the rank and the next offset."""
-    if pos >= len(text) or text[pos] != "{":
-        raise TreeFormatError(f"expected '{{' at offset {pos + 1}")
-    end = text.find("}", pos)
-    if end < 0:
-        raise TreeFormatError("unterminated label")
-    ids_text = text[pos + 1 : end]
-    try:
-        ids = [int(t) for t in ids_text.split(",")] if ids_text else []
-    except ValueError:
-        raise TreeFormatError(f"bad state id in {ids_text!r}") from None
-    pos = end + 1
-    if pos >= len(text) or text[pos] != ":":
-        raise TreeFormatError(f"expected ':' at offset {pos + 1}")
-    pos += 1
-    stop = pos
-    while stop < len(text) and text[stop] not in "(,)":
-        stop += 1
-    try:
-        rank = int(text[pos:stop])
-    except ValueError:
-        raise TreeFormatError(f"bad rank {text[pos:stop]!r}") from None
-    return frozenset(ids), rank, stop

@@ -15,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Union
 
+from .nba import _decimal
+
 
 class InvalidSliceError(ValueError):
     """A slice or pre-slice invariant is violated."""
@@ -37,14 +39,27 @@ def _check_disjoint(sets: tuple[frozenset[int], ...]) -> None:
 
 
 @dataclass(frozen=True)
-class RankedSlice:
+class _Slice:
+    """The fields and queries that ranked slices and pre-slices share."""
+
+    sets: tuple[frozenset[int], ...]
+    ranks: tuple[int, ...]
+
+    def __len__(self) -> int:
+        return len(self.sets)
+
+    @property
+    def state_set(self) -> frozenset[int]:
+        """Union of all member sets."""
+        return frozenset().union(*self.sets)
+
+
+@dataclass(frozen=True)
+class RankedSlice(_Slice):
     """Disjoint non-empty sets with a bijective ranking whose last position has rank 1.
 
     The empty slice (zero sets) is permitted as the rejecting sink macrostate.
     """
-
-    sets: tuple[frozenset[int], ...]
-    ranks: tuple[int, ...]
 
     def __post_init__(self):
         n = len(self.sets)
@@ -58,24 +73,10 @@ class RankedSlice:
         if n and self.ranks[-1] != 1:
             raise InvalidSliceError("the rightmost set must carry rank 1")
 
-    def __len__(self) -> int:
-        return len(self.sets)
-
-    @property
-    def state_set(self) -> frozenset[int]:
-        """Union of all member sets."""
-        out: set[int] = set()
-        for block in self.sets:
-            out |= block
-        return frozenset(out)
-
 
 @dataclass(frozen=True)
-class PreSlice:
+class PreSlice(_Slice):
     """Intermediate slice: empty sets allowed, ranks positive but otherwise free."""
-
-    sets: tuple[frozenset[int], ...]
-    ranks: tuple[int, ...]
 
     def __post_init__(self):
         if len(self.ranks) != len(self.sets):
@@ -83,16 +84,6 @@ class PreSlice:
         if any(r < 1 for r in self.ranks):
             raise InvalidSliceError("ranks must be positive")
         _check_disjoint(self.sets)
-
-    def __len__(self) -> int:
-        return len(self.sets)
-
-    @property
-    def state_set(self) -> frozenset[int]:
-        out: set[int] = set()
-        for block in self.sets:
-            out |= block
-        return frozenset(out)
 
 
 SliceLike = Union[RankedSlice, PreSlice]
@@ -224,32 +215,46 @@ def _parse_entries(text: str) -> tuple[tuple[frozenset[int], ...], tuple[int, ..
     ranks: list[int] = []
     pos = 0
     while True:
-        if pos >= len(body) or body[pos] != "{":
-            raise SliceFormatError(f"expected '{{' at offset {pos + 1}")
-        end = body.find("}", pos)
-        if end < 0:
-            raise SliceFormatError("unterminated set")
-        ids_text = body[pos + 1 : end]
-        try:
-            ids = [int(t) for t in ids_text.split(",")] if ids_text else []
-        except ValueError:
-            raise SliceFormatError(f"bad state id in {ids_text!r}") from None
-        if len(set(ids)) != len(ids):
-            raise SliceFormatError(f"duplicate state id in {ids_text!r}")
-        pos = end + 1
-        if pos >= len(body) or body[pos] != ":":
-            raise SliceFormatError(f"expected ':' at offset {pos + 1}")
-        pos += 1
-        stop = pos
-        while stop < len(body) and body[stop] != ",":
-            stop += 1
-        try:
-            rank = int(body[pos:stop])
-        except ValueError:
-            raise SliceFormatError(f"bad rank {body[pos:stop]!r}") from None
-        sets.append(frozenset(ids))
+        block, rank, pos = _parse_entry(body, pos, ",", SliceFormatError, "set")
+        sets.append(block)
         ranks.append(rank)
-        if stop == len(body):
-            break
-        pos = stop + 1
-    return tuple(sets), tuple(ranks)
+        if pos == len(body):
+            return tuple(sets), tuple(ranks)
+        pos += 1
+
+
+def _parse_entry(
+    text: str, pos: int, stops: str, error: type[ValueError], noun: str
+) -> tuple[frozenset[int], int, int]:
+    """Parse ``{ids}:rank`` at ``pos``; the rank runs up to a character of ``stops`` or the end.
+
+    Ids are distinct non-negative decimals and the rank is a decimal (see
+    ``nba._decimal``).  Returns the set, the rank and the offset after the
+    rank.  Faults raise ``error``, calling the set a ``noun``.
+    """
+    if pos >= len(text) or text[pos] != "{":
+        raise error(f"expected '{{' at offset {pos + 1}")
+    end = text.find("}", pos)
+    if end < 0:
+        raise error(f"unterminated {noun}")
+    ids_text = text[pos + 1 : end]
+    try:
+        ids = [_decimal(t) for t in ids_text.split(",")] if ids_text else []
+        if min(ids, default=0) < 0:
+            raise ValueError("negative state id")
+    except ValueError:
+        raise error(f"bad state id in {ids_text!r}") from None
+    if len(set(ids)) != len(ids):
+        raise error(f"duplicate state id in {ids_text!r}")
+    pos = end + 1
+    if pos >= len(text) or text[pos] != ":":
+        raise error(f"expected ':' at offset {pos + 1}")
+    pos += 1
+    stop = pos
+    while stop < len(text) and text[stop] not in stops:
+        stop += 1
+    try:
+        rank = _decimal(text[pos:stop])
+    except ValueError:
+        raise error(f"bad rank {text[pos:stop]!r}") from None
+    return frozenset(ids), rank, stop

@@ -5,6 +5,7 @@ import pytest
 
 from omegadet.determinize import determinize
 from omegadet.nba import BuchiAutomaton, parse_nba, serialize_nba
+from omegadet.safra import slice_to_safra
 from omegadet.slices import parse_slice
 
 from .conftest import MEDIUM_STAGED_NBA, SMALL_NBA, WIDE_STAGED_NBA
@@ -114,6 +115,26 @@ def test_rejects_vacuous_cap(small_file, command, cap):
     result = run_cli(command[0], "-i", str(small_file), "--cap", cap, *command[1:])
     assert result.returncode == 2
     assert "must be at least 1" in result.stderr
+    assert "Traceback" not in result.stderr and result.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("determinize", "-i", "{tmp}/missing.nba"),
+        ("stats", "-i", "{tmp}"),
+        ("check", "-i", "{small}", "--dpa", "{tmp}/missing.dpa"),
+        ("determinize", "-i", "{small}", "-o", "{tmp}/missing/out.dpa"),
+        ("trace", "-i", "{tmp}/latin1.nba", "| a"),
+        ("check", "-i", "{small}", "--dpa", "{tmp}/latin1.dpa"),
+    ],
+)
+def test_unreadable_files_exit_2(small_file, tmp_path, args):
+    (tmp_path / "latin1.nba").write_bytes(SMALL_NBA + "# caf\xe9\n".encode("latin-1"))
+    (tmp_path / "latin1.dpa").write_bytes("dpa\nstates 1\nalphabet \xe9\n".encode("latin-1"))
+    result = run_cli(*(arg.format(small=small_file, tmp=tmp_path) for arg in args))
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: ")
     assert "Traceback" not in result.stderr and result.stdout == ""
 
 
@@ -230,6 +251,12 @@ def test_roundtrip_deep_chain():
     assert recovered == text
     assert tree.startswith(f"{{{n - 1}}}:1({{{n - 2}}}:2(")
     assert tree.endswith("{0}:1500" + ")" * (n - 1))
+    # Comparing, hashing and printing such a tree must not recurse either.
+    first, second = slice_to_safra(parse_slice(text)), slice_to_safra(parse_slice(text))
+    assert first is not second and first == second and hash(first) == hash(second)
+    assert repr(first) == repr(second) == f"SafraNode({tree!r})"
+    other = slice_to_safra(parse_slice(text.replace("{0}:1500", f"{{{n}}}:1500")))
+    assert first != other
 
 
 def test_roundtrip_malformed():

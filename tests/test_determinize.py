@@ -285,9 +285,10 @@ def test_normalize_rejects_empty_sets_and_misplaced_minimum():
 
 
 def test_step_rejects_states_outside_the_automaton(small_nba):
-    for text in ("({5}:1)", "({-1}:1)"):
+    # parse_slice rejects negative ids, so the second slice is built directly.
+    for slice_ in (parse_slice("({5}:1)"), RankedSlice(sets=(frozenset({-1}),), ranks=(1,))):
         with pytest.raises(InvalidAutomatonError):
-            step(small_nba, parse_slice(text), "a")
+            step(small_nba, slice_, "a")
 
 
 def test_transition_medium_safra(medium_nba):

@@ -93,6 +93,22 @@ def test_parse_missing_header():
         parse_nba(b"states 1\nalphabet a\ninit 0\naccept\n")
 
 
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        (b"nba\nstates +1\nalphabet a\ninit 0\naccept\n", 2),
+        (b"nba\nstates 2\nalphabet a\ninit \xd9\xa1\naccept\n", 4),
+        (b"nba\nstates 1_0\nalphabet a\ninit 0\naccept\n", 2),
+        (b"nba\nstates 1\nalphabet a\ninit 0\naccept\n0 a 0 # caf\xe9\n", 6),
+        (b"nba\r\nstates 1\r\n\xff", 3),
+    ],
+)
+def test_parse_rejects_lax_integers_and_non_utf8(text, line):
+    with pytest.raises(NbaFormatError) as err:
+        parse_nba(text)
+    assert err.value.line == line
+
+
 def test_parse_unknown_transition_symbol():
     with pytest.raises(NbaFormatError) as err:
         parse_nba(b"nba\nstates 1\nalphabet a\ninit 0\naccept\n0 b 0\n")

@@ -148,6 +148,9 @@ def test_parse_dpa_errors():
     assert err.value.line == 6
     with pytest.raises(DpaFormatError):
         parse_dpa(b"dpa\nstates 1\nalphabet a\ninit 2\n")
+    with pytest.raises(DpaFormatError) as err:
+        parse_dpa(b"dpa\nstates 1\nalphabet a\ninit 0\nlabel 0 caf\xe9\n")
+    assert err.value.line == 5
 
 
 def test_compact_priorities_preserves_decisions():

@@ -206,6 +206,6 @@ def test_parse_tree_round_trip():
 
 
 def test_parse_tree_errors():
-    for text in ("", "{0}:1(", "{0}:x", "0:1", "{0}:1({1}:2"):
+    for text in ("", "{0}:1(", "{0}:x", "0:1", "{0}:1({1}:2", "{1,1}:1"):
         with pytest.raises(TreeFormatError):
             parse_tree(text)

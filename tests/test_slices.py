@@ -192,7 +192,19 @@ def test_parse_preslice_with_empty_sets():
 
 
 def test_parse_slice_errors():
-    for text in ("", "({0}:1", "[{0}:1]", "({0})", "({0}:x)", "({0,0}:1)"):
+    for text in (
+        "",
+        "({0}:1",
+        "[{0}:1]",
+        "({0})",
+        "({0}:x)",
+        "({0,0}:1)",
+        "({ 0}:1)",
+        "({0}: 1)",
+        "({0}:+1)",
+        "({0}:1_0)",
+        "({-1}:1)",
+    ):
         with pytest.raises(SliceFormatError):
             parse_slice(text)
     with pytest.raises(InvalidSliceError):
