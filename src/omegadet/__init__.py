@@ -13,20 +13,18 @@ from .determinize import (
     SAFRA,
     CapacityError,
     MergeStrategy,
-    TransitionOutcome,
     as_strategy,
     choose_partition,
     determinize,
     dominating_rank,
     initial_slice,
+    iter_valid_partitions,
     merge,
     normalize,
     prune,
     restricted_successors,
     step,
     transition,
-    transition_stages,
-    valid_partitions,
 )
 from .nba import (
     BuchiAutomaton,

@@ -16,8 +16,7 @@ from .determinize import (
     InternalInvariantError,
     as_strategy,
     determinize,
-    initial_slice,
-    transition_stages,
+    transition,
 )
 from .nba import (
     BuchiAutomaton,
@@ -31,7 +30,7 @@ from .nba import (
 from .oracle import enumerate_lassos, nba_accepts_lasso, sample_lassos
 from .parity import DpaFormatError, MissingEdgeError, _run_lasso, parse_dpa, run_lasso, serialize_dpa
 from .safra import InvalidTreeError, TreeFormatError, format_tree, safra_to_slice, slice_to_safra
-from .slices import InvalidSliceError, RankedSlice, SliceFormatError, format_slice, parse_slice
+from .slices import InvalidSliceError, SliceFormatError, format_set, format_slice, parse_slice
 
 _USAGE_ERRORS = (
     NbaFormatError,
@@ -194,39 +193,43 @@ def cmd_roundtrip(args) -> int:
     return 0 if recovered == slice_ else 1
 
 
-def _format_rank_set(ranks) -> str:
-    return "{" + ",".join(map(str, sorted(ranks))) + "}"
-
-
 def cmd_trace(args) -> int:
     aut = _load_nba(args.input)
     lasso = parse_lasso(args.lasso)
     strategy = as_strategy(args.strategy)
-    initial = initial_slice(aut)
-    context = {initial}
-    print(f"initial: {format_slice(initial)}")
+    # Under adaptive a successor depends on what was explored before it, so the
+    # trace replays the DPA's edges and recomputes each one's stages with the
+    # edge target as the only context, which fixes the partition that reaches it.
+    dpa = determinize(aut, strategy, cap=args.cap, labels=True)
+    print(f"initial: {dpa.labels[dpa.initial]}")
     step_numbers = itertools.count(1)
 
-    def advance(current: RankedSlice, symbol: str) -> tuple[RankedSlice, int]:
-        trace = transition_stages(aut, current, symbol, strategy, context)
-        print(f"step {next(step_numbers)}: symbol {symbol}")
+    def advance(state: int, symbol: str) -> tuple[int, int]:
+        target, priority = dpa.follow(state, symbol)
+        expected = parse_slice(dpa.labels[target])
+        trace = transition(aut, parse_slice(dpa.labels[state]), symbol, strategy, (expected,))
+        number = next(step_numbers)
+        if trace.successor != expected or trace.priority != priority:
+            raise InternalInvariantError(
+                f"step {number} on {symbol!r} gives {format_slice(trace.successor)} with priority "
+                f"{trace.priority}, but the DPA edge from state {state} is {dpa.labels[target]} "
+                f"with priority {priority}"
+            )
+        print(f"step {number}: symbol {symbol}")
         print(f"  slice:     {format_slice(trace.source)}")
         print(f"  step:      {format_slice(trace.stepped)}")
         print(f"  prune:     {format_slice(trace.pruned)}")
-        green = _format_rank_set(trace.green)
-        red = _format_rank_set(trace.red)
+        green = format_set(trace.green)
+        red = format_set(trace.red)
         print(f"  events:    G={green} R={red} k={trace.dominating} priority={trace.priority}")
         intervals = "".join(f"[{lo},{hi}]" for lo, hi in trace.partition)
         print(f"  merge:     {format_slice(trace.merged)}  intervals {intervals}")
         print(f"  normalize: {format_slice(trace.successor)}")
         if len(trace.successor) == 0:
             print("  note:      sink (all runs died)")
-        context.add(trace.successor)
-        if len(context) > args.cap:
-            raise CapacityError(f"macrostate cap of {args.cap} exceeded")
-        return trace.successor, trace.priority
+        return target, priority
 
-    run = _run_lasso(initial, advance, lasso)
+    run = _run_lasso(dpa.initial, advance, lasso)
     verdict = "accept" if run.accepted else "reject"
     print(f"verdict: {verdict} (min recurring priority {run.min_priority})")
     return 0

@@ -25,8 +25,8 @@ one state-set bitmask (see :mod:`omegadet.nba`) and one rank per position.
 Green and red rank sets are bitmasks over ranks.  The stage kernels
 (``_step``, ``_prune``, ``_merge``, ``_normalize``) work on these pairs, and
 :func:`determinize` interns them directly.  The public ``step``, ``prune``,
-``merge``, ``normalize``, ``choose_partition`` and ``transition_stages``
-convert ``PreSlice``/``RankedSlice`` values at the boundary.
+``merge``, ``normalize``, ``choose_partition`` and ``transition`` convert
+``PreSlice``/``RankedSlice`` values at the boundary.
 """
 from __future__ import annotations
 
@@ -96,17 +96,6 @@ UnionIndex = dict[int, list[Macrostate]]
 
 
 @dataclass(frozen=True)
-class TransitionOutcome:
-    """Successor slice plus the priority-relevant event data of one transition."""
-
-    successor: RankedSlice
-    priority: int
-    green: frozenset[int]
-    red: frozenset[int]
-    dominating: int
-
-
-@dataclass(frozen=True)
 class TransitionTrace:
     """Every intermediate stage of one transition, for diagnostics and checks."""
 
@@ -121,16 +110,6 @@ class TransitionTrace:
     partition: IntervalPartition
     merged: PreSlice
     successor: RankedSlice
-
-    @property
-    def outcome(self) -> TransitionOutcome:
-        return TransitionOutcome(
-            successor=self.successor,
-            priority=self.priority,
-            green=self.green,
-            red=self.red,
-            dominating=self.dominating,
-        )
 
 
 # --- Stage kernels on (masks, ranks) macrostates -----------------------------
@@ -474,11 +453,6 @@ def iter_valid_partitions(pre: PreSlice, k: int) -> Iterator[IntervalPartition]:
     return _iter_partitions(pre.ranks, k)
 
 
-def valid_partitions(pre: PreSlice, k: int) -> list[IntervalPartition]:
-    """Materialized :func:`iter_valid_partitions`; never empty."""
-    return list(iter_valid_partitions(pre, k))
-
-
 def is_valid_partition(pre: PreSlice, k: int, partition: IntervalPartition) -> bool:
     """Check contiguity, coverage, and the two dominating-rank constraints."""
     n = len(pre)
@@ -528,29 +502,24 @@ def normalize(pre: PreSlice) -> RankedSlice:
     return _ranked(*_normalize(*_key(pre)))
 
 
-def transition_stages(
-    aut: BuchiAutomaton,
-    slice_: RankedSlice,
-    symbol: str,
-    strategy: MergeStrategy | str,
-    context: Iterable[RankedSlice] = (),
-) -> TransitionTrace:
-    """Run step, prune, merge, and normalize, keeping every intermediate stage."""
-    strategy = as_strategy(strategy)
-    post = aut.post(symbol)
-    stages = _stages(aut, post, _source(aut, slice_), strategy, _explored(strategy, context))
-    return _trace(slice_, symbol, stages)
-
-
 def transition(
     aut: BuchiAutomaton,
     slice_: RankedSlice,
     symbol: str,
     strategy: MergeStrategy | str,
     context: Iterable[RankedSlice] = (),
-) -> TransitionOutcome:
-    """One deterministic transition of the constructed parity automaton."""
-    return transition_stages(aut, slice_, symbol, strategy, context).outcome
+) -> TransitionTrace:
+    """One transition of the constructed parity automaton, keeping every intermediate stage.
+
+    Under ``adaptive`` the successor depends on ``context``, the macrostates
+    already explored.  Passing a DPA edge's target alone as ``context``
+    reproduces that edge: the target fixes the one permitted partition that
+    reaches it.
+    """
+    strategy = as_strategy(strategy)
+    post = aut.post(symbol)
+    stages = _stages(aut, post, _source(aut, slice_), strategy, _explored(strategy, context))
+    return _trace(slice_, symbol, stages)
 
 
 def initial_slice(aut: BuchiAutomaton) -> RankedSlice:

@@ -16,12 +16,16 @@ from dataclasses import dataclass
 from typing import Iterable
 
 
-class NbaFormatError(ValueError):
-    """Malformed .nba text.  Carries the offending 1-based line number."""
+class _LineError(ValueError):
+    """Malformed text.  ``.line`` is the offending 1-based line number, or None."""
 
     def __init__(self, message: str, line: int | None = None):
         self.line = line
         super().__init__(f"line {line}: {message}" if line is not None else message)
+
+
+class NbaFormatError(_LineError):
+    """Malformed .nba text.  Carries the offending 1-based line number."""
 
 
 class UnknownSymbolError(ValueError):
@@ -75,12 +79,15 @@ class BuchiAutomaton:
                 if not 0 <= q < self.num_states:
                     raise InvalidAutomatonError(f"{name} state {q} out of range")
         delta: dict[tuple[int, str], set[int]] = {}
-        tables = {sym: [0] * self.num_states for sym in self.alphabet}
+        # Keyed by the states that have successors, so memory grows with the
+        # transitions and not with num_states.
+        tables: dict[str, dict[int, int]] = {sym: {} for sym in self.alphabet}
         for src, sym, dst in self.transitions:
             delta.setdefault((src, sym), set()).add(dst)
-            tables[sym][src] |= 1 << dst
+            table = tables[sym]
+            table[src] = table.get(src, 0) | 1 << dst
         object.__setattr__(self, "_delta", {k: frozenset(v) for k, v in delta.items()})
-        object.__setattr__(self, "_post_tables", {sym: tuple(t) for sym, t in tables.items()})
+        object.__setattr__(self, "_post_tables", tables)
         object.__setattr__(self, "accepting_mask", to_mask(self.accepting))
 
     def successors_of(self, state: int, symbol: str) -> frozenset[int]:
@@ -100,24 +107,24 @@ class BuchiAutomaton:
 class SuccessorMasks(dict):
     """Successor mask of every state-set mask looked up, computed once per mask.
 
-    ``table[q]`` is the successor mask of state ``q``.  Instances are private
-    to one caller (see :meth:`BuchiAutomaton.post`), so the memo is never
-    shared between threads.
+    ``table[q]`` is the successor mask of state ``q``; a state missing from
+    ``table`` has no successors.  Instances are private to one caller (see
+    :meth:`BuchiAutomaton.post`), so the memo is never shared between threads.
     """
 
     __slots__ = ("table",)
 
-    def __init__(self, table: tuple[int, ...]):
+    def __init__(self, table: dict[int, int]):
         super().__init__()
         self.table = table
 
     def __missing__(self, mask: int) -> int:
-        table = self.table
+        get = self.table.get
         out = 0
         rest = mask
         while rest:
             low = rest & -rest
-            out |= table[low.bit_length() - 1]
+            out |= get(low.bit_length() - 1, 0)
             rest ^= low
         self[mask] = out
         return out
@@ -176,7 +183,7 @@ def successors(aut: BuchiAutomaton, source_set: frozenset[int] | set[int], symbo
     return frozenset(out)
 
 
-def _read_lines(data: bytes | str, header: str, error: type[ValueError]) -> list[tuple[int, list[str]]]:
+def _read_lines(data: bytes | str, header: str, error: type[_LineError]) -> list[tuple[int, list[str]]]:
     """Tokens of each line of .nba/.dpa text after the ``header`` line, with its 1-based number.
 
     Bytes must be UTF-8.  ``#`` starts a comment, and lines left blank are
@@ -206,7 +213,7 @@ def _decimal(token: str) -> int:
     return int(token)
 
 
-def _read_int(token: str, line: int, error: type[ValueError], states: int | None = None) -> int:
+def _read_int(token: str, line: int, error: type[_LineError], states: int | None = None) -> int:
     """:func:`_decimal` raising ``error(message, line)``; with ``states``, a state id below it."""
     try:
         value = _decimal(token)
@@ -224,7 +231,8 @@ def parse_nba(data: bytes | str) -> BuchiAutomaton:
     ``alphabet <tok> ...``, ``init <id> ...``, ``accept <id> ...``, then zero
     or more ``<src> <symbol> <dst>`` transition lines.  ``#`` starts a comment
     and blank lines are ignored.  Bytes must be UTF-8 and integers ASCII
-    decimal.
+    decimal.  A state repeated in ``init`` or ``accept`` and a repeated
+    transition line are errors.
     """
     items = _read_lines(data, "nba", NbaFormatError)
 
@@ -248,10 +256,18 @@ def parse_nba(data: bytes | str) -> BuchiAutomaton:
         raise NbaFormatError("duplicate alphabet token", lineno)
     symbol_set = set(alphabet)
 
-    lineno, args = take("init", 1)
-    initial = frozenset(_read_int(t, lineno, NbaFormatError, num_states) for t in args)
-    lineno, args = take("accept", 0)
-    accepting = frozenset(_read_int(t, lineno, NbaFormatError, num_states) for t in args)
+    def take_states(keyword: str, min_args: int) -> frozenset[int]:
+        lineno, args = take(keyword, min_args)
+        states: set[int] = set()
+        for token in args:
+            q = _read_int(token, lineno, NbaFormatError, num_states)
+            if q in states:
+                raise NbaFormatError(f"duplicate state {q} in '{keyword}'", lineno)
+            states.add(q)
+        return frozenset(states)
+
+    initial = take_states("init", 1)
+    accepting = take_states("accept", 0)
 
     transitions: set[tuple[int, str, int]] = set()
     for lineno, tokens in items:
@@ -261,6 +277,8 @@ def parse_nba(data: bytes | str) -> BuchiAutomaton:
         if tokens[1] not in symbol_set:
             raise NbaFormatError(f"unknown symbol {tokens[1]!r}", lineno)
         dst = _read_int(tokens[2], lineno, NbaFormatError, num_states)
+        if (src, tokens[1], dst) in transitions:
+            raise NbaFormatError(f"duplicate transition {src} {tokens[1]} {dst}", lineno)
         transitions.add((src, tokens[1], dst))
 
     return BuchiAutomaton(
@@ -292,10 +310,7 @@ def parse_lasso(text: str) -> Lasso:
     if text.count("|") != 1:
         raise LassoFormatError("lasso text must contain exactly one '|'")
     stem_text, cycle_text = text.split("|")
-    cycle = tuple(cycle_text.split())
-    if not cycle:
-        raise LassoFormatError("lasso cycle must contain at least one symbol")
-    return Lasso(stem=tuple(stem_text.split()), cycle=cycle)
+    return Lasso(stem=tuple(stem_text.split()), cycle=tuple(cycle_text.split()))
 
 
 def format_lasso(lasso: Lasso) -> str:

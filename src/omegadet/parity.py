@@ -9,15 +9,11 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Any, Callable, Hashable, Mapping
 
-from .nba import Lasso, UnknownSymbolError, _read_int, _read_lines
+from .nba import Lasso, UnknownSymbolError, _LineError, _read_int, _read_lines
 
 
-class DpaFormatError(ValueError):
+class DpaFormatError(_LineError):
     """Malformed .dpa text.  Carries the offending 1-based line number."""
-
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        super().__init__(f"line {line}: {message}" if line is not None else message)
 
 
 class MissingEdgeError(LookupError):

@@ -17,11 +17,10 @@ from omegadet.determinize import (
     choose_partition,
     determinize,
     initial_slice,
+    iter_valid_partitions,
     merge,
     normalize,
     transition,
-    transition_stages,
-    valid_partitions,
 )
 from omegadet.nba import parse_nba
 from omegadet.oracle import enumerate_lassos, nba_accepts_lasso, split_tree_levels
@@ -117,7 +116,7 @@ def test_criterion_3_merge_strategies_and_partition_count():
         token: format_slice(normalize(merge(pruned, choose_partition(pruned, dominating, green, token))))
         for token in expected
     }
-    partitions = valid_partitions(pruned, dominating)
+    partitions = list(iter_valid_partitions(pruned, dominating))
     ok = got == expected and len(partitions) == 8 and len(set(partitions)) == 8
     report(3, ok, f"three named successors exact, {len(partitions)} permitted partitions")
 
@@ -330,7 +329,7 @@ def test_criterion_9_profile_cut_monotonicity(corpus_bundle):
         for token in ("ms", "safra"):
             current = initial_slice(aut)
             for i in range(horizon):
-                trace = transition_stages(aut, current, lasso.symbol_at(i), token)
+                trace = transition(aut, current, lasso.symbol_at(i), token)
                 before = rank_profile(current, run[i])
                 after = rank_profile(trace.successor, run[i + 1])
                 steps_checked += 1

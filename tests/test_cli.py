@@ -3,12 +3,14 @@ import sys
 
 import pytest
 
-from omegadet.determinize import determinize
-from omegadet.nba import BuchiAutomaton, parse_nba, serialize_nba
+from omegadet import cli
+from omegadet.determinize import ADAPTIVE, determinize
+from omegadet.nba import BuchiAutomaton, parse_lasso, parse_nba, serialize_nba
+from omegadet.parity import _run_lasso
 from omegadet.safra import slice_to_safra
 from omegadet.slices import parse_slice
 
-from .conftest import MEDIUM_STAGED_NBA, SMALL_NBA, WIDE_STAGED_NBA
+from .conftest import MEDIUM_STAGED_NBA, SMALL_NBA, WIDE_STAGED_NBA, build_corpus
 
 
 def run_cli(*args: str, cwd=None):
@@ -285,6 +287,53 @@ def test_trace_sink_notice(tmp_path):
     assert "priority=1" in result.stdout
     assert "sink" in result.stdout
     assert "verdict: reject" in result.stdout
+
+
+@pytest.fixture
+def corpus170_file(tmp_path):
+    path = tmp_path / "corpus170.nba"
+    path.write_bytes(serialize_nba(build_corpus(171)[170]))
+    return path
+
+
+def test_trace_prints_the_adaptive_dpa_edges(corpus170_file, capsys):
+    # Under adaptive a successor depends on what was explored before it.  On
+    # corpus automaton 170 an exploration along the lasso alone reaches
+    # ({0}:2,{1,2}:1) at step 4, where the DPA's edge goes to ({0,1,2}:1).
+    assert cli.main(["trace", "-i", str(corpus170_file), "--strategy", "adaptive", "| b a"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    printed = list(
+        zip(
+            [line.split()[1] for line in lines if line.startswith("  normalize:")],
+            [int(line.rsplit("priority=", 1)[1]) for line in lines if line.startswith("  events:")],
+        )
+    )
+    dpa = determinize(parse_nba(corpus170_file.read_bytes()), ADAPTIVE, labels=True)
+    edges = []
+
+    def follow(state, symbol):
+        target, priority = dpa.follow(state, symbol)
+        edges.append((dpa.labels[target], priority))
+        return target, priority
+
+    _run_lasso(dpa.initial, follow, parse_lasso("| b a"))
+    assert len(edges) >= 4 and printed == edges
+
+
+def test_trace_fails_on_a_step_that_leaves_the_dpa(corpus170_file, monkeypatch, capsys):
+    # Recomputing the adaptive DPA's edges under ms reaches other successors.
+    real = cli.transition
+    monkeypatch.setattr(cli, "transition", lambda aut, slice_, symbol, _, context: real(aut, slice_, symbol, "ms"))
+    assert cli.main(["trace", "-i", str(corpus170_file), "--strategy", "adaptive", "| b a"]) == 1
+    assert "but the DPA edge from state" in capsys.readouterr().err
+
+
+def test_trace_cap_bounds_the_whole_exploration(medium_staged_file):
+    # The lasso visits 4 macrostates, but trace explores all 9 of the DPA.
+    result = run_cli("trace", "-i", str(medium_staged_file), "--cap", "8", "| a")
+    assert result.returncode == 1
+    assert "cap" in result.stderr
+    assert "Traceback" not in result.stderr and result.stdout == ""
 
 
 def test_outputs_deterministic(medium_staged_file, tmp_path):

@@ -26,8 +26,6 @@ from omegadet.determinize import (
     restricted_successors,
     step,
     transition,
-    transition_stages,
-    valid_partitions,
 )
 from omegadet.nba import InvalidAutomatonError, parse_nba
 from omegadet.oracle import random_nba
@@ -120,7 +118,7 @@ def test_dominating_rank_rejects_overlap():
 
 
 def test_valid_partitions_wide():
-    partitions = valid_partitions(WIDE_PRUNED, 2)
+    partitions = list(iter_valid_partitions(WIDE_PRUNED, 2))
     assert len(partitions) == 8
     assert len(set(partitions)) == 8
     assert all(is_valid_partition(WIDE_PRUNED, 2, p) for p in partitions)
@@ -130,14 +128,14 @@ def test_valid_partitions_wide():
 
 def test_valid_partitions_single_set():
     pre = parse_preslice("({0}:1)")
-    assert valid_partitions(pre, 2) == [((1, 1),)]
+    assert list(iter_valid_partitions(pre, 2)) == [((1, 1),)]
 
 
 def test_valid_partitions_rank_one_dominating():
     # Nothing sits right of the rank-1 set, so it may also absorb its left
     # neighbour: both partitions pass the constraints.
     pre = parse_preslice("({1}:2,{0}:1)")
-    assert valid_partitions(pre, 1) == [((1, 2),), ((1, 1), (2, 2))]
+    assert list(iter_valid_partitions(pre, 1)) == [((1, 2),), ((1, 1), (2, 2))]
 
 
 def test_choose_partition_strategies_wide():
@@ -185,7 +183,7 @@ def adaptive_scenarios(draw):
     pre = PreSlice(sets=tuple(sets), ranks=tuple(ranks))
     # Often one of the two lowest ranks, so that the rank-k cut matters.
     k = draw(st.sampled_from(sorted(ranks)[:2]) | st.integers(1, max(ranks) + 1))
-    valid = valid_partitions(pre, k)
+    valid = list(iter_valid_partitions(pre, k))
     context = [normalize(merge(pre, p)) for p in draw(st.lists(st.sampled_from(valid), max_size=3))]
     # Decoys share the state union: merges under arbitrary interval partitions,
     # which may break the forced cuts, with their own or shuffled ranks, and
@@ -319,6 +317,21 @@ def test_transition_inside_sink(medium_nba):
     assert out.priority == 1 and out.dominating == 1
 
 
+def test_adaptive_edges_replay_with_the_target_as_context():
+    # The first 60 corpus automata include eight on which an exploration along
+    # one lasso reaches adaptive successors that the DPA does not take.  Each
+    # DPA edge, recomputed from its source label with its target as the only
+    # context, is the same edge.
+    for aut in build_corpus(60):
+        dpa = determinize(aut, ADAPTIVE, labels=True)
+        slices = {state: parse_slice(text) for state, text in dpa.labels.items()}
+        for state in range(dpa.num_states):
+            for symbol in aut.alphabet:
+                target, priority = dpa.follow(state, symbol)
+                trace = transition(aut, slices[state], symbol, ADAPTIVE, (slices[target],))
+                assert (trace.successor, trace.priority) == (slices[target], priority)
+
+
 def test_priority_parity_rule(small_nba, medium_nba, wide_staged_nba):
     for aut in (small_nba, medium_nba, wide_staged_nba):
         dpa = determinize(aut, MULLER_SCHUPP, validate=True)
@@ -367,7 +380,7 @@ def test_staged_fixture_reaches_prepared_slices(medium_staged_nba, wide_staged_n
 
 def test_wide_staged_transition_events(wide_staged_nba):
     source = walk(wide_staged_nba, "bcde")
-    trace = transition_stages(wide_staged_nba, source, "a", MULLER_SCHUPP)
+    trace = transition(wide_staged_nba, source, "a", MULLER_SCHUPP)
     assert trace.green == WIDE_GREEN
     assert trace.dominating == 2 and trace.priority == 4
     assert trace.pruned == WIDE_PRUNED

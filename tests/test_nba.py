@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -107,6 +110,45 @@ def test_parse_rejects_lax_integers_and_non_utf8(text, line):
     with pytest.raises(NbaFormatError) as err:
         parse_nba(text)
     assert err.value.line == line
+
+
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        (b"nba\nstates 2\nalphabet a\ninit 0 0\naccept\n", 4, "duplicate state 0 in 'init'"),
+        (b"nba\nstates 2\nalphabet a\ninit 0\naccept 1 0 1\n", 5, "duplicate state 1 in 'accept'"),
+        (b"nba\nstates 2\nalphabet a\ninit 0\naccept\n0 a 1\n1 a 1\n0 a 1\n", 8, "duplicate transition 0 a 1"),
+    ],
+)
+def test_parse_rejects_repeated_states_and_transitions(text, line, message):
+    with pytest.raises(NbaFormatError, match=message) as err:
+        parse_nba(text)
+    assert err.value.line == line
+
+
+def peak_rss_kb_of_parse(num_states: int) -> int:
+    """Peak RSS of a child process that parses a one-transition NBA with ``num_states`` states.
+
+    The child reads its own high-water mark, ``VmHWM``.  Its ``ru_maxrss``
+    would also hold the peak of the test process it was forked from, which
+    exec carries over on Linux.
+    """
+    code = (
+        "import resource\n"
+        "from omegadet.nba import parse_nba\n"
+        # A table sized by num_states would fail here instead of exhausting memory.
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        f"parse_nba(b'nba\\nstates {num_states}\\nalphabet a\\ninit 0\\naccept\\n0 a 0\\n')\n"
+        "print(next(line.split()[1] for line in open('/proc/self/status') if line.startswith('VmHWM:')))\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    return int(result.stdout)
+
+
+def test_parse_memory_does_not_grow_with_the_state_count():
+    # VmHWM is in kB.
+    assert abs(peak_rss_kb_of_parse(1_000_000_000) - peak_rss_kb_of_parse(10)) <= 10 * 1024
 
 
 def test_parse_unknown_transition_symbol():

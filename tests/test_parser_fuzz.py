@@ -13,6 +13,9 @@ from .conftest import MEDIUM_STAGED_NBA, SMALL_NBA, WIDE_STAGED_NBA
 
 NBA_TEXTS = [data.decode() for data in (SMALL_NBA, MEDIUM_STAGED_NBA, WIDE_STAGED_NBA)]
 DPA_TEXTS = [serialize_dpa(determinize(parse_nba(text), ADAPTIVE, labels=True)).decode() for text in NBA_TEXTS]
+# Repeated init/accept ids and a repeated transition line, which parse_nba rejects.
+NBA_TEXTS += [NBA_TEXTS[0].replace("init 0", "init 0 0"), NBA_TEXTS[1].replace("accept 2 3", "accept 2 3 2")]
+NBA_TEXTS += [NBA_TEXTS[0] + "2 a 1\n"]
 SLICE_TEXTS = [line.split()[2] for text in DPA_TEXTS for line in text.splitlines() if line.startswith("label")]
 TREE_TEXTS = [format_tree(slice_to_safra(parse_slice(text))) for text in SLICE_TEXTS if text != "()"]
 PRESLICE_TEXTS = SLICE_TEXTS + ["({}:4,{}:2,{2}:5,{}:3,{3}:6,{0}:1)"]
@@ -45,7 +48,11 @@ def mutants(draw, texts):
 
 
 def few_states(text: str) -> bool:
-    """False when a ``states`` line asks for more than 64 states; each one costs a table slot per symbol."""
+    """False when a ``states`` line asks for more than 64 states.
+
+    A large state id still costs one bit in every mask that holds it: the
+    successor masks and ``accepting_mask`` built while parsing.
+    """
     for raw in text.splitlines():
         tokens = raw.split("#", 1)[0].split()
         if tokens[:1] == ["states"] and len(tokens) == 2:
