@@ -20,15 +20,25 @@ from .determinize import (
 )
 from .nba import (
     BuchiAutomaton,
+    Lasso,
     LassoFormatError,
     NbaFormatError,
     UnknownSymbolError,
     format_lasso,
     parse_lasso,
     parse_nba,
+    to_mask,
 )
-from .oracle import enumerate_lassos, nba_accepts_lasso, sample_lassos
-from .parity import DpaFormatError, MissingEdgeError, _run_lasso, parse_dpa, run_lasso, serialize_dpa
+from .oracle import _lasso_words, nba_accepts_lasso, sample_lassos
+from .parity import (
+    DpaFormatError,
+    MissingEdgeError,
+    ParityAutomaton,
+    _run_lasso,
+    parse_dpa,
+    run_lasso,
+    serialize_dpa,
+)
 from .safra import InvalidTreeError, TreeFormatError, format_tree, safra_to_slice, slice_to_safra
 from .slices import InvalidSliceError, SliceFormatError, format_set, format_slice, parse_slice
 
@@ -141,6 +151,9 @@ def cmd_determinize(args) -> int:
 
 def cmd_check(args) -> int:
     aut = _load_nba(args.input)
+    if not aut.alphabet:
+        print("error: the nba alphabet is empty, so there is no lasso to check", file=sys.stderr)
+        return 2
     if args.dpa is not None:
         dpa = parse_dpa(Path(args.dpa).read_bytes())
         if dpa.alphabet != aut.alphabet:
@@ -151,24 +164,71 @@ def cmd_check(args) -> int:
         dpa = determinize(aut, as_strategy(args.strategy), cap=args.cap, labels=False)
     if args.random is not None:
         lassos = sample_lassos(aut.alphabet, args.random, args.max_u, args.max_v, args.seed)
+        words = ((lasso.stem, lasso.cycle) for lasso in lassos)
     else:
-        lassos = enumerate_lassos(aut.alphabet, args.max_u, args.max_v)
+        words = _lasso_words(aut.alphabet, args.max_u, args.max_v)
+    checked, lasso = _first_disagreement(aut, dpa, words)
+    if lasso is None:
+        print(f"checked {checked} lassos: agreement")
+        return 0
+    verdict = nba_accepts_lasso(aut, lasso)
+    run = run_lasso(dpa, lasso)
+    print(f"disagreement on lasso: {format_lasso(lasso)}")
+    if verdict.accepted:
+        print(f"  nba accepts, witness prefix {verdict.prefix_states} loop {verdict.loop_states}")
+    else:
+        print("  nba rejects (no accepting run)")
+    word = "accepts" if run.accepted else "rejects"
+    print(f"  dpa {word}, recurring states {run.loop_states}, min priority {run.min_priority}")
+    return 1
+
+
+def _first_disagreement(aut: BuchiAutomaton, dpa: ParityAutomaton, words) -> tuple[int, Lasso | None]:
+    """Count the ``(stem, cycle)`` words up to the first on which the NBA and DPA disagree.
+
+    Returns the count and that lasso, or None if all agree.  The NBA verdict
+    depends only on the NBA state set after the stem and the cycle, the DPA
+    verdict only on the DPA state after the stem and the cycle, so each is
+    decided once per distinct key.  Only the path of the last stem walked is
+    kept: ``path[k]`` holds the state set and state after its first ``k``
+    symbols, and a new stem is walked on from the prefix it shares with that
+    stem, so memory stays linear in the longest stem.  A missing DPA edge
+    raises :class:`MissingEdgeError` at the first word whose run needs it, as
+    :func:`run_lasso` on each lasso in turn would.
+    """
+    posts = {symbol: aut.post(symbol) for symbol in aut.alphabet}
+    walked: tuple[str, ...] = ()
+    path = [(to_mask(aut.initial), dpa.initial)]
+    nba_verdicts: dict[tuple[int, tuple[str, ...]], bool] = {}
+    dpa_verdicts: dict[tuple[int, tuple[str, ...]], bool] = {}
     checked = 0
-    for lasso in lassos:
-        verdict = nba_accepts_lasso(aut, lasso)
-        run = run_lasso(dpa, lasso)
+    for stem, cycle in words:
+        if stem is not walked:
+            shared = 0
+            for old, new in zip(walked, stem):
+                if old != new:
+                    break
+                shared += 1
+            del path[shared + 1 :]
+            layer, state = path[-1]
+            for symbol in stem[shared:]:
+                layer = posts[symbol][layer]
+                state, _ = dpa.follow(state, symbol)
+                path.append((layer, state))
+            walked = stem
+        layer, state = path[-1]
+        nba_accepts = nba_verdicts.get((layer, cycle))
+        if nba_accepts is None:
+            nba_accepts = nba_accepts_lasso(aut, Lasso(stem, cycle)).accepted
+            nba_verdicts[layer, cycle] = nba_accepts
+        dpa_accepts = dpa_verdicts.get((state, cycle))
+        if dpa_accepts is None:
+            dpa_accepts = _run_lasso(state, dpa.follow, Lasso((), cycle)).accepted
+            dpa_verdicts[state, cycle] = dpa_accepts
         checked += 1
-        if verdict.accepted != run.accepted:
-            print(f"disagreement on lasso: {format_lasso(lasso)}")
-            if verdict.accepted:
-                print(f"  nba accepts, witness prefix {verdict.prefix_states} loop {verdict.loop_states}")
-            else:
-                print("  nba rejects (no accepting run)")
-            word = "accepts" if run.accepted else "rejects"
-            print(f"  dpa {word}, recurring states {run.loop_states}, min priority {run.min_priority}")
-            return 1
-    print(f"checked {checked} lassos: agreement")
-    return 0
+        if nba_accepts != dpa_accepts:
+            return checked, Lasso(stem, cycle)
+    return checked, None
 
 
 def cmd_stats(args) -> int:

@@ -181,6 +181,16 @@ def enumerate_lassos(alphabet: tuple[str, ...], max_stem: int, max_cycle: int):
     Stems of length ``0..max_stem`` in length-then-alphabet order, and for
     each stem all cycles of length ``1..max_cycle`` in the same order.
     """
+    for stem, cycle in _lasso_words(alphabet, max_stem, max_cycle):
+        yield Lasso(stem=stem, cycle=cycle)
+
+
+def _lasso_words(alphabet: tuple[str, ...], max_stem: int, max_cycle: int):
+    """The ``(stem, cycle)`` symbol tuples of :func:`enumerate_lassos`, in its order.
+
+    Every stem comes after its prefixes, so a caller can extend a stem's
+    state by one symbol from its prefix's.
+    """
     if max_cycle < 1:
         raise ValueError("max_cycle must be at least 1")
     stems = [
@@ -195,7 +205,7 @@ def enumerate_lassos(alphabet: tuple[str, ...], max_stem: int, max_cycle: int):
     ]
     for stem in stems:
         for cycle in cycles:
-            yield Lasso(stem=stem, cycle=cycle)
+            yield stem, cycle
 
 
 def sample_lassos(alphabet: tuple[str, ...], count: int, max_stem: int, max_cycle: int, seed: int):

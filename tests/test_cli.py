@@ -1,12 +1,16 @@
 import subprocess
 import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
 from omegadet import cli
-from omegadet.determinize import ADAPTIVE, determinize
-from omegadet.nba import BuchiAutomaton, parse_lasso, parse_nba, serialize_nba
-from omegadet.parity import _run_lasso
+from omegadet.cli import cmd_check
+from omegadet.determinize import ADAPTIVE, STRATEGIES, as_strategy, determinize
+from omegadet.nba import BuchiAutomaton, format_lasso, parse_lasso, parse_nba, serialize_nba
+from omegadet.oracle import _stem_layers, enumerate_lassos, nba_accepts_lasso, sample_lassos
+from omegadet.parity import ParityAutomaton, _run_lasso, parse_dpa, run_lasso, serialize_dpa
 from omegadet.safra import slice_to_safra
 from omegadet.slices import parse_slice
 
@@ -182,6 +186,171 @@ def test_check_corrupted_priority(small_file, tmp_path):
     result = run_cli("check", "-i", str(small_file), "--dpa", str(dpa_file))
     assert result.returncode == 1
     assert "disagreement on lasso: | a" in result.stdout
+
+
+def unmemoised_check(args) -> int:
+    """The reference ``check``: both deciders run on every lasso, one after another."""
+    aut = cli._load_nba(args.input)
+    if args.dpa is not None:
+        dpa = parse_dpa(Path(args.dpa).read_bytes())
+        if dpa.alphabet != aut.alphabet:
+            raise cli.AlphabetMismatchError(f"alphabet mismatch: nba {aut.alphabet} vs dpa {dpa.alphabet}")
+    else:
+        dpa = determinize(aut, as_strategy(args.strategy), cap=args.cap, labels=False)
+    if args.random is not None:
+        lassos = sample_lassos(aut.alphabet, args.random, args.max_u, args.max_v, args.seed)
+    else:
+        lassos = enumerate_lassos(aut.alphabet, args.max_u, args.max_v)
+    checked = 0
+    for lasso in lassos:
+        verdict = nba_accepts_lasso(aut, lasso)
+        run = run_lasso(dpa, lasso)
+        checked += 1
+        if verdict.accepted != run.accepted:
+            print(f"disagreement on lasso: {format_lasso(lasso)}")
+            if verdict.accepted:
+                print(f"  nba accepts, witness prefix {verdict.prefix_states} loop {verdict.loop_states}")
+            else:
+                print("  nba rejects (no accepting run)")
+            word = "accepts" if run.accepted else "rejects"
+            print(f"  dpa {word}, recurring states {run.loop_states}, min priority {run.min_priority}")
+            return 1
+    print(f"checked {checked} lassos: agreement")
+    return 0
+
+
+@pytest.fixture(scope="module")
+def corpus_files(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("corpus")
+    paths = []
+    for index, aut in enumerate(build_corpus()):
+        path = folder / f"c{index}.nba"
+        path.write_bytes(serialize_nba(aut))
+        paths.append(path)
+    return paths
+
+
+@pytest.fixture(scope="module")
+def corpus_dpas(corpus_files, tmp_path_factory):
+    """The DPA of every corpus NBA under every strategy, determinized once and written to a file."""
+    folder = tmp_path_factory.mktemp("corpus_dpas")
+    dpas = {}
+    for index, path in enumerate(corpus_files):
+        aut = parse_nba(path.read_bytes())
+        for strategy in STRATEGIES:
+            dpa = determinize(aut, as_strategy(strategy), labels=False)
+            dpa_path = folder / f"c{index}.{strategy}.dpa"
+            dpa_path.write_bytes(serialize_dpa(dpa))
+            dpas[path, strategy] = dpa, dpa_path
+    return dpas
+
+
+def check_both_ways(monkeypatch, capsys, argv) -> tuple[int, str, str]:
+    """Exit status, stdout and stderr of ``check``, asserted equal to the unmemoised reference's."""
+    outcomes = []
+    for handler in (cmd_check, unmemoised_check):
+        monkeypatch.setattr(cli, "cmd_check", handler)
+        status = cli.main(["check", *argv])
+        outcomes.append((status, *capsys.readouterr()))
+    assert outcomes[0] == outcomes[1], argv
+    return outcomes[0]
+
+
+def dpa_or_strategy(corpus_dpas, index, path, strategy) -> list[str]:
+    """``--dpa`` with the prepared DPA, except on every 25th automaton, which determinizes in-process."""
+    if index % 25 == 0:
+        return ["--strategy", strategy]
+    return ["--dpa", str(corpus_dpas[path, strategy][1])]
+
+
+def test_check_matches_the_unmemoised_loop_on_the_corpus(corpus_files, corpus_dpas, monkeypatch, capsys):
+    for index, path in enumerate(corpus_files):
+        for strategy in STRATEGIES:
+            argv = ["-i", str(path), *dpa_or_strategy(corpus_dpas, index, path, strategy), "--max-u", "3", "--max-v", "3"]
+            status, out, _ = check_both_ways(monkeypatch, capsys, argv)
+            assert status == 0 and out.endswith(" lassos: agreement\n")
+
+
+def test_check_matches_the_unmemoised_loop_on_random_lassos(corpus_files, corpus_dpas, monkeypatch, capsys):
+    # Automaton i runs under strategy i % 4 and seed i % 3, so every pairing occurs.
+    strategies = list(STRATEGIES)
+    for index, path in enumerate(corpus_files):
+        source = dpa_or_strategy(corpus_dpas, index, path, strategies[index % 4])
+        argv = ["-i", str(path), *source, "--random", "200", "--seed", str(index % 3)]
+        assert check_both_ways(monkeypatch, capsys, argv)[:2] == (0, "checked 200 lassos: agreement\n")
+
+
+def test_check_matches_the_unmemoised_loop_on_mutated_dpas(corpus_files, corpus_dpas, monkeypatch, capsys, tmp_path):
+    strategies = list(STRATEGIES)
+    outcomes = {"agreement": 0, "disagreement": 0, "missing edge": 0}
+    for index, path in enumerate(corpus_files):
+        dpa = corpus_dpas[path, strategies[index % 4]][0]
+        edges = sorted(dpa.edges.items())
+        key, (target, priority) = edges[index % len(edges)]
+        flipped = {**dpa.edges, key: (target, priority + 1)}
+        deleted = {k: v for k, v in dpa.edges.items() if k != key}
+        # Both faults at once: which one is reported depends on the order the lassos are checked in.
+        other = edges[(index + 1) % len(edges)][0]
+        both = {k: v for k, v in flipped.items() if k != other}
+        for mutated in (flipped, deleted, both):
+            dpa_path = tmp_path / "mutated.dpa"
+            dpa_path.write_bytes(
+                serialize_dpa(ParityAutomaton(dpa.num_states, dpa.alphabet, dpa.initial, mutated))
+            )
+            status, out, err = check_both_ways(
+                monkeypatch, capsys, ["-i", str(path), "--dpa", str(dpa_path), "--max-u", "3", "--max-v", "3"]
+            )
+            if status == 0:
+                outcomes["agreement"] += 1
+            elif out.startswith("disagreement on lasso: "):
+                outcomes["disagreement"] += 1
+            else:
+                assert status == 1 and err.startswith("error: no edge from state ")
+                outcomes["missing edge"] += 1
+    assert min(outcomes.values()) >= 30, outcomes
+
+
+def test_check_decides_each_nba_key_once(corpus_files, monkeypatch, capsys):
+    path = next(p for p in corpus_files if len(parse_nba(p.read_bytes()).alphabet) == 2)
+    aut = parse_nba(path.read_bytes())
+    lassos = list(enumerate_lassos(aut.alphabet, 3, 3))
+    keys = {(_stem_layers(aut, lasso.stem)[-1], lasso.cycle) for lasso in lassos}
+    calls = []
+
+    def counted(aut, lasso):
+        calls.append(lasso)
+        return nba_accepts_lasso(aut, lasso)
+
+    monkeypatch.setattr(cli, "nba_accepts_lasso", counted)
+    assert cli.main(["check", "-i", str(path), "--max-u", "3", "--max-v", "3"]) == 0
+    assert capsys.readouterr().out == f"checked {len(lassos)} lassos: agreement\n"
+    assert len(calls) == len(keys) < len(lassos)
+
+
+def test_check_memory_stays_linear_in_the_longest_stem(medium_staged_file, capsys):
+    # Random stems of up to 1000 symbols over three letters share almost no prefix,
+    # so keeping every stem prefix between lassos would hold about 10^7 tuple slots here.
+    argv = ["check", "-i", str(medium_staged_file), "--random", "20", "--max-u", "1000", "--max-v", "2", "--seed", "0"]
+    tracemalloc.start()
+    try:
+        status = cli.main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert status == 0 and capsys.readouterr().out == "checked 20 lassos: agreement\n"
+    assert peak < 4_000_000, peak
+
+
+@pytest.mark.parametrize("flags", [(), ("--random", "3"), ("--dpa", "{dpa}"), ("--dpa", "{dpa}", "--random", "3")])
+def test_check_rejects_an_empty_alphabet(tmp_path, flags):
+    nba_file = tmp_path / "empty.nba"
+    nba_file.write_text("nba\nstates 1\nalphabet\ninit 0\naccept 0\n")
+    dpa_file = tmp_path / "empty.dpa"
+    dpa_file.write_text("dpa\nstates 1\nalphabet\ninit 0\n")
+    result = run_cli("check", "-i", str(nba_file), *(flag.format(dpa=dpa_file) for flag in flags))
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: ") and "alphabet" in result.stderr
+    assert "Traceback" not in result.stderr and result.stdout == ""
 
 
 def test_check_alphabet_mismatch(small_file, tmp_path):
