@@ -256,6 +256,9 @@ def cmd_roundtrip(args) -> int:
 def cmd_trace(args) -> int:
     aut = _load_nba(args.input)
     lasso = parse_lasso(args.lasso)
+    for symbol in lasso.stem + lasso.cycle:
+        if symbol not in aut.alphabet:
+            raise UnknownSymbolError(f"symbol {symbol!r} not in alphabet")
     strategy = as_strategy(args.strategy)
     # Under adaptive a successor depends on what was explored before it, so the
     # trace replays the DPA's edges and recomputes each one's stages with the

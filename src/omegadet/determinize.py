@@ -22,11 +22,19 @@ slice, entered and left with priority 1.
 
 Inside the pipeline a macrostate is a pair ``(masks, ranks)`` of int tuples:
 one state-set bitmask (see :mod:`omegadet.nba`) and one rank per position.
-Green and red rank sets are bitmasks over ranks.  The stage kernels
-(``_step``, ``_prune``, ``_merge``, ``_normalize``) work on these pairs, and
-:func:`determinize` interns them directly.  The public ``step``, ``prune``,
-``merge``, ``normalize``, ``choose_partition`` and ``transition`` convert
-``PreSlice``/``RankedSlice`` values at the boundary.
+Green and red rank sets are bitmasks over ranks, and :func:`determinize`
+interns the pairs directly.
+
+Exploration runs one fused kernel per edge, ``_successor``: a single loop
+steps and prunes without building the stepped macrostate, ``ms`` skips the
+partition (its merge is the identity), and only the successor and the
+priority are returned.  The staged kernels (``_step``, ``_prune``,
+``_choose``, ``_merge``, ``_normalize``, composed by ``_stages``) keep every
+intermediate stage.  They serve the public ``step``, ``prune``, ``merge``,
+``normalize``, ``choose_partition`` and ``transition``, which convert
+``PreSlice``/``RankedSlice`` values at the boundary, and so ``omegadet
+trace``.  ``determinize(validate=True)`` runs both on every edge and
+requires the same successor and priority.
 """
 from __future__ import annotations
 
@@ -37,7 +45,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 from .nba import BuchiAutomaton, InvalidAutomatonError, SuccessorMasks, from_mask, successors, to_mask
 from .parity import ParityAutomaton
-from .slices import InvalidSliceError, PreSlice, RankedSlice, format_entries, format_set, index_of
+from .slices import InvalidSliceError, PreSlice, RankedSlice, format_entries, format_set, format_slice, index_of
 from .safra import unflatten
 
 
@@ -364,6 +372,61 @@ def _stages(
     )
 
 
+def _successor(
+    post: SuccessorMasks,
+    accepting: int,
+    num_states: int,
+    source: Macrostate,
+    strategy: MergeStrategy,
+    explored: UnionIndex,
+) -> tuple[Macrostate, int]:
+    """The successor and priority of :func:`_stages`, with step and prune in one loop.
+
+    ``source`` must be normalized, as every explored macrostate is: with ranks
+    ``1..n`` the fresh ranks ``n+1..2n`` exceed every rank before them, so an
+    empty accepting child never relocates a rank, and the stepped ranks are
+    exactly ``1..2n``.
+    """
+    masks, ranks = source
+    if not masks:
+        return _SINK, 1
+    claimed = 0
+    out_masks: list[int] = []
+    out_ranks: list[int] = []
+    surviving = 0
+    marks = 0
+    fresh = len(masks) + 1
+    for mask, rank in zip(masks, ranks):
+        image = post[mask]
+        restricted = image & ~claimed
+        claimed |= image
+        left = restricted & accepting
+        if left:
+            out_masks.append(left)
+            out_ranks.append(fresh)
+            surviving |= 1 << fresh
+        else:
+            marks |= 1 << fresh
+        right = restricted ^ left
+        if right:
+            out_masks.append(right)
+            out_ranks.append(rank)
+            surviving |= 1 << rank
+        else:
+            marks |= 1 << rank
+            if out_ranks and rank < out_ranks[-1]:
+                surviving ^= 1 << out_ranks[-1] | 1 << rank
+                out_ranks[-1] = rank
+        fresh += 1
+    green = surviving & marks
+    k, priority = _dominating(green, ((1 << fresh) - 2) & ~surviving, num_states)
+    pruned_masks, pruned_ranks = tuple(out_masks), tuple(out_ranks)
+    if strategy.kind != "ms":
+        partition = _choose(pruned_masks, pruned_ranks, k, green, strategy, explored)
+        pruned_masks, pruned_ranks = _merge(pruned_masks, pruned_ranks, partition)
+    return _normalize(pruned_masks, pruned_ranks), priority
+
+
 # --- Conversion at the PreSlice/RankedSlice boundary --------------------------
 
 
@@ -539,13 +602,16 @@ def determinize(
 
     Macrostates are deduplicated by structural slice equality and numbered in
     discovery order, so the output is a deterministic function of the input
-    automaton and strategy.  ``validate`` re-checks the pipeline invariants on
-    every generated transition.  ``labels`` annotates every state with its
+    automaton and strategy.  ``validate`` recomputes every generated
+    transition with the staged kernels, requires their successor and priority
+    to equal the fused kernel's, and re-checks the pipeline invariants on
+    their stages.  ``labels`` annotates every state with its
     canonical slice string.  Exceeding ``cap`` macrostates raises
     :class:`CapacityError`.
     """
     strategy = as_strategy(strategy)
     posts = [(symbol, aut.post(symbol)) for symbol in aut.alphabet]
+    accepting: int = aut.accepting_mask  # type: ignore[attr-defined]
     start: Macrostate = ((to_mask(aut.initial),), (1,))
     ids: dict[Macrostate, int] = {start: 0}
     adaptive = strategy.kind == "adaptive"
@@ -556,10 +622,17 @@ def determinize(
         current = queue.popleft()
         src = ids[current]
         for symbol, post in posts:
-            stages = _stages(aut, post, current, strategy, index)
+            succ, priority = _successor(post, accepting, aut.num_states, current, strategy, index)
             if validate:
-                check_transition_invariants(aut, _trace(_ranked(*current), symbol, stages))
-            succ = stages.successor
+                stages = _stages(aut, post, current, strategy, index)
+                trace = _trace(_ranked(*current), symbol, stages)
+                if (stages.successor, stages.priority) != (succ, priority):
+                    raise InternalInvariantError(
+                        f"on {symbol!r} from {format_slice(trace.source)} the fused kernel gives "
+                        f"{format_slice(_ranked(*succ))} with priority {priority}, the staged kernels "
+                        f"{format_slice(trace.successor)} with priority {trace.priority}"
+                    )
+                check_transition_invariants(aut, trace)
             if succ not in ids:
                 if len(ids) >= cap:
                     raise CapacityError(f"macrostate cap of {cap} exceeded")
@@ -567,7 +640,7 @@ def determinize(
                 queue.append(succ)
                 if adaptive:
                     index.setdefault(_union(succ[0]), []).append(succ)
-            edges[(src, symbol)] = (ids[succ], stages.priority)
+            edges[(src, symbol)] = (ids[succ], priority)
     return ParityAutomaton(
         num_states=len(ids),
         alphabet=aut.alphabet,

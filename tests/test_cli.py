@@ -497,6 +497,18 @@ def test_trace_fails_on_a_step_that_leaves_the_dpa(corpus170_file, monkeypatch, 
     assert "but the DPA edge from state" in capsys.readouterr().err
 
 
+def test_trace_rejects_a_foreign_symbol_before_any_output(small_file, monkeypatch, capsys):
+    def no_determinize(*args, **kwargs):
+        raise AssertionError("trace determinized before checking the lasso")
+
+    monkeypatch.setattr(cli, "determinize", no_determinize)
+    for lasso in ("a | c", "c | a"):
+        assert cli.main(["trace", "-i", str(small_file), lasso]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: symbol 'c' not in alphabet\n"
+
+
 def test_trace_cap_bounds_the_whole_exploration(medium_staged_file):
     # The lasso visits 4 macrostates, but trace explores all 9 of the DPA.
     result = run_cli("trace", "-i", str(medium_staged_file), "--cap", "8", "| a")

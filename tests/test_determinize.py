@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import math
 
 import pytest
@@ -33,6 +34,9 @@ from omegadet.parity import serialize_dpa
 from omegadet.slices import InvalidSliceError, PreSlice, RankedSlice, format_slice, parse_preslice, parse_slice
 
 from .conftest import build_corpus
+
+# The package attribute omegadet.determinize is the function, so reach the module by name.
+pipeline = importlib.import_module("omegadet.determinize")
 
 # The pruned six-set scenario used across the merge tests: distinct surviving
 # ranks with gaps, green ranks 2 and 6, dominating rank 2.
@@ -317,19 +321,48 @@ def test_transition_inside_sink(medium_nba):
     assert out.priority == 1 and out.dominating == 1
 
 
-def test_adaptive_edges_replay_with_the_target_as_context():
-    # The first 60 corpus automata include eight on which an exploration along
-    # one lasso reaches adaptive successors that the DPA does not take.  Each
+@pytest.mark.parametrize("strategy", ["ms", "safra", "max", "adaptive"])
+def test_explored_edges_replay_with_the_target_as_context(strategy):
+    # Exploration runs the fused kernel, transition the staged kernels.  Every
     # DPA edge, recomputed from its source label with its target as the only
-    # context, is the same edge.
+    # context, is the same edge.  Under adaptive the context matters: the
+    # first 60 corpus automata include eight on which an exploration along one
+    # lasso reaches adaptive successors that the DPA does not take.
     for aut in build_corpus(60):
-        dpa = determinize(aut, ADAPTIVE, labels=True)
+        dpa = determinize(aut, strategy, labels=True)
         slices = {state: parse_slice(text) for state, text in dpa.labels.items()}
         for state in range(dpa.num_states):
             for symbol in aut.alphabet:
                 target, priority = dpa.follow(state, symbol)
-                trace = transition(aut, slices[state], symbol, ADAPTIVE, (slices[target],))
+                trace = transition(aut, slices[state], symbol, strategy, (slices[target],))
                 assert (trace.successor, trace.priority) == (slices[target], priority)
+
+
+@pytest.mark.parametrize("strategy", ["ms", "safra", "max", "adaptive"])
+def test_validate_rejects_a_fused_result_the_staged_kernels_disagree_with(
+    medium_staged_nba, monkeypatch, strategy
+):
+    real = pipeline._successor
+
+    def off_by_two(*args):
+        successor, priority = real(*args)
+        return successor, priority + 2
+
+    monkeypatch.setattr(pipeline, "_successor", off_by_two)
+    determinize(medium_staged_nba, strategy)
+    with pytest.raises(InternalInvariantError, match="the fused kernel gives"):
+        determinize(medium_staged_nba, strategy, validate=True)
+
+
+def test_exploration_builds_no_stage_records(medium_staged_nba, monkeypatch):
+    def no_stages(*args):
+        raise AssertionError("exploration ran the staged kernels")
+
+    monkeypatch.setattr(pipeline, "_stages", no_stages)
+    for strategy in ("ms", "safra", "max", "adaptive"):
+        assert determinize(medium_staged_nba, strategy, validate=False).num_states > 1
+        with pytest.raises(AssertionError, match="staged kernels"):
+            determinize(medium_staged_nba, strategy, validate=True)
 
 
 def test_priority_parity_rule(small_nba, medium_nba, wide_staged_nba):
