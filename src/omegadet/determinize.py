@@ -26,15 +26,18 @@ Green and red rank sets are bitmasks over ranks, and :func:`determinize`
 interns the pairs directly.
 
 Exploration runs one fused kernel per edge, ``_successor``: a single loop
-steps and prunes without building the stepped macrostate, ``ms`` skips the
-partition (its merge is the identity), and only the successor and the
-priority are returned.  The staged kernels (``_step``, ``_prune``,
-``_choose``, ``_merge``, ``_normalize``, composed by ``_stages``) keep every
-intermediate stage.  They serve the public ``step``, ``prune``, ``merge``,
-``normalize``, ``choose_partition`` and ``transition``, which convert
-``PreSlice``/``RankedSlice`` values at the boundary, and so ``omegadet
-trace``.  ``determinize(validate=True)`` runs both on every edge and
-requires the same successor and priority.
+steps and prunes without building the stepped macrostate, and only the
+normalized successor and the priority are returned.  Under ``ms`` (whose
+merge is the identity) the kernel builds no partition and compacts the
+surviving ranks itself, one popcount over the surviving-rank bitmask per
+rank; an adaptive hit returns the explored macrostate as it is.  Only the
+other strategies and adaptive misses merge and normalize.  The staged
+kernels (``_step``, ``_prune``, ``_choose``, ``_merge``, ``_normalize``,
+composed by ``_stages``) keep every intermediate stage.  They serve the
+public ``step``, ``prune``, ``merge``, ``normalize``, ``choose_partition``
+and ``transition``, which convert ``PreSlice``/``RankedSlice`` values at the
+boundary, and so ``omegadet trace``.  ``determinize(validate=True)`` runs
+both on every edge and requires the same successor and priority.
 """
 from __future__ import annotations
 
@@ -252,6 +255,23 @@ def _induced_cuts(
     return tuple(cuts[:-1])
 
 
+def _reuse(
+    masks: tuple[int, ...], ranks: tuple[int, ...], k: int, union: int, explored: UnionIndex
+) -> tuple[tuple[int, ...], Macrostate] | None:
+    """The cuts of the adaptive partition and the explored macrostate it reaches, or None.
+
+    Merge keeps the state union, so only explored macrostates with the pruned
+    ``union`` can be reached.  The first match in the order of
+    _iter_partitions wins: fewest cuts, then the lexicographic order of cuts.
+    """
+    best: tuple[tuple[int, ...], Macrostate] | None = None
+    for target in explored.get(union, ()):
+        cuts = _induced_cuts(masks, ranks, k, target)
+        if cuts is not None and (best is None or (len(cuts), cuts) < (len(best[0]), best[0])):
+            best = cuts, target
+    return best
+
+
 def _choose(
     masks: tuple[int, ...],
     ranks: tuple[int, ...],
@@ -275,16 +295,9 @@ def _choose(
             if green >> rank & 1:
                 cuts.difference_update(range(shape.left_boundary_of[pos - 1] + 1, pos))
         return _partition_from_cuts(n, cuts)
-    # adaptive: merge keeps the state union, so only explored macrostates with
-    # the pruned union can be reached.  The first match in the order of
-    # _iter_partitions wins: fewest cuts, then the lexicographic order of cuts.
-    best: tuple[int, ...] | None = None
-    for target in explored.get(_union(masks), ()):
-        cuts = _induced_cuts(masks, ranks, k, target)
-        if cuts is not None and (best is None or (len(cuts), cuts) < (len(best), best)):
-            best = cuts
-    if best is not None:
-        return _partition_from_cuts(n, best)
+    found = _reuse(masks, ranks, k, _union(masks), explored)
+    if found is not None:
+        return _partition_from_cuts(n, found[0])
     return _choose(masks, ranks, k, green, STRATEGIES[strategy.fallback], explored)
 
 
@@ -386,11 +399,19 @@ def _successor(
     ``1..n`` the fresh ranks ``n+1..2n`` exceed every rank before them, so an
     empty accepting child never relocates a rank, and the stepped ranks are
     exactly ``1..2n``.
+
+    The successor comes out normalized.  Under ``ms`` the loop compacts each
+    surviving rank ``r`` itself, to the number of surviving ranks up to ``r``,
+    and checks the invariants of ``_normalize`` on its own values.  An
+    adaptive hit returns the explored macrostate as it is: ``_induced_cuts``
+    accepts it only if merging and normalizing give exactly it.  Only the
+    other strategies and adaptive misses run ``_merge`` and ``_normalize``.
     """
     masks, ranks = source
     if not masks:
         return _SINK, 1
     claimed = 0
+    seen = 0
     out_masks: list[int] = []
     out_ranks: list[int] = []
     surviving = 0
@@ -400,6 +421,11 @@ def _successor(
         image = post[mask]
         restricted = image & ~claimed
         claimed |= image
+        # The two children split ``restricted``, so this keeps every set disjoint.
+        if restricted & seen:
+            repeated = sorted(from_mask(restricted & seen))
+            raise InvalidSliceError(f"sets are not pairwise disjoint: {repeated} repeated")
+        seen |= restricted
         left = restricted & accepting
         if left:
             out_masks.append(left)
@@ -420,11 +446,24 @@ def _successor(
         fresh += 1
     green = surviving & marks
     k, priority = _dominating(green, ((1 << fresh) - 2) & ~surviving, num_states)
+    if not out_masks:
+        return _SINK, priority
     pruned_masks, pruned_ranks = tuple(out_masks), tuple(out_ranks)
+    if strategy.kind == "adaptive":
+        # Every claimed state lands in exactly one pruned set, so ``claimed`` is their union.
+        found = _reuse(pruned_masks, pruned_ranks, k, claimed, explored)
+        if found is not None:
+            return found[1], priority
+        strategy = STRATEGIES[strategy.fallback]
     if strategy.kind != "ms":
         partition = _choose(pruned_masks, pruned_ranks, k, green, strategy, explored)
-        pruned_masks, pruned_ranks = _merge(pruned_masks, pruned_ranks, partition)
-    return _normalize(pruned_masks, pruned_ranks), priority
+        return _normalize(*_merge(pruned_masks, pruned_ranks, partition)), priority
+    if surviving & 1 or surviving.bit_count() != len(out_ranks):
+        raise InternalInvariantError(f"normalize requires pairwise distinct positive ranks, got {pruned_ranks}")
+    if (surviving & -surviving).bit_length() - 1 != out_ranks[-1]:
+        raise InvalidSliceError("the rightmost set must carry rank 1")
+    dense = tuple([(surviving & ((2 << rank) - 1)).bit_count() for rank in out_ranks])
+    return (pruned_masks, dense), priority
 
 
 # --- Conversion at the PreSlice/RankedSlice boundary --------------------------
@@ -607,8 +646,11 @@ def determinize(
     to equal the fused kernel's, and re-checks the pipeline invariants on
     their stages.  ``labels`` annotates every state with its
     canonical slice string.  Exceeding ``cap`` macrostates raises
-    :class:`CapacityError`.
+    :class:`CapacityError`; ``cap`` must be at least 1, for the initial
+    macrostate, or :class:`ValueError` is raised.
     """
+    if cap < 1:
+        raise ValueError(f"cap must be at least 1, got {cap}")
     strategy = as_strategy(strategy)
     posts = [(symbol, aut.post(symbol)) for symbol in aut.alphabet]
     accepting: int = aut.accepting_mask  # type: ignore[attr-defined]
@@ -633,14 +675,15 @@ def determinize(
                         f"{format_slice(trace.successor)} with priority {trace.priority}"
                     )
                 check_transition_invariants(aut, trace)
-            if succ not in ids:
+            dst = ids.get(succ)
+            if dst is None:
                 if len(ids) >= cap:
                     raise CapacityError(f"macrostate cap of {cap} exceeded")
-                ids[succ] = len(ids)
+                dst = ids[succ] = len(ids)
                 queue.append(succ)
                 if adaptive:
                     index.setdefault(_union(succ[0]), []).append(succ)
-            edges[(src, symbol)] = (ids[succ], priority)
+            edges[(src, symbol)] = (dst, priority)
     return ParityAutomaton(
         num_states=len(ids),
         alphabet=aut.alphabet,

@@ -28,7 +28,7 @@ from omegadet.determinize import (
     step,
     transition,
 )
-from omegadet.nba import InvalidAutomatonError, parse_nba
+from omegadet.nba import InvalidAutomatonError, parse_nba, to_mask
 from omegadet.oracle import random_nba
 from omegadet.parity import serialize_dpa
 from omegadet.slices import InvalidSliceError, PreSlice, RankedSlice, format_slice, parse_preslice, parse_slice
@@ -365,6 +365,111 @@ def test_exploration_builds_no_stage_records(medium_staged_nba, monkeypatch):
             determinize(medium_staged_nba, strategy, validate=True)
 
 
+@st.composite
+def successor_scenarios(draw):
+    """A random NBA, a normalized macrostate over it, a symbol, a strategy and an explored index.
+
+    The macrostate need not be reachable: random disjoint masks, with a random
+    rank order that puts rank 1 last.  Under ``adaptive`` the index holds the
+    staged successor, which forces a hit, and decoys with the same union.
+    """
+    num_states = draw(st.integers(1, 80))
+    alphabet = ("a", "b")[: draw(st.integers(1, 2))]
+    density = draw(st.sampled_from((0.5, 2.0, 4.0))) / num_states
+    aut = random_nba(num_states, alphabet, min(density, 1.0), draw(st.floats(0, 1)), draw(st.integers(0, 2**16)))
+    states = draw(st.lists(st.integers(0, num_states - 1), min_size=1, max_size=10, unique=True))
+    cuts = sorted(draw(st.sets(st.integers(1, len(states) - 1)))) if len(states) > 1 else []
+    bounds = [0, *cuts, len(states)]
+    masks = tuple(to_mask(states[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
+    ranks = tuple(draw(st.permutations(range(2, len(masks) + 1))) + [1])
+    symbol = draw(st.sampled_from(alphabet))
+    strategy = draw(st.sampled_from((MULLER_SCHUPP, SAFRA, MAX_COLLAPSE, ADAPTIVE)))
+    post = aut.post(symbol)
+    index = {}
+    if strategy is ADAPTIVE:
+        stages = pipeline._stages(aut, post, (masks, ranks), strategy, {})
+        pruned_masks, pruned_ranks = stages.pruned
+        context = [stages.successor]
+        n = len(pruned_masks)
+        for _ in range(draw(st.integers(0, 4)) if n else 0):
+            # Merges under arbitrary interval partitions, which may break the
+            # forced cuts, with their own or with shuffled ranks.
+            decoy_cuts = sorted(draw(st.sets(st.integers(1, n - 1)))) if n > 1 else []
+            partition = tuple(zip([1] + [c + 1 for c in decoy_cuts], decoy_cuts + [n]))
+            merged_masks, merged_ranks = pipeline._merge(pruned_masks, pruned_ranks, partition)
+            if draw(st.booleans()):
+                context.append(pipeline._normalize(merged_masks, merged_ranks))
+            else:
+                order = tuple(draw(st.permutations(range(2, len(merged_masks) + 1))) + [1])
+                context.append((merged_masks, order))
+        for key in draw(st.permutations(context)):
+            index.setdefault(pipeline._union(key[0]), []).append(key)
+    return aut, (masks, ranks), symbol, strategy, index
+
+
+@settings(max_examples=400)
+@given(successor_scenarios())
+def test_fused_successor_matches_the_staged_kernels(scenario):
+    aut, source, symbol, strategy, index = scenario
+    post = aut.post(symbol)
+    stages = pipeline._stages(aut, post, source, strategy, index)
+    fused = pipeline._successor(post, aut.accepting_mask, aut.num_states, source, strategy, index)
+    assert fused == (stages.successor, stages.priority)
+    if strategy is ADAPTIVE and stages.pruned[0]:
+        assert stages.successor in index[pipeline._union(stages.pruned[0])]
+
+
+@pytest.mark.parametrize("strategy", ["ms", "safra", "max", "adaptive"])
+def test_validated_determinize_on_the_golden_grid(golden_automata, strategy):
+    # Wider slices than the corpus, with the rank gaps that the fused kernel compacts.
+    for aut in golden_automata["grid"]:
+        determinize(aut, strategy, validate=True)
+
+
+def test_ms_exploration_neither_merges_nor_normalizes(golden_automata, monkeypatch):
+    def no_normalize(*args):
+        raise AssertionError("exploration ran _normalize")
+
+    def no_merge(*args):
+        raise AssertionError("exploration ran _merge")
+
+    monkeypatch.setattr(pipeline, "_normalize", no_normalize)
+    monkeypatch.setattr(pipeline, "_merge", no_merge)
+    aut = golden_automata["grid"][0]
+    assert determinize(aut, MULLER_SCHUPP).num_states > 1
+    with pytest.raises(AssertionError, match="exploration ran"):
+        determinize(aut, MULLER_SCHUPP, validate=True)
+
+
+def test_adaptive_hits_neither_merge_nor_normalize(golden_automata, monkeypatch):
+    calls = {"hit": 0, "miss": 0, "_merge": 0, "_normalize": 0}
+
+    def counted(name):
+        real = getattr(pipeline, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return wrapper
+
+    real_reuse = pipeline._reuse
+
+    def reuse(*args):
+        found = real_reuse(*args)
+        calls["miss" if found is None else "hit"] += 1
+        return found
+
+    monkeypatch.setattr(pipeline, "_reuse", reuse)
+    monkeypatch.setattr(pipeline, "_merge", counted("_merge"))
+    monkeypatch.setattr(pipeline, "_normalize", counted("_normalize"))
+    for aut in golden_automata["grid"]:
+        determinize(aut, ADAPTIVE)
+    # Each miss falls back to max, which merges and normalizes once.
+    assert calls["hit"] > 0 and calls["miss"] > 0
+    assert calls["_merge"] == calls["_normalize"] == calls["miss"]
+
+
 def test_priority_parity_rule(small_nba, medium_nba, wide_staged_nba):
     for aut in (small_nba, medium_nba, wide_staged_nba):
         dpa = determinize(aut, MULLER_SCHUPP, validate=True)
@@ -404,6 +509,12 @@ def test_determinize_without_labels(small_nba):
 def test_determinize_cap(small_nba):
     with pytest.raises(CapacityError):
         determinize(small_nba, MULLER_SCHUPP, cap=1)
+    # The initial macrostate alone exceeds a cap below 1, even on one state.
+    one_state = parse_nba(b"nba\nstates 1\nalphabet a\ninit 0\naccept 0\n0 a 0\n")
+    assert determinize(one_state, MULLER_SCHUPP, cap=1).num_states == 1
+    for cap in (0, -1):
+        with pytest.raises(ValueError, match="cap must be at least 1"):
+            determinize(one_state, MULLER_SCHUPP, cap=cap)
 
 
 def test_staged_fixture_reaches_prepared_slices(medium_staged_nba, wide_staged_nba):
