@@ -234,14 +234,16 @@ def _first_disagreement(aut: BuchiAutomaton, dpa: ParityAutomaton, words) -> tup
 def cmd_stats(args) -> int:
     aut = _load_nba(args.input)
     print(f"{'strategy':<10} {'states':>8} {'edges':>8}")
+    exceeded = False
     for token, strategy in STRATEGIES.items():
         try:
             dpa = determinize(aut, strategy, cap=args.cap, labels=False)
         except CapacityError:
             print(f"{token:<10} {'cap exceeded (> ' + str(args.cap) + ')':>8}")
+            exceeded = True
             continue
         print(f"{token:<10} {dpa.num_states:>8} {len(dpa.edges):>8}")
-    return 0
+    return 1 if exceeded else 0
 
 
 def cmd_roundtrip(args) -> int:

@@ -28,16 +28,19 @@ interns the pairs directly.
 Exploration runs one fused kernel per edge, ``_successor``: a single loop
 steps and prunes without building the stepped macrostate, and only the
 normalized successor and the priority are returned.  Under ``ms`` (whose
-merge is the identity) the kernel builds no partition and compacts the
-surviving ranks itself, one popcount over the surviving-rank bitmask per
-rank; an adaptive hit returns the explored macrostate as it is.  Only the
-other strategies and adaptive misses merge and normalize.  The staged
-kernels (``_step``, ``_prune``, ``_choose``, ``_merge``, ``_normalize``,
-composed by ``_stages``) keep every intermediate stage.  They serve the
-public ``step``, ``prune``, ``merge``, ``normalize``, ``choose_partition``
-and ``transition``, which convert ``PreSlice``/``RankedSlice`` values at the
-boundary, and so ``omegadet trace``.  ``determinize(validate=True)`` runs
-both on every edge and requires the same successor and priority.
+merge is the identity) the kernel builds no partition; under ``max`` and on
+an adaptive miss it merges the coarsest permitted runs in one more pass over
+the pruned sets.  Either way it compacts the ranks itself, one popcount over
+their bitmask per rank.  An adaptive hit returns the explored macrostate as
+it is.  Only ``safra`` merges and normalizes with the staged kernels.
+
+The staged kernels (``_step``, ``_prune``, ``_choose``, ``_merge``,
+``_normalize``, composed by ``_stages``) keep every intermediate stage.
+They serve the public ``step``, ``prune``, ``merge``, ``normalize``,
+``choose_partition`` and ``transition``, which convert
+``PreSlice``/``RankedSlice`` values at the boundary, and so ``omegadet
+trace``.  ``determinize(validate=True)`` runs both on every edge and
+requires the same successor and priority.
 """
 from __future__ import annotations
 
@@ -48,7 +51,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 from .nba import BuchiAutomaton, InvalidAutomatonError, SuccessorMasks, from_mask, successors, to_mask
 from .parity import ParityAutomaton
-from .slices import InvalidSliceError, PreSlice, RankedSlice, format_entries, format_set, format_slice, index_of
+from .slices import InvalidSliceError, PreSlice, RankedSlice, format_entries, format_slice, index_of
 from .safra import unflatten
 
 
@@ -227,7 +230,8 @@ def _induced_cuts(
     """
     target_masks, target_ranks = target
     n = len(masks)
-    if len(target_masks) > n:
+    # The first and last runs start and end the pruned slice: a cheap rejection first.
+    if not target_masks or len(target_masks) > n or masks[0] & ~target_masks[0] or masks[-1] & ~target_masks[-1]:
         return None
     minima = [0] * (len(target_masks) + 1)
     cuts: list[int] = []
@@ -400,12 +404,14 @@ def _successor(
     empty accepting child never relocates a rank, and the stepped ranks are
     exactly ``1..2n``.
 
-    The successor comes out normalized.  Under ``ms`` the loop compacts each
-    surviving rank ``r`` itself, to the number of surviving ranks up to ``r``,
-    and checks the invariants of ``_normalize`` on its own values.  An
+    The successor comes out normalized.  Under ``ms`` the pruned sets are the
+    merged ones; under ``max``, and on an adaptive miss that falls back to
+    it, one pass over the pruned sets builds the coarsest permitted runs.
+    ``_compact`` then maps each rank ``r`` to the number of ranks up to
+    ``r`` and checks the invariants of ``_normalize`` on those values.  An
     adaptive hit returns the explored macrostate as it is: ``_induced_cuts``
-    accepts it only if merging and normalizing give exactly it.  Only the
-    other strategies and adaptive misses run ``_merge`` and ``_normalize``.
+    accepts it only if merging and normalizing give exactly it.  Only
+    ``safra`` runs ``_choose``, ``_merge`` and ``_normalize``.
     """
     masks, ranks = source
     if not masks:
@@ -448,22 +454,50 @@ def _successor(
     k, priority = _dominating(green, ((1 << fresh) - 2) & ~surviving, num_states)
     if not out_masks:
         return _SINK, priority
-    pruned_masks, pruned_ranks = tuple(out_masks), tuple(out_ranks)
     if strategy.kind == "adaptive":
         # Every claimed state lands in exactly one pruned set, so ``claimed`` is their union.
-        found = _reuse(pruned_masks, pruned_ranks, k, claimed, explored)
+        found = _reuse(tuple(out_masks), tuple(out_ranks), k, claimed, explored)
         if found is not None:
             return found[1], priority
         strategy = STRATEGIES[strategy.fallback]
-    if strategy.kind != "ms":
-        partition = _choose(pruned_masks, pruned_ranks, k, green, strategy, explored)
-        return _normalize(*_merge(pruned_masks, pruned_ranks, partition)), priority
-    if surviving & 1 or surviving.bit_count() != len(out_ranks):
-        raise InternalInvariantError(f"normalize requires pairwise distinct positive ranks, got {pruned_ranks}")
-    if (surviving & -surviving).bit_length() - 1 != out_ranks[-1]:
+    if strategy.kind == "ms":
+        return _compact(tuple(out_masks), out_ranks, surviving), priority
+    if strategy.kind == "safra":
+        pruned = tuple(out_masks), tuple(out_ranks)
+        partition = _choose(*pruned, k, green, strategy, explored)
+        return _normalize(*_merge(*pruned, partition)), priority
+    # ``max``, the coarsest permitted partition: a set ranked below ``k`` stays
+    # alone, every other set joins the open run, and the rank-``k`` set closes it.
+    run_masks: list[int] = []
+    run_ranks: list[int] = []
+    closed = True
+    for mask, rank in zip(out_masks, out_ranks):
+        if closed or rank < k:
+            run_masks.append(mask)
+            run_ranks.append(rank)
+        else:
+            run_masks[-1] |= mask
+            if rank < run_ranks[-1]:
+                run_ranks[-1] = rank
+        closed = rank <= k
+    minima = 0
+    for rank in run_ranks:
+        minima |= 1 << rank
+    return _compact(tuple(run_masks), run_ranks, minima), priority
+
+
+def _compact(masks: tuple[int, ...], ranks: list[int], present: int) -> Macrostate:
+    """``masks`` with ``ranks`` compacted onto ``1..n``; ``present`` is the bitmask of ``ranks``.
+
+    Each rank ``r`` becomes the number of ranks up to ``r``, one popcount.
+    Checks the rank invariants of ``_normalize`` on the same values, with the
+    same errors; the caller guarantees non-empty, pairwise disjoint sets.
+    """
+    if present & 1 or present.bit_count() != len(ranks):
+        raise InternalInvariantError(f"normalize requires pairwise distinct positive ranks, got {tuple(ranks)}")
+    if (present & -present).bit_length() - 1 != ranks[-1]:
         raise InvalidSliceError("the rightmost set must carry rank 1")
-    dense = tuple([(surviving & ((2 << rank) - 1)).bit_count() for rank in out_ranks])
-    return (pruned_masks, dense), priority
+    return masks, tuple([(present & ((2 << rank) - 1)).bit_count() for rank in ranks])
 
 
 # --- Conversion at the PreSlice/RankedSlice boundary --------------------------
@@ -700,7 +734,14 @@ def _labels(ids: dict[Macrostate, int]) -> dict[int, str]:
     for (masks, ranks), i in ids.items():
         for mask in masks:
             if mask not in set_texts:
-                set_texts[mask] = format_set(from_mask(mask))
+                # Bits taken lowest first are the ids in ascending order, as format_set sorts them.
+                texts = []
+                rest = mask
+                while rest:
+                    low = rest & -rest
+                    texts.append(str(low.bit_length() - 1))
+                    rest ^= low
+                set_texts[mask] = "{" + ",".join(texts) + "}"
         out[i] = format_entries([set_texts[mask] for mask in masks], ranks)
     return out
 

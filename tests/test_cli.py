@@ -381,6 +381,15 @@ def test_stats_small(small_file):
     assert lines["max"] == ["4", "4"]
 
 
+def test_stats_cap_exceeded_prints_every_row_then_exits_1(small_file):
+    # ms and adaptive need 3 macrostates on this automaton, safra and max 4.
+    result = run_cli("stats", "-i", str(small_file), "--cap", "3")
+    assert result.returncode == 1
+    lines = {line.split()[0]: line.split(maxsplit=1)[1] for line in result.stdout.splitlines()[1:]}
+    assert lines["ms"].split() == lines["adaptive"].split() == ["3", "3"]
+    assert lines["safra"] == lines["max"] == "cap exceeded (> 3)"
+
+
 def test_stats_no_transitions(tmp_path):
     path = tmp_path / "dead.nba"
     path.write_text("nba\nstates 2\nalphabet a\ninit 0\naccept 1\n")

@@ -370,8 +370,9 @@ def successor_scenarios(draw):
     """A random NBA, a normalized macrostate over it, a symbol, a strategy and an explored index.
 
     The macrostate need not be reachable: random disjoint masks, with a random
-    rank order that puts rank 1 last.  Under ``adaptive`` the index holds the
-    staged successor, which forces a hit, and decoys with the same union.
+    rank order that puts rank 1 last.  Under ``adaptive`` the index holds
+    decoys with the same union and, when ``hit`` is drawn, the staged
+    successor, which forces a hit; without it most lookups miss and fall back.
     """
     num_states = draw(st.integers(1, 80))
     alphabet = ("a", "b")[: draw(st.integers(1, 2))]
@@ -386,10 +387,11 @@ def successor_scenarios(draw):
     strategy = draw(st.sampled_from((MULLER_SCHUPP, SAFRA, MAX_COLLAPSE, ADAPTIVE)))
     post = aut.post(symbol)
     index = {}
+    hit = strategy is ADAPTIVE and draw(st.booleans())
     if strategy is ADAPTIVE:
         stages = pipeline._stages(aut, post, (masks, ranks), strategy, {})
         pruned_masks, pruned_ranks = stages.pruned
-        context = [stages.successor]
+        context = [stages.successor] if hit else []
         n = len(pruned_masks)
         for _ in range(draw(st.integers(0, 4)) if n else 0):
             # Merges under arbitrary interval partitions, which may break the
@@ -404,18 +406,18 @@ def successor_scenarios(draw):
                 context.append((merged_masks, order))
         for key in draw(st.permutations(context)):
             index.setdefault(pipeline._union(key[0]), []).append(key)
-    return aut, (masks, ranks), symbol, strategy, index
+    return aut, (masks, ranks), symbol, strategy, index, hit
 
 
 @settings(max_examples=400)
 @given(successor_scenarios())
 def test_fused_successor_matches_the_staged_kernels(scenario):
-    aut, source, symbol, strategy, index = scenario
+    aut, source, symbol, strategy, index, hit = scenario
     post = aut.post(symbol)
     stages = pipeline._stages(aut, post, source, strategy, index)
     fused = pipeline._successor(post, aut.accepting_mask, aut.num_states, source, strategy, index)
     assert fused == (stages.successor, stages.priority)
-    if strategy is ADAPTIVE and stages.pruned[0]:
+    if hit and stages.pruned[0]:
         assert stages.successor in index[pipeline._union(stages.pruned[0])]
 
 
@@ -426,48 +428,33 @@ def test_validated_determinize_on_the_golden_grid(golden_automata, strategy):
         determinize(aut, strategy, validate=True)
 
 
-def test_ms_exploration_neither_merges_nor_normalizes(golden_automata, monkeypatch):
-    def no_normalize(*args):
-        raise AssertionError("exploration ran _normalize")
-
-    def no_merge(*args):
-        raise AssertionError("exploration ran _merge")
-
-    monkeypatch.setattr(pipeline, "_normalize", no_normalize)
-    monkeypatch.setattr(pipeline, "_merge", no_merge)
-    aut = golden_automata["grid"][0]
-    assert determinize(aut, MULLER_SCHUPP).num_states > 1
-    with pytest.raises(AssertionError, match="exploration ran"):
-        determinize(aut, MULLER_SCHUPP, validate=True)
-
-
-def test_adaptive_hits_neither_merge_nor_normalize(golden_automata, monkeypatch):
-    calls = {"hit": 0, "miss": 0, "_merge": 0, "_normalize": 0}
-
-    def counted(name):
-        real = getattr(pipeline, name)
-
-        def wrapper(*args):
-            calls[name] += 1
-            return real(*args)
-
-        return wrapper
-
+@pytest.mark.parametrize("strategy", ["ms", "max", "adaptive"])
+def test_exploration_neither_merges_nor_normalizes(golden_automata, monkeypatch, strategy):
+    # Only safra merges and normalizes with the staged kernels; the others
+    # compact inside the fused kernel, adaptive hits and misses alike.
+    lookups = {"hit": 0, "miss": 0}
     real_reuse = pipeline._reuse
 
     def reuse(*args):
         found = real_reuse(*args)
-        calls["miss" if found is None else "hit"] += 1
+        lookups["miss" if found is None else "hit"] += 1
         return found
 
+    def forbidden(name):
+        def stage(*args):
+            raise AssertionError(f"exploration ran {name}")
+
+        return stage
+
     monkeypatch.setattr(pipeline, "_reuse", reuse)
-    monkeypatch.setattr(pipeline, "_merge", counted("_merge"))
-    monkeypatch.setattr(pipeline, "_normalize", counted("_normalize"))
+    for name in ("_choose", "_merge", "_normalize"):
+        monkeypatch.setattr(pipeline, name, forbidden(name))
     for aut in golden_automata["grid"]:
-        determinize(aut, ADAPTIVE)
-    # Each miss falls back to max, which merges and normalizes once.
-    assert calls["hit"] > 0 and calls["miss"] > 0
-    assert calls["_merge"] == calls["_normalize"] == calls["miss"]
+        assert determinize(aut, strategy).num_states > 1
+    if strategy == "adaptive":
+        assert lookups["hit"] > 0 and lookups["miss"] > 0
+    with pytest.raises(AssertionError, match="exploration ran"):
+        determinize(golden_automata["grid"][0], strategy, validate=True)
 
 
 def test_priority_parity_rule(small_nba, medium_nba, wide_staged_nba):
