@@ -2,10 +2,17 @@
 
 Exit statuses: 0 on success or agreement, 1 on semantic disagreement or
 invariant failure, 2 on usage or parse errors.
+
+In-process use: ``main(argv)`` may be called any number of times in one
+process.  The argument parser is built on the first call and reused; each
+call parses into a fresh namespace, looks its handler up by command name, and
+prints through the ``sys.stdout``/``sys.stderr`` in place at that moment, so
+no state is shared between calls.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import sys
 from pathlib import Path
@@ -76,8 +83,17 @@ def _int_at_least(minimum: int):
     return parse
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="omegadet", description=__doc__)
+    """The ``omegadet`` parser, built on the first call; every later call returns the same object.
+
+    Sharing it is safe: ``parse_args`` leaves the parser unchanged and returns
+    a fresh namespace, argparse looks up ``sys.stdout``/``sys.stderr`` when it
+    prints, and the help formatter reads the terminal width when it formats.
+    """
+    # --help shows the module docstring up to its note for in-process callers.
+    description = __doc__.partition("\n\nIn-process use:")[0]
+    parser = argparse.ArgumentParser(prog="omegadet", description=description)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p: argparse.ArgumentParser, *, output: bool = False) -> None:
@@ -90,7 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("determinize", help="translate a .nba file into a .dpa file")
     add_common(p, output=True)
     p.add_argument("--labels", action="store_true", help="annotate states with slice strings")
-    p.set_defaults(handler=cmd_determinize)
 
     p = sub.add_parser("check", help="compare DPA decisions against the membership oracle")
     p.add_argument("--input", "-i", required=True, help="input .nba file")
@@ -103,29 +118,28 @@ def build_parser() -> argparse.ArgumentParser:
         "--random", type=_int_at_least(1), default=None, metavar="N", help="sample N >= 1 lassos instead"
     )
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(handler=cmd_check)
 
     p = sub.add_parser("stats", help="macrostate and edge counts per merge strategy")
     p.add_argument("--input", "-i", required=True, help="input .nba file")
     p.add_argument("--cap", type=_int_at_least(1), default=1_000_000, help="macrostate cap (>= 1)")
-    p.set_defaults(handler=cmd_stats)
 
     p = sub.add_parser("roundtrip", help="render a slice as a tree and recover it")
     p.add_argument("slice", help="canonical slice string, e.g. ({3}:4,{1}:2,{2}:3,{0}:1)")
-    p.set_defaults(handler=cmd_roundtrip)
 
     p = sub.add_parser("trace", help="print every pipeline stage along a lasso")
     add_common(p)
     p.add_argument("lasso", help="lasso text, e.g. 'a a | b a' (empty stem: '| a')")
-    p.set_defaults(handler=cmd_trace)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # Looked up per call, so the shared parser holds no handler and a handler
+    # replaced on this module takes effect.
+    handler = globals()[f"cmd_{args.command}"]
     try:
-        return args.handler(args)
+        return handler(args)
     except (*_USAGE_ERRORS, AlphabetMismatchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

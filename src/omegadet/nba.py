@@ -1,9 +1,9 @@
 """Nondeterministic Büchi automata: representation, successor sets, text format.
 
 States are dense integer ids ``0 .. num_states-1``; alphabet symbols are
-arbitrary whitespace-free tokens.  All values are immutable after construction
-and every operation is a pure function, so automata are safe to share across
-threads.
+non-empty tokens without whitespace or ``#``, so the text formats can carry
+them.  All values are immutable after construction and every operation is a
+pure function, so automata are safe to share across threads.
 
 Inside the determinization pipeline a state set is an ``int`` bitmask with bit
 ``q`` standing for state ``q``.  This module owns that encoding: ``to_mask``
@@ -13,7 +13,7 @@ successor masks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Collection, Iterable
 
 
 class _LineError(ValueError):
@@ -40,10 +40,20 @@ class LassoFormatError(ValueError):
     """Malformed lasso text (expected ``stem | cycle`` token syntax)."""
 
 
-def _check_token(token: str) -> str:
-    if not token or any(c.isspace() for c in token):
-        raise InvalidAutomatonError(f"bad symbol token {token!r}: must be non-empty, no whitespace")
-    return token
+_TOKEN_RULE = "must be non-empty, without whitespace or '#'"
+
+
+def _bad_token(tokens: Collection[str]) -> str | None:
+    """The first of ``tokens`` that .nba/.dpa text cannot carry, or None if there is none.
+
+    A token must be non-empty and hold no whitespace and no ``#``, which starts
+    a comment.  The tokens are joined and split once, at C speed: the split
+    gives them back unchanged exactly when each is non-empty and whitespace-free.
+    """
+    text = " ".join(tokens)
+    if "#" not in text and text.split() == list(tokens):
+        return None
+    return next(token for token in tokens if "#" in token or token.split() != [token])
 
 
 @dataclass(frozen=True)
@@ -62,8 +72,9 @@ class BuchiAutomaton:
     def __post_init__(self):
         if self.num_states < 0:
             raise InvalidAutomatonError("num_states must be non-negative")
-        for token in self.alphabet:
-            _check_token(token)
+        bad = _bad_token(self.alphabet)
+        if bad is not None:
+            raise InvalidAutomatonError(f"bad symbol token {bad!r}: {_TOKEN_RULE}")
         if len(set(self.alphabet)) != len(self.alphabet):
             raise InvalidAutomatonError("alphabet tokens must be pairwise distinct")
         symbols = set(self.alphabet)

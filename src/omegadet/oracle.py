@@ -2,9 +2,9 @@
 
 The membership decision works on the product of automaton states with cycle
 positions: a lasso is accepted exactly when some product node holding an
-accepting state lies on a cycle reachable after the stem.  A second,
-independently coded decision procedure based on boundary-relation powers
-backs the first one in the tests.
+accepting state lies on a cycle reachable after the stem.  The tests compare
+it with an independently coded decision procedure based on boundary-relation
+powers.
 """
 from __future__ import annotations
 
@@ -124,55 +124,6 @@ def _stem_run(
         else:  # pragma: no cover - layers guarantee a predecessor
             raise AssertionError("stem layer without predecessor")
     return run
-
-
-def nba_accepts_lasso_by_powers(aut: BuchiAutomaton, lasso: Lasso) -> bool:
-    """Independent decision procedure: powers of the one-cycle boundary relation.
-
-    Builds the relation "some run over one full cycle goes from p to q,
-    visiting an accepting state or not", composes it up to the pigeonhole
-    bound, and looks for an accepting self-loop reachable from the post-stem
-    states.
-    """
-    start_states = _stem_layers(aut, lasso.stem)[-1]
-    base: dict[int, dict[int, bool]] = {p: {} for p in range(aut.num_states)}
-    for p in range(aut.num_states):
-        # Pairs (state, accepting seen at segment times 0..t-1) after t symbols.
-        current = {(p, False)}
-        for symbol in lasso.cycle:
-            current = {
-                (target, flag or q in aut.accepting)
-                for q, flag in current
-                for target in aut.successors_of(q, symbol)
-            }
-        for q, flag in current:
-            base[p][q] = base[p].get(q, False) or flag
-
-    reach = set(start_states)
-    frontier = set(start_states)
-    while frontier:
-        frontier = {q for p in frontier for q in base[p]} - reach
-        reach |= frontier
-
-    # A flagged self-loop, if any exists, shows up within 2 * num_states powers.
-    power = base
-    for _ in range(2 * aut.num_states):
-        if any(power[q].get(q, False) for q in reach):
-            return True
-        power = _compose(base, power)
-    return False
-
-
-def _compose(
-    left: dict[int, dict[int, bool]], right: dict[int, dict[int, bool]]
-) -> dict[int, dict[int, bool]]:
-    out: dict[int, dict[int, bool]] = {p: {} for p in left}
-    for p, mids in left.items():
-        row = out[p]
-        for mid, flag1 in mids.items():
-            for q, flag2 in right[mid].items():
-                row[q] = row.get(q, False) or flag1 or flag2
-    return out
 
 
 def enumerate_lassos(alphabet: tuple[str, ...], max_stem: int, max_cycle: int):

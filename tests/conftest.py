@@ -2,12 +2,17 @@ import random
 
 import pytest
 from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
 
 from omegadet.nba import BuchiAutomaton, parse_nba
 from omegadet.oracle import random_nba
 
 settings.register_profile("repo", deadline=None, suppress_health_check=[HealthCheck.too_slow])
 settings.load_profile("repo")
+
+# Short strings for symbols and labels.  Lone surrogates are left out: they
+# cannot be encoded as UTF-8 at all.
+ENCODABLE_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=3)
 
 
 # Three-state automaton over one letter: a loop on 0, a split 0 -> 1, and a

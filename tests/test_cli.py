@@ -1,3 +1,6 @@
+import argparse
+import contextlib
+import io
 import subprocess
 import sys
 import tracemalloc
@@ -532,3 +535,85 @@ def test_outputs_deterministic(medium_staged_file, tmp_path):
         second = run_cli("determinize", "-i", str(medium_staged_file), "--strategy", strategy, "--labels")
         assert first.returncode == second.returncode == 0
         assert first.stdout == second.stdout
+
+
+def test_main_builds_at_most_one_parser_across_calls(small_file, monkeypatch, capsys):
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    for argv in (["determinize", "-i", str(small_file)], ["check", "-i", str(small_file)], ["stats", "-i", str(small_file)]):
+        assert cli.main(argv) == 0
+    capsys.readouterr()
+    # One parser's worth: the top-level parser and one per subcommand.
+    assert len(built) <= 1 + 5, built
+
+
+def test_main_runs_a_handler_replaced_after_the_first_call(monkeypatch, capsys):
+    assert cli.main(["roundtrip", "({0}:1)"]) == 0
+    monkeypatch.setattr(cli, "cmd_roundtrip", lambda args: 7)
+    assert cli.main(["roundtrip", "({0}:1)"]) == 7
+    capsys.readouterr()
+
+
+def test_labels_do_not_carry_over_to_the_next_call(small_file, capsys):
+    assert cli.main(["determinize", "-i", str(small_file), "--labels"]) == 0
+    assert "label " in capsys.readouterr().out
+    assert cli.main(["determinize", "-i", str(small_file)]) == 0
+    assert "label " not in capsys.readouterr().out
+
+
+def test_dpa_does_not_carry_over_to_the_next_call(small_file, tmp_path, monkeypatch, capsys):
+    dpa_file = tmp_path / "small.dpa"
+    assert cli.main(["determinize", "-i", str(small_file), "-o", str(dpa_file)]) == 0
+    calls = []
+    real = cli.determinize
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "determinize", counted)
+    assert cli.main(["check", "-i", str(small_file), "--dpa", str(dpa_file)]) == 0
+    assert calls == []
+    assert cli.main(["check", "-i", str(small_file)]) == 0
+    assert len(calls) == 1
+    assert capsys.readouterr().out == "checked 12 lassos: agreement\n" * 2
+
+
+def test_random_does_not_carry_over_to_the_next_call(small_file, capsys):
+    assert cli.main(["check", "-i", str(small_file), "--random", "5"]) == 0
+    assert capsys.readouterr().out == "checked 5 lassos: agreement\n"
+    assert cli.main(["check", "-i", str(small_file)]) == 0
+    assert capsys.readouterr().out == "checked 12 lassos: agreement\n"
+
+
+def test_usage_error_after_a_successful_call_goes_to_the_current_stderr(small_file, capsys):
+    assert cli.main(["check", "-i", str(small_file)]) == 0
+    capsys.readouterr()
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr), pytest.raises(SystemExit) as exit_info:
+        cli.main(["check", "-i", str(small_file), "--max-v", "0"])
+    assert exit_info.value.code == 2
+    assert stderr.getvalue().startswith("usage: omegadet check ")
+    assert "--max-v: must be at least 1, got 0" in stderr.getvalue()
+    assert capsys.readouterr() == ("", "")
+
+
+def test_help_is_the_same_on_every_call(monkeypatch):
+    texts = {}
+    for columns in ("200", "200", "40"):
+        monkeypatch.setenv("COLUMNS", columns)
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout), pytest.raises(SystemExit) as exit_info:
+            cli.main(["--help"])
+        assert exit_info.value.code == 0
+        texts.setdefault(columns, set()).add(stdout.getvalue())
+    assert len(texts["200"]) == 1
+    # The width is read on every call, not fixed when the parser was built.
+    assert texts["40"] != texts["200"]
+    assert all(text.startswith("usage: omegadet ") for group in texts.values() for text in group)

@@ -20,7 +20,7 @@ from omegadet.nba import (
 )
 from omegadet.oracle import random_nba
 
-from .conftest import SMALL_NBA
+from .conftest import ENCODABLE_TEXT, SMALL_NBA
 
 
 def test_successors_small(small_nba):
@@ -170,6 +170,21 @@ def test_round_trip_random_automata():
     for seed in range(200):
         aut = random_nba(1 + seed % 7, ("a", "b", "c")[: 1 + seed % 3], 0.3, 0.5, seed)
         assert parse_nba(serialize_nba(aut)) == aut
+
+
+@pytest.mark.parametrize("symbol", ["", "a b", "b\n", "a#b", "#"])
+def test_automaton_rejects_a_symbol_the_text_cannot_carry(symbol):
+    with pytest.raises(InvalidAutomatonError, match="bad symbol token"):
+        BuchiAutomaton(1, ("a", symbol), frozenset({(0, symbol, 0)}), frozenset({0}), frozenset())
+
+
+@given(st.lists(ENCODABLE_TEXT, max_size=3))
+def test_every_constructible_automaton_reads_back(alphabet):
+    try:
+        aut = BuchiAutomaton(1, tuple(alphabet), frozenset((0, a, 0) for a in alphabet), frozenset({0}), frozenset())
+    except InvalidAutomatonError:
+        return
+    assert parse_nba(serialize_nba(aut)) == aut
 
 
 def test_initial_must_be_non_empty():

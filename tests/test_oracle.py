@@ -1,9 +1,8 @@
 from omegadet.determinize import MULLER_SCHUPP, initial_slice, transition
-from omegadet.nba import Lasso, parse_nba
+from omegadet.nba import BuchiAutomaton, Lasso, parse_nba
 from omegadet.oracle import (
     enumerate_lassos,
     nba_accepts_lasso,
-    nba_accepts_lasso_by_powers,
     random_nba,
     sample_lassos,
     split_tree_levels,
@@ -42,6 +41,59 @@ def test_witnesses_are_valid_runs():
             verdict = nba_accepts_lasso(aut, lasso)
             if verdict.accepted:
                 assert_valid_witness(aut, lasso, verdict)
+
+
+def nba_accepts_lasso_by_powers(aut: BuchiAutomaton, lasso: Lasso) -> bool:
+    """Reference decision procedure, coded apart from the oracle: powers of the one-cycle boundary relation.
+
+    Builds the relation "some run over one full cycle goes from p to q,
+    visiting an accepting state or not", composes it up to the pigeonhole
+    bound, and looks for an accepting self-loop reachable from the post-stem
+    states.
+    """
+    start_states = set(aut.initial)
+    for symbol in lasso.stem:
+        start_states = {q for p in start_states for q in aut.successors_of(p, symbol)}
+    base: dict[int, dict[int, bool]] = {p: {} for p in range(aut.num_states)}
+    for p in range(aut.num_states):
+        # Pairs (state, accepting seen at segment times 0..t-1) after t symbols.
+        current = {(p, False)}
+        for symbol in lasso.cycle:
+            current = {
+                (target, flag or q in aut.accepting)
+                for q, flag in current
+                for target in aut.successors_of(q, symbol)
+            }
+        for q, flag in current:
+            base[p][q] = base[p].get(q, False) or flag
+
+    reach = set(start_states)
+    frontier = set(start_states)
+    while frontier:
+        frontier = {q for p in frontier for q in base[p]} - reach
+        reach |= frontier
+
+    # A flagged self-loop, if any exists, shows up within 2 * num_states powers.
+    power = base
+    for _ in range(2 * aut.num_states):
+        if any(power[q].get(q, False) for q in reach):
+            return True
+        power = _compose(base, power)
+    return False
+
+
+def _compose(
+    left: dict[int, dict[int, bool]], right: dict[int, dict[int, bool]]
+) -> dict[int, dict[int, bool]]:
+    out: dict[int, dict[int, bool]] = {p: {} for p in left}
+    for p, mids in left.items():
+        row = out[p]
+        for mid, flag1 in mids.items():
+            for q, flag2 in right[mid].items():
+                row[q] = row.get(q, False) or flag1 or flag2
+    return out
+
+
 
 
 def test_implementations_agree():

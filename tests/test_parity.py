@@ -17,6 +17,8 @@ from omegadet.parity import (
     serialize_dpa,
 )
 
+from .conftest import ENCODABLE_TEXT
+
 GOLDEN_SMALL_DPA = b"""dpa
 states 3
 alphabet a
@@ -135,6 +137,39 @@ def test_parity_automaton_is_read_only():
         dpa.labels[0] = "()"  # type: ignore[index]
     edges[(0, "a")] = (0, 1)
     assert dpa.edges[(0, "a")] == (0, 2)
+
+
+@pytest.mark.parametrize(
+    "alphabet, labels",
+    [
+        (("a", "a"), {}),
+        (("a b",), {}),
+        (("a#b",), {}),
+        (("",), {}),
+        (("a",), {0: "x y"}),
+        (("a",), {0: ""}),
+        (("a",), {0: "({0}:1)#"}),
+        (("a",), {1: "x\ty"}),
+    ],
+)
+def test_parity_automaton_rejects_text_it_could_not_read_back(alphabet, labels):
+    with pytest.raises(DpaFormatError):
+        ParityAutomaton(num_states=2, alphabet=alphabet, initial=0, edges={}, labels=labels)
+
+
+@given(st.lists(ENCODABLE_TEXT, max_size=3), st.lists(ENCODABLE_TEXT, max_size=2))
+def test_every_constructible_parity_automaton_reads_back(alphabet, label_texts):
+    try:
+        dpa = ParityAutomaton(
+            num_states=2,
+            alphabet=tuple(alphabet),
+            initial=0,
+            edges={(0, a): (1, 2) for a in alphabet},
+            labels=dict(enumerate(label_texts)),
+        )
+    except DpaFormatError:
+        return
+    assert parse_dpa(serialize_dpa(dpa)) == dpa
 
 
 def test_parse_dpa_errors():
