@@ -28,11 +28,13 @@ interns the pairs directly.
 Exploration runs one fused kernel per edge, ``_successor``: a single loop
 steps and prunes without building the stepped macrostate, and only the
 normalized successor and the priority are returned.  Under ``ms`` (whose
-merge is the identity) the kernel builds no partition; under ``max`` and on
-an adaptive miss it merges the coarsest permitted runs in one more pass over
-the pruned sets.  Either way it compacts the ranks itself, one popcount over
-their bitmask per rank.  An adaptive hit returns the explored macrostate as
-it is.  Only ``safra`` merges and normalizes with the staged kernels.
+merge is the identity) the kernel builds no partition.  Under ``safra``,
+``max`` and on an adaptive miss, one right-to-left pass over the pruned sets
+merges them into runs, and the two strategies differ only in when a set
+stops the run to its left: ``safra`` runs each green rank's complete subtree,
+``max`` the coarsest permitted intervals.  Either way the kernel compacts the
+ranks itself, one popcount over their bitmask per rank.  An adaptive hit
+returns the explored macrostate as it is.
 
 The staged kernels (``_step``, ``_prune``, ``_choose``, ``_merge``,
 ``_normalize``, composed by ``_stages``) keep every intermediate stage.
@@ -307,12 +309,6 @@ def _choose(
 
 def _merge(masks: tuple[int, ...], ranks: tuple[int, ...], partition: IntervalPartition) -> Macrostate:
     n = len(masks)
-    if len(partition) == n:
-        # n intervals tile 1..n only as singletons, and merging singletons changes nothing.
-        positions = range(1, n + 1)
-        if partition != tuple(zip(positions, positions)):
-            raise InternalInvariantError(f"partition {partition} does not tile 1..{n}")
-        return masks, ranks
     out_masks: list[int] = []
     out_ranks: list[int] = []
     covered = 0
@@ -405,19 +401,22 @@ def _successor(
     exactly ``1..2n``.
 
     The successor comes out normalized.  Under ``ms`` the pruned sets are the
-    merged ones; under ``max``, and on an adaptive miss that falls back to
-    it, one pass over the pruned sets builds the coarsest permitted runs.
-    ``_compact`` then maps each rank ``r`` to the number of ranks up to
-    ``r`` and checks the invariants of ``_normalize`` on those values.  An
-    adaptive hit returns the explored macrostate as it is: ``_induced_cuts``
-    accepts it only if merging and normalizing give exactly it.  Only
-    ``safra`` runs ``_choose``, ``_merge`` and ``_normalize``.
+    merged ones.  Under ``safra`` and ``max``, and on an adaptive miss that
+    falls back to either, one right-to-left pass merges the pruned sets into
+    runs, each keeping its minimum rank.  After a set that starts a run,
+    ``safra`` lets the sets ranked above it join when its rank is green, so
+    each green rank's subtree is one run; ``max`` lets the sets ranked above
+    ``k`` join when its rank is at least ``k``, so every set ranked below
+    ``k`` stays alone and the rank-``k`` set ends its run.  ``_compact`` then
+    maps each rank ``r`` to the number of ranks up to ``r`` and checks the
+    invariants of ``_normalize`` on those values.  An adaptive hit returns
+    the explored macrostate as it is: ``_induced_cuts`` accepts it only if
+    merging and normalizing give exactly it.
     """
     masks, ranks = source
     if not masks:
         return _SINK, 1
     claimed = 0
-    seen = 0
     out_masks: list[int] = []
     out_ranks: list[int] = []
     surviving = 0
@@ -427,11 +426,6 @@ def _successor(
         image = post[mask]
         restricted = image & ~claimed
         claimed |= image
-        # The two children split ``restricted``, so this keeps every set disjoint.
-        if restricted & seen:
-            repeated = sorted(from_mask(restricted & seen))
-            raise InvalidSliceError(f"sets are not pairwise disjoint: {repeated} repeated")
-        seen |= restricted
         left = restricted & accepting
         if left:
             out_masks.append(left)
@@ -462,24 +456,26 @@ def _successor(
         strategy = STRATEGIES[strategy.fallback]
     if strategy.kind == "ms":
         return _compact(tuple(out_masks), out_ranks, surviving), priority
-    if strategy.kind == "safra":
-        pruned = tuple(out_masks), tuple(out_ranks)
-        partition = _choose(*pruned, k, green, strategy, explored)
-        return _normalize(*_merge(*pruned, partition)), priority
-    # ``max``, the coarsest permitted partition: a set ranked below ``k`` stays
-    # alone, every other set joins the open run, and the rank-``k`` set closes it.
+    safra = strategy.kind == "safra"
     run_masks: list[int] = []
     run_ranks: list[int] = []
-    closed = True
-    for mask, rank in zip(out_masks, out_ranks):
-        if closed or rank < k:
-            run_masks.append(mask)
-            run_ranks.append(rank)
-        else:
+    low = 0
+    for mask, rank in zip(reversed(out_masks), reversed(out_ranks)):
+        if 0 < low < rank:
             run_masks[-1] |= mask
             if rank < run_ranks[-1]:
                 run_ranks[-1] = rank
-        closed = rank <= k
+            continue
+        run_masks.append(mask)
+        run_ranks.append(rank)
+        if safra:
+            # A green rank's subtree is the run ending at it of ranks at or above it.
+            low = rank if green >> rank & 1 else 0
+        else:
+            # Sets ranked below ``k`` stay alone, and the rank-``k`` set ends its run.
+            low = k if rank >= k else 0
+    run_masks.reverse()
+    run_ranks.reverse()
     minima = 0
     for rank in run_ranks:
         minima |= 1 << rank

@@ -1,9 +1,10 @@
 """Nondeterministic Büchi automata: representation, successor sets, text format.
 
 States are dense integer ids ``0 .. num_states-1``; alphabet symbols are
-non-empty tokens without whitespace or ``#``, so the text formats can carry
-them.  All values are immutable after construction and every operation is a
-pure function, so automata are safe to share across threads.
+non-empty UTF-8 tokens without whitespace, ``#`` or ``|``, so the text
+formats can carry them.  All values are immutable after construction and
+every operation is a pure function, so automata are safe to share across
+threads.
 
 Inside the determinization pipeline a state set is an ``int`` bitmask with bit
 ``q`` standing for state ``q``.  This module owns that encoding: ``to_mask``
@@ -12,6 +13,7 @@ successor masks.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Collection, Iterable
 
@@ -40,20 +42,22 @@ class LassoFormatError(ValueError):
     """Malformed lasso text (expected ``stem | cycle`` token syntax)."""
 
 
-_TOKEN_RULE = "must be non-empty, without whitespace or '#'"
+_TOKEN_RULE = "must be non-empty UTF-8, without whitespace, '#' or '|'"
+# '#' starts a comment, '|' splits a lasso into stem and cycle, and a lone
+# surrogate has no UTF-8 encoding.
+_UNCARRIED = re.compile("[#|\ud800-\udfff]")
 
 
-def _bad_token(tokens: Collection[str]) -> str | None:
-    """The first of ``tokens`` that .nba/.dpa text cannot carry, or None if there is none.
+def _check_tokens(tokens: Collection[str], what: str, error: type[ValueError], *line: int) -> None:
+    """Raise ``error(message, *line)`` naming the first of ``tokens`` that text cannot carry.
 
-    A token must be non-empty and hold no whitespace and no ``#``, which starts
-    a comment.  The tokens are joined and split once, at C speed: the split
+    The tokens are joined, searched and split once, at C speed: the split
     gives them back unchanged exactly when each is non-empty and whitespace-free.
     """
     text = " ".join(tokens)
-    if "#" not in text and text.split() == list(tokens):
-        return None
-    return next(token for token in tokens if "#" in token or token.split() != [token])
+    if _UNCARRIED.search(text) or text.split() != list(tokens):
+        bad = next(token for token in tokens if _UNCARRIED.search(token) or token.split() != [token])
+        raise error(f"bad {what} {bad!r}: {_TOKEN_RULE}", *line)
 
 
 @dataclass(frozen=True)
@@ -72,9 +76,7 @@ class BuchiAutomaton:
     def __post_init__(self):
         if self.num_states < 0:
             raise InvalidAutomatonError("num_states must be non-negative")
-        bad = _bad_token(self.alphabet)
-        if bad is not None:
-            raise InvalidAutomatonError(f"bad symbol token {bad!r}: {_TOKEN_RULE}")
+        _check_tokens(self.alphabet, "symbol token", InvalidAutomatonError)
         if len(set(self.alphabet)) != len(self.alphabet):
             raise InvalidAutomatonError("alphabet tokens must be pairwise distinct")
         symbols = set(self.alphabet)
@@ -171,9 +173,7 @@ class Lasso:
     def __post_init__(self):
         if len(self.cycle) < 1:
             raise LassoFormatError("lasso cycle must contain at least one symbol")
-        for token in self.stem + self.cycle:
-            if not token or any(c.isspace() for c in token):
-                raise LassoFormatError(f"bad lasso token {token!r}")
+        _check_tokens(self.stem + self.cycle, "lasso token", LassoFormatError)
 
     def symbol_at(self, i: int) -> str:
         """Symbol consumed at time ``i`` of the infinite word."""
@@ -263,6 +263,7 @@ def parse_nba(data: bytes | str) -> BuchiAutomaton:
         raise NbaFormatError("'states' takes one non-negative count", lineno)
 
     lineno, alphabet = take("alphabet", 0)
+    _check_tokens(alphabet, "symbol token", NbaFormatError, lineno)
     if len(set(alphabet)) != len(alphabet):
         raise NbaFormatError("duplicate alphabet token", lineno)
     symbol_set = set(alphabet)

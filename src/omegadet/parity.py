@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Any, Callable, Hashable, Mapping
 
-from .nba import _TOKEN_RULE, Lasso, UnknownSymbolError, _bad_token, _LineError, _read_int, _read_lines
+from .nba import Lasso, UnknownSymbolError, _check_tokens, _LineError, _read_int, _read_lines
 
 
 class DpaFormatError(_LineError):
@@ -27,8 +27,8 @@ class ParityAutomaton:
     ``edges`` maps ``(state, symbol)`` to ``(target, priority)``.  ``labels``
     optionally annotate states with their canonical slice string.  Both are
     stored as read-only copies of the mappings passed in.  Alphabet tokens are
-    pairwise distinct, and they and the labels are non-empty and hold no
-    whitespace or ``#``, so :func:`parse_dpa` reads the serialized text back.
+    pairwise distinct, and they and the labels are non-empty UTF-8 and hold no
+    whitespace, ``#`` or ``|``, so :func:`parse_dpa` reads the serialized text back.
     """
 
     num_states: int
@@ -42,15 +42,11 @@ class ParityAutomaton:
         object.__setattr__(self, "labels", MappingProxyType(dict(self.labels)))
         if not 0 <= self.initial < self.num_states:
             raise DpaFormatError(f"initial state {self.initial} out of range")
-        bad = _bad_token(self.alphabet)
-        if bad is not None:
-            raise DpaFormatError(f"bad symbol token {bad!r}: {_TOKEN_RULE}")
+        _check_tokens(self.alphabet, "symbol token", DpaFormatError)
         symbols = set(self.alphabet)
         if len(symbols) != len(self.alphabet):
             raise DpaFormatError("alphabet tokens must be pairwise distinct")
-        bad = _bad_token(self.labels.values())
-        if bad is not None:
-            raise DpaFormatError(f"bad label {bad!r}: {_TOKEN_RULE}")
+        _check_tokens(self.labels.values(), "label", DpaFormatError)
         for (src, sym), (dst, priority) in self.edges.items():
             if not (0 <= src < self.num_states and 0 <= dst < self.num_states):
                 raise DpaFormatError(f"edge ({src},{sym}) -> {dst} references an invalid state")
@@ -152,6 +148,7 @@ def parse_dpa(data: bytes | str) -> ParityAutomaton:
         raise DpaFormatError("expected 'alphabet' line", items[0][0] if items else 1)
     lineno, tokens = items.pop(0)
     alphabet = tuple(tokens[1:])
+    _check_tokens(alphabet, "symbol token", DpaFormatError, lineno)
     if len(set(alphabet)) != len(alphabet):
         raise DpaFormatError("duplicate alphabet token", lineno)
 

@@ -14,6 +14,7 @@ from omegadet.determinize import (
     CapacityError,
     InternalInvariantError,
     MergeStrategy,
+    as_strategy,
     check_transition_invariants,
     choose_partition,
     determinize,
@@ -365,6 +366,10 @@ def test_exploration_builds_no_stage_records(medium_staged_nba, monkeypatch):
             determinize(medium_staged_nba, strategy, validate=True)
 
 
+# The adaptive strategy under each fallback, the built-in one (``max``) among them.
+ADAPTIVE_FALLBACKS = tuple(MergeStrategy("adaptive", fallback=f) for f in ("ms", "safra", "max"))
+
+
 @st.composite
 def successor_scenarios(draw):
     """A random NBA, a normalized macrostate over it, a symbol, a strategy and an explored index.
@@ -384,11 +389,12 @@ def successor_scenarios(draw):
     masks = tuple(to_mask(states[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
     ranks = tuple(draw(st.permutations(range(2, len(masks) + 1))) + [1])
     symbol = draw(st.sampled_from(alphabet))
-    strategy = draw(st.sampled_from((MULLER_SCHUPP, SAFRA, MAX_COLLAPSE, ADAPTIVE)))
+    strategy = draw(st.sampled_from((MULLER_SCHUPP, SAFRA, MAX_COLLAPSE, *ADAPTIVE_FALLBACKS)))
     post = aut.post(symbol)
     index = {}
-    hit = strategy is ADAPTIVE and draw(st.booleans())
-    if strategy is ADAPTIVE:
+    adaptive = strategy.kind == "adaptive"
+    hit = adaptive and draw(st.booleans())
+    if adaptive:
         stages = pipeline._stages(aut, post, (masks, ranks), strategy, {})
         pruned_masks, pruned_ranks = stages.pruned
         context = [stages.successor] if hit else []
@@ -421,6 +427,43 @@ def test_fused_successor_matches_the_staged_kernels(scenario):
         assert stages.successor in index[pipeline._union(stages.pruned[0])]
 
 
+# Green ranks 3 and 5, red ranks 6 and 8-14, dominating rank k = 3.  The
+# pruned slice is ({15}:7,{10}:4,{11}:2,{12}:5,{13}:3,{14}:1): the subtree of
+# green 3 holds green 5 and the dead set {5} with red rank 6, and ends at the
+# non-green rank 2, to whose left the set ranked 4 stays apart under safra but
+# opens a run under max.
+NESTED_GREEN_NBA = b"""nba
+states 16
+alphabet a
+init 0
+accept 12 13
+6 a 15
+0 a 10
+1 a 11
+2 a 12
+3 a 13
+4 a 14
+"""
+
+
+@pytest.mark.parametrize(
+    "strategy, expected",
+    [
+        ("safra", "({15}:5,{10}:4,{11}:2,{12,13}:3,{14}:1)"),
+        ("max", "({10,15}:4,{11}:2,{12,13}:3,{14}:1)"),
+    ],
+)
+def test_fused_runs_on_a_green_subtree_with_nested_green_and_red_ranks(strategy, expected):
+    aut = parse_nba(NESTED_GREEN_NBA)
+    slice_ = parse_slice("({6}:7,{0}:4,{1}:2,{2}:5,{5}:6,{3}:3,{4}:1)")
+    trace = transition(aut, slice_, "a", strategy)
+    assert (trace.green, trace.dominating, trace.priority) == ({3, 5}, 3, 6)
+    assert 6 in trace.red and format_slice(trace.successor) == expected
+    source = pipeline._key(slice_)
+    fused = pipeline._successor(aut.post("a"), aut.accepting_mask, aut.num_states, source, as_strategy(strategy), {})
+    assert fused == (pipeline._key(trace.successor), trace.priority)
+
+
 @pytest.mark.parametrize("strategy", ["ms", "safra", "max", "adaptive"])
 def test_validated_determinize_on_the_golden_grid(golden_automata, strategy):
     # Wider slices than the corpus, with the rank gaps that the fused kernel compacts.
@@ -428,10 +471,20 @@ def test_validated_determinize_on_the_golden_grid(golden_automata, strategy):
         determinize(aut, strategy, validate=True)
 
 
-@pytest.mark.parametrize("strategy", ["ms", "max", "adaptive"])
+@pytest.mark.parametrize(
+    "strategy",
+    [
+        "ms",
+        "safra",
+        "max",
+        "adaptive",
+        pytest.param(ADAPTIVE_FALLBACKS[0], id="adaptive-ms"),
+        pytest.param(ADAPTIVE_FALLBACKS[1], id="adaptive-safra"),
+    ],
+)
 def test_exploration_neither_merges_nor_normalizes(golden_automata, monkeypatch, strategy):
-    # Only safra merges and normalizes with the staged kernels; the others
-    # compact inside the fused kernel, adaptive hits and misses alike.
+    # Every strategy merges and compacts inside the fused kernel, adaptive
+    # hits and misses alike, under every fallback.
     lookups = {"hit": 0, "miss": 0}
     real_reuse = pipeline._reuse
 
@@ -447,11 +500,11 @@ def test_exploration_neither_merges_nor_normalizes(golden_automata, monkeypatch,
         return stage
 
     monkeypatch.setattr(pipeline, "_reuse", reuse)
-    for name in ("_choose", "_merge", "_normalize"):
+    for name in ("_choose", "_merge", "_normalize", "unflatten"):
         monkeypatch.setattr(pipeline, name, forbidden(name))
     for aut in golden_automata["grid"]:
         assert determinize(aut, strategy).num_states > 1
-    if strategy == "adaptive":
+    if as_strategy(strategy).kind == "adaptive":
         assert lookups["hit"] > 0 and lookups["miss"] > 0
     with pytest.raises(AssertionError, match="exploration ran"):
         determinize(golden_automata["grid"][0], strategy, validate=True)

@@ -20,7 +20,7 @@ from omegadet.nba import (
 )
 from omegadet.oracle import random_nba
 
-from .conftest import ENCODABLE_TEXT, SMALL_NBA
+from .conftest import SMALL_NBA, TOKEN_TEXT
 
 
 def test_successors_small(small_nba):
@@ -172,13 +172,22 @@ def test_round_trip_random_automata():
         assert parse_nba(serialize_nba(aut)) == aut
 
 
-@pytest.mark.parametrize("symbol", ["", "a b", "b\n", "a#b", "#"])
+@pytest.mark.parametrize("symbol", ["", "a b", "b\n", "a#b", "#", "a|b", "|", "\ud800", "a\udfffb"])
 def test_automaton_rejects_a_symbol_the_text_cannot_carry(symbol):
     with pytest.raises(InvalidAutomatonError, match="bad symbol token"):
         BuchiAutomaton(1, ("a", symbol), frozenset({(0, symbol, 0)}), frozenset({0}), frozenset())
+    with pytest.raises(LassoFormatError, match="bad lasso token"):
+        Lasso(stem=("a",), cycle=(symbol,))
 
 
-@given(st.lists(ENCODABLE_TEXT, max_size=3))
+@pytest.mark.parametrize("symbol", ["a|b", "\ud800"])
+def test_parse_names_the_alphabet_line_of_a_symbol_the_text_cannot_carry(symbol):
+    with pytest.raises(NbaFormatError, match="bad symbol token") as err:
+        parse_nba(f"nba\nstates 1\nalphabet a {symbol}\ninit 0\naccept\n")
+    assert err.value.line == 3
+
+
+@given(st.lists(TOKEN_TEXT, max_size=3))
 def test_every_constructible_automaton_reads_back(alphabet):
     try:
         aut = BuchiAutomaton(1, tuple(alphabet), frozenset((0, a, 0) for a in alphabet), frozenset({0}), frozenset())
@@ -204,6 +213,15 @@ def test_lasso_text_round_trip():
     empty_stem = parse_lasso("| a")
     assert empty_stem == Lasso(stem=(), cycle=("a",))
     assert format_lasso(empty_stem) == "| a"
+
+
+@given(st.lists(TOKEN_TEXT, max_size=2), st.lists(TOKEN_TEXT, min_size=1, max_size=2))
+def test_every_constructible_lasso_reads_back(stem, cycle):
+    try:
+        lasso = Lasso(stem=tuple(stem), cycle=tuple(cycle))
+    except LassoFormatError:
+        return
+    assert parse_lasso(format_lasso(lasso)) == lasso
 
 
 def test_lasso_symbol_at():

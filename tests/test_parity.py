@@ -17,7 +17,7 @@ from omegadet.parity import (
     serialize_dpa,
 )
 
-from .conftest import ENCODABLE_TEXT
+from .conftest import TOKEN_TEXT
 
 GOLDEN_SMALL_DPA = b"""dpa
 states 3
@@ -150,6 +150,9 @@ def test_parity_automaton_is_read_only():
         (("a",), {0: ""}),
         (("a",), {0: "({0}:1)#"}),
         (("a",), {1: "x\ty"}),
+        (("a|b",), {}),
+        (("\ud800",), {}),
+        (("a",), {0: "({0}:1)|"}),
     ],
 )
 def test_parity_automaton_rejects_text_it_could_not_read_back(alphabet, labels):
@@ -157,7 +160,7 @@ def test_parity_automaton_rejects_text_it_could_not_read_back(alphabet, labels):
         ParityAutomaton(num_states=2, alphabet=alphabet, initial=0, edges={}, labels=labels)
 
 
-@given(st.lists(ENCODABLE_TEXT, max_size=3), st.lists(ENCODABLE_TEXT, max_size=2))
+@given(st.lists(TOKEN_TEXT, max_size=3), st.lists(TOKEN_TEXT, max_size=2))
 def test_every_constructible_parity_automaton_reads_back(alphabet, label_texts):
     try:
         dpa = ParityAutomaton(
@@ -170,6 +173,13 @@ def test_every_constructible_parity_automaton_reads_back(alphabet, label_texts):
     except DpaFormatError:
         return
     assert parse_dpa(serialize_dpa(dpa)) == dpa
+
+
+@pytest.mark.parametrize("symbol", ["a|b", "\ud800"])
+def test_parse_dpa_names_the_alphabet_line_of_a_symbol_the_text_cannot_carry(symbol):
+    with pytest.raises(DpaFormatError, match="bad symbol token") as err:
+        parse_dpa(f"dpa\nstates 1\nalphabet {symbol}\ninit 0\n")
+    assert err.value.line == 3
 
 
 def test_parse_dpa_errors():
