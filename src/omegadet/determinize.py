@@ -29,12 +29,19 @@ Exploration runs one fused kernel per edge, ``_successor``: a single loop
 steps and prunes without building the stepped macrostate, and only the
 normalized successor and the priority are returned.  Under ``ms`` (whose
 merge is the identity) the kernel builds no partition.  Under ``safra``,
-``max`` and on an adaptive miss, one right-to-left pass over the pruned sets
+``max`` and ``adaptive``, one right-to-left pass over the pruned sets
 merges them into runs, and the two strategies differ only in when a set
 stops the run to its left: ``safra`` runs each green rank's complete subtree,
 ``max`` the coarsest permitted intervals.  Either way the kernel compacts the
-ranks itself, one popcount over their bitmask per rank.  An adaptive hit
-returns the explored macrostate as it is.
+ranks itself, one popcount over their bitmask per rank.
+
+``adaptive`` keeps the explored macrostates in an index keyed by their state
+union and number of sets.  It builds the ``max`` successor first, whatever
+its fallback, and returns the explored macrostate when that successor is
+explored; it has the fewest sets of any permitted merge.  Only then does it
+scan the finer set counts, stopping at the first with a match, and on a miss
+apply the fallback.  The staged ``_choose`` scans every count with no probe,
+so ``validate=True`` checks the probe against an independent lookup.
 
 The staged kernels (``_step``, ``_prune``, ``_choose``, ``_merge``,
 ``_normalize``, composed by ``_stages``) keep every intermediate stage.
@@ -107,8 +114,10 @@ def as_strategy(value: MergeStrategy | str) -> MergeStrategy:
 Interval = tuple[int, int]
 IntervalPartition = tuple[Interval, ...]
 Macrostate = tuple[tuple[int, ...], tuple[int, ...]]
-# Explored macrostates grouped by the union of their state sets.
-UnionIndex = dict[int, list[Macrostate]]
+# Explored macrostates grouped by the union of their state sets and their
+# number of sets, each mapped to itself so that a lookup returns the explored
+# object.  Fill it through _remember only.
+UnionIndex = dict[tuple[int, int], dict[Macrostate, Macrostate]]
 
 
 @dataclass(frozen=True)
@@ -261,21 +270,33 @@ def _induced_cuts(
     return tuple(cuts[:-1])
 
 
+def _remember(explored: UnionIndex, macrostate: Macrostate) -> None:
+    """Add an explored macrostate to the adaptive lookup index."""
+    masks = macrostate[0]
+    explored.setdefault((_union(masks), len(masks)), {})[macrostate] = macrostate
+
+
 def _reuse(
-    masks: tuple[int, ...], ranks: tuple[int, ...], k: int, union: int, explored: UnionIndex
+    masks: tuple[int, ...], ranks: tuple[int, ...], k: int, union: int, explored: UnionIndex, fewest: int
 ) -> tuple[tuple[int, ...], Macrostate] | None:
     """The cuts of the adaptive partition and the explored macrostate it reaches, or None.
 
-    Merge keeps the state union, so only explored macrostates with the pruned
-    ``union`` can be reached.  The first match in the order of
-    _iter_partitions wins: fewest cuts, then the lexicographic order of cuts.
+    Merge keeps the state union, and a partition into ``m`` intervals gives
+    ``m`` sets, so only explored macrostates keyed ``(union, m)`` can be
+    reached, for ``m`` from ``fewest`` up to the number of pruned sets.  The
+    first match in the order of _iter_partitions wins: fewest cuts, so the
+    scan stops at the first count with a match, then the lexicographic order
+    of cuts within that count.
     """
-    best: tuple[tuple[int, ...], Macrostate] | None = None
-    for target in explored.get(union, ()):
-        cuts = _induced_cuts(masks, ranks, k, target)
-        if cuts is not None and (best is None or (len(cuts), cuts) < (len(best[0]), best[0])):
-            best = cuts, target
-    return best
+    for count in range(fewest, len(masks) + 1):
+        best: tuple[tuple[int, ...], Macrostate] | None = None
+        for target in explored.get((union, count), ()):
+            cuts = _induced_cuts(masks, ranks, k, target)
+            if cuts is not None and (best is None or cuts < best[0]):
+                best = cuts, target
+        if best is not None:
+            return best
+    return None
 
 
 def _choose(
@@ -301,7 +322,7 @@ def _choose(
             if green >> rank & 1:
                 cuts.difference_update(range(shape.left_boundary_of[pos - 1] + 1, pos))
         return _partition_from_cuts(n, cuts)
-    found = _reuse(masks, ranks, k, _union(masks), explored)
+    found = _reuse(masks, ranks, k, _union(masks), explored, 1)
     if found is not None:
         return _partition_from_cuts(n, found[0])
     return _choose(masks, ranks, k, green, STRATEGIES[strategy.fallback], explored)
@@ -401,17 +422,16 @@ def _successor(
     exactly ``1..2n``.
 
     The successor comes out normalized.  Under ``ms`` the pruned sets are the
-    merged ones.  Under ``safra`` and ``max``, and on an adaptive miss that
-    falls back to either, one right-to-left pass merges the pruned sets into
-    runs, each keeping its minimum rank.  After a set that starts a run,
-    ``safra`` lets the sets ranked above it join when its rank is green, so
-    each green rank's subtree is one run; ``max`` lets the sets ranked above
-    ``k`` join when its rank is at least ``k``, so every set ranked below
-    ``k`` stays alone and the rank-``k`` set ends its run.  ``_compact`` then
-    maps each rank ``r`` to the number of ranks up to ``r`` and checks the
-    invariants of ``_normalize`` on those values.  An adaptive hit returns
-    the explored macrostate as it is: ``_induced_cuts`` accepts it only if
-    merging and normalizing give exactly it.
+    merged ones; under ``safra`` and ``max`` :func:`_runs` merges them.
+
+    Under ``adaptive``, whatever the fallback, the ``max`` runs come first.
+    The ``max`` partition keeps only the forced cuts, so it is the one
+    permitted partition with the fewest sets: if its successor is explored,
+    it is the first match in the order of :func:`_reuse`, and the explored
+    macrostate is returned as it is.  Otherwise :func:`_reuse` scans only the
+    finer set counts, and on a miss the fallback merges; the built-in ``max``
+    fallback returns the runs already built.  ``_induced_cuts`` accepts an
+    explored macrostate only if merging and normalizing give exactly it.
     """
     masks, ranks = source
     if not masks:
@@ -448,19 +468,46 @@ def _successor(
     k, priority = _dominating(green, ((1 << fresh) - 2) & ~surviving, num_states)
     if not out_masks:
         return _SINK, priority
-    if strategy.kind == "adaptive":
-        # Every claimed state lands in exactly one pruned set, so ``claimed`` is their union.
-        found = _reuse(tuple(out_masks), tuple(out_ranks), k, claimed, explored)
-        if found is not None:
-            return found[1], priority
-        strategy = STRATEGIES[strategy.fallback]
     if strategy.kind == "ms":
         return _compact(tuple(out_masks), out_ranks, surviving), priority
-    safra = strategy.kind == "safra"
+    if strategy.kind != "adaptive":
+        return _runs(out_masks, out_ranks, k, green, strategy.kind == "safra"), priority
+    # The max successor has the fewest sets of any permitted merge, so if it
+    # is explored the scan would pick it first.  Every claimed state lands in
+    # exactly one pruned set, so ``claimed`` is their union.
+    coarsest = _runs(out_masks, out_ranks, k, green, False)
+    fewest = len(coarsest[0])
+    same = explored.get((claimed, fewest))
+    if same is not None:
+        hit = same.get(coarsest)
+        if hit is not None:
+            return hit, priority
+    found = _reuse(tuple(out_masks), tuple(out_ranks), k, claimed, explored, fewest + 1)
+    if found is not None:
+        return found[1], priority
+    if strategy.fallback == "max":
+        return coarsest, priority
+    if strategy.fallback == "ms":
+        return _compact(tuple(out_masks), out_ranks, surviving), priority
+    return _runs(out_masks, out_ranks, k, green, True), priority
+
+
+def _runs(masks: list[int], ranks: list[int], k: int, green: int, safra: bool) -> Macrostate:
+    """The pruned sets merged into runs under the ``safra`` or the ``max`` rule, compacted.
+
+    One right-to-left pass: a set joins the run to its right when ``low`` is
+    non-zero and below its rank, and each run keeps its minimum rank.  After
+    a set that starts a run, ``safra`` lets the sets ranked above it join
+    when its rank is green, so each green rank's subtree is one run; ``max``
+    lets the sets ranked above ``k`` join when its rank is at least ``k``, so
+    every set ranked below ``k`` stays alone and the rank-``k`` set ends its
+    run.  ``_compact`` then maps each rank ``r`` to the number of ranks up to
+    ``r`` and checks the invariants of ``_normalize`` on those values.
+    """
     run_masks: list[int] = []
     run_ranks: list[int] = []
     low = 0
-    for mask, rank in zip(reversed(out_masks), reversed(out_ranks)):
+    for mask, rank in zip(reversed(masks), reversed(ranks)):
         if 0 < low < rank:
             run_masks[-1] |= mask
             if rank < run_ranks[-1]:
@@ -479,7 +526,7 @@ def _successor(
     minima = 0
     for rank in run_ranks:
         minima |= 1 << rank
-    return _compact(tuple(run_masks), run_ranks, minima), priority
+    return _compact(tuple(run_masks), run_ranks, minima)
 
 
 def _compact(masks: tuple[int, ...], ranks: list[int], present: int) -> Macrostate:
@@ -513,7 +560,7 @@ def _explored(strategy: MergeStrategy, context: Iterable[RankedSlice]) -> UnionI
     index: UnionIndex = {}
     if strategy.kind == "adaptive":
         for key in map(_key, context):
-            index.setdefault(_union(key[0]), []).append(key)
+            _remember(index, key)
     return index
 
 
@@ -687,7 +734,9 @@ def determinize(
     start: Macrostate = ((to_mask(aut.initial),), (1,))
     ids: dict[Macrostate, int] = {start: 0}
     adaptive = strategy.kind == "adaptive"
-    index: UnionIndex = {start[0][0]: [start]} if adaptive else {}
+    index: UnionIndex = {}
+    if adaptive:
+        _remember(index, start)
     edges: dict[tuple[int, str], tuple[int, int]] = {}
     queue: deque[Macrostate] = deque([start])
     while queue:
@@ -712,7 +761,7 @@ def determinize(
                 dst = ids[succ] = len(ids)
                 queue.append(succ)
                 if adaptive:
-                    index.setdefault(_union(succ[0]), []).append(succ)
+                    _remember(index, succ)
             edges[(src, symbol)] = (dst, priority)
     return ParityAutomaton(
         num_states=len(ids),

@@ -165,6 +165,7 @@ def parse_dpa(data: bytes | str) -> ParityAutomaton:
         state = _read_int(tokens[1], lineno, DpaFormatError, num_states)
         if state in labels:
             raise DpaFormatError(f"duplicate label for state {state}", lineno)
+        _check_tokens((tokens[2],), "label", DpaFormatError, lineno)
         labels[state] = tokens[2]
 
     symbols = set(alphabet)

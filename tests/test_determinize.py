@@ -372,12 +372,13 @@ ADAPTIVE_FALLBACKS = tuple(MergeStrategy("adaptive", fallback=f) for f in ("ms",
 
 @st.composite
 def successor_scenarios(draw):
-    """A random NBA, a normalized macrostate over it, a symbol, a strategy and an explored index.
+    """A random NBA, a normalized macrostate over it, a symbol, a strategy and explored macrostates.
 
     The macrostate need not be reachable: random disjoint masks, with a random
-    rank order that puts rank 1 last.  Under ``adaptive`` the index holds
-    decoys with the same union and, when ``hit`` is drawn, the staged
-    successor, which forces a hit; without it most lookups miss and fall back.
+    rank order that puts rank 1 last.  Under ``adaptive`` the explored
+    macrostates are decoys with the same union and, when ``hit`` is drawn,
+    the staged successor, which forces a hit; without it most lookups miss
+    and fall back.
     """
     num_states = draw(st.integers(1, 80))
     alphabet = ("a", "b")[: draw(st.integers(1, 2))]
@@ -391,13 +392,15 @@ def successor_scenarios(draw):
     symbol = draw(st.sampled_from(alphabet))
     strategy = draw(st.sampled_from((MULLER_SCHUPP, SAFRA, MAX_COLLAPSE, *ADAPTIVE_FALLBACKS)))
     post = aut.post(symbol)
-    index = {}
+    context = []
     adaptive = strategy.kind == "adaptive"
     hit = adaptive and draw(st.booleans())
     if adaptive:
         stages = pipeline._stages(aut, post, (masks, ranks), strategy, {})
         pruned_masks, pruned_ranks = stages.pruned
-        context = [stages.successor] if hit else []
+        hit = hit and bool(pruned_masks)
+        if hit:
+            context.append(stages.successor)
         n = len(pruned_masks)
         for _ in range(draw(st.integers(0, 4)) if n else 0):
             # Merges under arbitrary interval partitions, which may break the
@@ -410,21 +413,8 @@ def successor_scenarios(draw):
             else:
                 order = tuple(draw(st.permutations(range(2, len(merged_masks) + 1))) + [1])
                 context.append((merged_masks, order))
-        for key in draw(st.permutations(context)):
-            index.setdefault(pipeline._union(key[0]), []).append(key)
-    return aut, (masks, ranks), symbol, strategy, index, hit
-
-
-@settings(max_examples=400)
-@given(successor_scenarios())
-def test_fused_successor_matches_the_staged_kernels(scenario):
-    aut, source, symbol, strategy, index, hit = scenario
-    post = aut.post(symbol)
-    stages = pipeline._stages(aut, post, source, strategy, index)
-    fused = pipeline._successor(post, aut.accepting_mask, aut.num_states, source, strategy, index)
-    assert fused == (stages.successor, stages.priority)
-    if hit and stages.pruned[0]:
-        assert stages.successor in index[pipeline._union(stages.pruned[0])]
+        context = draw(st.permutations(context))
+    return aut, (masks, ranks), symbol, strategy, context, hit
 
 
 # Green ranks 3 and 5, red ranks 6 and 8-14, dominating rank k = 3.  The
@@ -432,7 +422,8 @@ def test_fused_successor_matches_the_staged_kernels(scenario):
 # green 3 holds green 5 and the dead set {5} with red rank 6, and ends at the
 # non-green rank 2, to whose left the set ranked 4 stays apart under safra but
 # opens a run under max.
-NESTED_GREEN_NBA = b"""nba
+NESTED_GREEN_NBA = parse_nba(
+    b"""nba
 states 16
 alphabet a
 init 0
@@ -444,6 +435,47 @@ accept 12 13
 3 a 13
 4 a 14
 """
+)
+NESTED_GREEN_SLICE = parse_slice("({6}:7,{0}:4,{1}:2,{2}:5,{5}:6,{3}:3,{4}:1)")
+
+
+def _nested_green_successor(strategy):
+    return pipeline._key(transition(NESTED_GREEN_NBA, NESTED_GREEN_SLICE, "a", strategy).successor)
+
+
+def _probe_example(fallback):
+    # The max successor is explored next to the fallback's own successor, so
+    # the adaptive result must be the max successor, found by the probe.
+    context = [_nested_green_successor(fallback), _nested_green_successor("max")]
+    strategy = MergeStrategy("adaptive", fallback=fallback)
+    return NESTED_GREEN_NBA, pipeline._key(NESTED_GREEN_SLICE), "a", strategy, context, True
+
+
+# The pruned slice is ({4}:4,{5}:2,{6}:3,{7}:1) with green rank 3 only: the
+# green subtree {6} is closed by the non-green set ranked 2, and further left
+# the set ranked 4 must start a run of its own under safra.
+CLOSED_SUBTREE_NBA = parse_nba(b"nba\nstates 8\nalphabet a\ninit 0\naccept 6\n0 a 4\n1 a 5\n2 a 6\n3 a 7\n")
+CLOSED_SUBTREE_SOURCE = pipeline._key(parse_slice("({0}:4,{1}:2,{2}:3,{3}:1)"))
+
+
+@settings(max_examples=400)
+@given(successor_scenarios())
+@example(_probe_example("ms"))
+@example(_probe_example("safra"))
+@example((CLOSED_SUBTREE_NBA, CLOSED_SUBTREE_SOURCE, "a", SAFRA, [], False))
+@example((CLOSED_SUBTREE_NBA, CLOSED_SUBTREE_SOURCE, "a", ADAPTIVE_FALLBACKS[1], [], False))
+def test_fused_successor_matches_the_staged_kernels(scenario):
+    aut, source, symbol, strategy, context, hit = scenario
+    index = {}
+    for key in context:
+        pipeline._remember(index, key)
+    post = aut.post(symbol)
+    stages = pipeline._stages(aut, post, source, strategy, index)
+    fused = pipeline._successor(post, aut.accepting_mask, aut.num_states, source, strategy, index)
+    assert fused == (stages.successor, stages.priority)
+    if hit:
+        # The lookup found an explored macrostate and returned that very object.
+        assert any(fused[0] is key for key in context)
 
 
 @pytest.mark.parametrize(
@@ -454,12 +486,11 @@ accept 12 13
     ],
 )
 def test_fused_runs_on_a_green_subtree_with_nested_green_and_red_ranks(strategy, expected):
-    aut = parse_nba(NESTED_GREEN_NBA)
-    slice_ = parse_slice("({6}:7,{0}:4,{1}:2,{2}:5,{5}:6,{3}:3,{4}:1)")
-    trace = transition(aut, slice_, "a", strategy)
+    aut = NESTED_GREEN_NBA
+    trace = transition(aut, NESTED_GREEN_SLICE, "a", strategy)
     assert (trace.green, trace.dominating, trace.priority) == ({3, 5}, 3, 6)
     assert 6 in trace.red and format_slice(trace.successor) == expected
-    source = pipeline._key(slice_)
+    source = pipeline._key(NESTED_GREEN_SLICE)
     fused = pipeline._successor(aut.post("a"), aut.accepting_mask, aut.num_states, source, as_strategy(strategy), {})
     assert fused == (pipeline._key(trace.successor), trace.priority)
 
@@ -484,14 +515,33 @@ def test_validated_determinize_on_the_golden_grid(golden_automata, strategy):
 )
 def test_exploration_neither_merges_nor_normalizes(golden_automata, monkeypatch, strategy):
     # Every strategy merges and compacts inside the fused kernel, adaptive
-    # hits and misses alike, under every fallback.
-    lookups = {"hit": 0, "miss": 0}
-    real_reuse = pipeline._reuse
+    # hits and misses alike, under every fallback.  An adaptive edge that is
+    # not the sink is a probe hit (the max successor is explored, and no scan
+    # runs), a scan hit or a miss.
+    lookups = {"probe": 0, "scan": 0, "miss": 0}
+    scans = []
+    remembered = {}
+    real_reuse, real_remember, real_successor = pipeline._reuse, pipeline._remember, pipeline._successor
 
     def reuse(*args):
         found = real_reuse(*args)
-        lookups["miss" if found is None else "hit"] += 1
+        scans.append(found)
         return found
+
+    def remember(index, macrostate):
+        remembered[id(macrostate)] = macrostate
+        real_remember(index, macrostate)
+
+    def successor(*args):
+        scans.clear()
+        succ, priority = real_successor(*args)
+        if scans:
+            assert len(scans) == 1
+            lookups["miss" if scans[0] is None else "scan"] += 1
+        elif succ[0] and args[4].kind == "adaptive":
+            assert remembered.get(id(succ)) is succ
+            lookups["probe"] += 1
+        return succ, priority
 
     def forbidden(name):
         def stage(*args):
@@ -500,12 +550,16 @@ def test_exploration_neither_merges_nor_normalizes(golden_automata, monkeypatch,
         return stage
 
     monkeypatch.setattr(pipeline, "_reuse", reuse)
+    monkeypatch.setattr(pipeline, "_remember", remember)
+    monkeypatch.setattr(pipeline, "_successor", successor)
     for name in ("_choose", "_merge", "_normalize", "unflatten"):
         monkeypatch.setattr(pipeline, name, forbidden(name))
     for aut in golden_automata["grid"]:
         assert determinize(aut, strategy).num_states > 1
     if as_strategy(strategy).kind == "adaptive":
-        assert lookups["hit"] > 0 and lookups["miss"] > 0
+        assert min(lookups.values()) > 0, lookups
+    else:
+        assert lookups == {"probe": 0, "scan": 0, "miss": 0}
     with pytest.raises(AssertionError, match="exploration ran"):
         determinize(golden_automata["grid"][0], strategy, validate=True)
 

@@ -182,6 +182,12 @@ def test_parse_dpa_names_the_alphabet_line_of_a_symbol_the_text_cannot_carry(sym
     assert err.value.line == 3
 
 
+def test_parse_dpa_names_the_line_of_a_label_the_text_cannot_carry():
+    with pytest.raises(DpaFormatError, match="bad label") as err:
+        parse_dpa("dpa\nstates 2\nalphabet a\ninit 0\nlabel 0 ({0}:1)\nlabel 1 x|y\n")
+    assert err.value.line == 6
+
+
 def test_parse_dpa_errors():
     with pytest.raises(DpaFormatError):
         parse_dpa(b"nope\n")
