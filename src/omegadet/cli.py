@@ -31,6 +31,7 @@ from .nba import (
     LassoFormatError,
     NbaFormatError,
     UnknownSymbolError,
+    check_symbols,
     format_lasso,
     parse_lasso,
     parse_nba,
@@ -201,20 +202,30 @@ def _first_disagreement(aut: BuchiAutomaton, dpa: ParityAutomaton, words) -> tup
     """Count the ``(stem, cycle)`` words up to the first on which the NBA and DPA disagree.
 
     Returns the count and that lasso, or None if all agree.  The NBA verdict
-    depends only on the NBA state set after the stem and the cycle, the DPA
-    verdict only on the DPA state after the stem and the cycle, so each is
-    decided once per distinct key.  Only the path of the last stem walked is
-    kept: ``path[k]`` holds the state set and state after its first ``k``
-    symbols, and a new stem is walked on from the prefix it shares with that
-    stem, so memory stays linear in the longest stem.  A missing DPA edge
-    raises :class:`MissingEdgeError` at the first word whose run needs it, as
-    :func:`run_lasso` on each lasso in turn would.
+    depends only on the NBA state set after the stem and the cycle ``v``, the
+    DPA verdict only on the DPA state after the stem and ``v``, and since
+    ``u·v^ω = (u·v)·v^ω`` each verdict holds along the key's orbit under ``v``:
+
+    * NBA side: one oracle call decides an undecided state set, and its
+      verdict goes to the sets after ``v``, ``v²``, ..., stopping at a decided
+      set or after ``dpa.num_states + 1`` cycle iterations (the bound of
+      :func:`run_lasso`).  A repeated set is a decided one.
+    * DPA side: :func:`_dpa_verdict` walks ``v`` from the state and stores the
+      verdict of every boundary state on its trail.
+
+    Only the path of the last stem walked is kept: ``path[k]`` holds the state
+    set and state after its first ``k`` symbols, and a new stem is walked on
+    from the prefix it shares with that stem, so memory stays linear in the
+    longest stem.  A missing DPA edge raises :class:`MissingEdgeError` at the
+    first word whose run needs it, as :func:`run_lasso` on each lasso in turn
+    would.
     """
     posts = {symbol: aut.post(symbol) for symbol in aut.alphabet}
+    orbit_bound = dpa.num_states + 1
     walked: tuple[str, ...] = ()
     path = [(to_mask(aut.initial), dpa.initial)]
-    nba_verdicts: dict[tuple[int, tuple[str, ...]], bool] = {}
-    dpa_verdicts: dict[tuple[int, tuple[str, ...]], bool] = {}
+    # Per cycle: the verdicts by NBA state-set mask and by DPA state.
+    verdicts: dict[tuple[str, ...], tuple[dict[int, bool], dict[int, bool]]] = {}
     checked = 0
     for stem, cycle in words:
         if stem is not walked:
@@ -231,18 +242,58 @@ def _first_disagreement(aut: BuchiAutomaton, dpa: ParityAutomaton, words) -> tup
                 path.append((layer, state))
             walked = stem
         layer, state = path[-1]
-        nba_accepts = nba_verdicts.get((layer, cycle))
+        known = verdicts.get(cycle)
+        if known is None:
+            known = verdicts[cycle] = ({}, {})
+        nba_known, dpa_known = known
+        nba_accepts = nba_known.get(layer)
         if nba_accepts is None:
-            nba_accepts = nba_accepts_lasso(aut, Lasso(stem, cycle)).accepted
-            nba_verdicts[layer, cycle] = nba_accepts
-        dpa_accepts = dpa_verdicts.get((state, cycle))
+            nba_accepts = nba_known[layer] = nba_accepts_lasso(aut, Lasso(stem, cycle)).accepted
+            cycle_posts = [posts[symbol] for symbol in cycle]
+            for _ in range(orbit_bound):
+                for post in cycle_posts:
+                    layer = post[layer]
+                if layer in nba_known:
+                    break
+                nba_known[layer] = nba_accepts
+        dpa_accepts = dpa_known.get(state)
         if dpa_accepts is None:
-            dpa_accepts = _run_lasso(state, dpa.follow, Lasso((), cycle)).accepted
-            dpa_verdicts[state, cycle] = dpa_accepts
+            dpa_accepts = _dpa_verdict(dpa_known, state, dpa.follow, cycle)
         checked += 1
         if nba_accepts != dpa_accepts:
             return checked, Lasso(stem, cycle)
     return checked, None
+
+
+def _dpa_verdict(known: dict[int, bool], state: int, follow, cycle: tuple[str, ...]) -> bool:
+    """Whether the DPA accepts ``cycle^ω`` from ``state``; ``known`` maps states to that verdict.
+
+    Walks ``cycle`` from ``state``, keeping the minimum priority of each
+    iteration, until it reaches a boundary state in ``known`` or one it has
+    passed; in the second case the minimum over the repeating iterations
+    decides.  The walk is a prefix of :func:`_run_lasso`'s from ``state``, so
+    it follows no edge that run would not.  Every boundary state on the trail
+    reaches the same loop and is stored with the verdict.
+    """
+    trail: dict[int, int] = {}
+    minimums: list[int] = []
+    while True:
+        verdict = known.get(state)
+        if verdict is not None:
+            break
+        start = trail.get(state)
+        if start is not None:
+            verdict = min(minimums[start:]) % 2 == 0
+            break
+        trail[state] = len(minimums)
+        lowest = None
+        for symbol in cycle:
+            state, priority = follow(state, symbol)
+            if lowest is None or priority < lowest:
+                lowest = priority
+        minimums.append(lowest)
+    known.update(dict.fromkeys(trail, verdict))
+    return verdict
 
 
 def cmd_stats(args) -> int:
@@ -272,9 +323,7 @@ def cmd_roundtrip(args) -> int:
 def cmd_trace(args) -> int:
     aut = _load_nba(args.input)
     lasso = parse_lasso(args.lasso)
-    for symbol in lasso.stem + lasso.cycle:
-        if symbol not in aut.alphabet:
-            raise UnknownSymbolError(f"symbol {symbol!r} not in alphabet")
+    check_symbols(aut, lasso.stem + lasso.cycle)
     strategy = as_strategy(args.strategy)
     # Under adaptive a successor depends on what was explored before it, so the
     # trace replays the DPA's edges and recomputes each one's stages with the

@@ -182,6 +182,13 @@ class Lasso:
         return self.cycle[(i - len(self.stem)) % len(self.cycle)]
 
 
+def check_symbols(aut: BuchiAutomaton, symbols: Iterable[str]) -> None:
+    """Raise :class:`UnknownSymbolError` for the first of ``symbols`` not in the alphabet."""
+    for symbol in symbols:
+        if symbol not in aut.alphabet:
+            raise UnknownSymbolError(f"symbol {symbol!r} not in alphabet")
+
+
 def successors(aut: BuchiAutomaton, source_set: frozenset[int] | set[int], symbol: str) -> frozenset[int]:
     """States reachable from any member of ``source_set`` on ``symbol``."""
     if symbol not in aut.alphabet:

@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import product
 
-from .nba import BuchiAutomaton, Lasso, successors
+from .nba import BuchiAutomaton, Lasso, check_symbols, successors
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,12 @@ def _product_edges(aut: BuchiAutomaton, cycle: tuple[str, ...], node: tuple[int,
 
 
 def nba_accepts_lasso(aut: BuchiAutomaton, lasso: Lasso) -> LassoVerdict:
-    """Decide membership of ``stem . cycle^ω`` and recover a witness run if accepted."""
+    """Decide membership of ``stem . cycle^ω`` and recover a witness run if accepted.
+
+    Raises :class:`UnknownSymbolError` if a lasso symbol is not in the
+    alphabet, also when the stem leaves no state to read it.
+    """
+    check_symbols(aut, lasso.stem + lasso.cycle)
     layers = _stem_layers(aut, lasso.stem)
     starts = sorted((q, 0) for q in layers[-1])
     # Forward reachability over (state, cycle position) with parent pointers.

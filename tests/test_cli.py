@@ -3,15 +3,18 @@ import contextlib
 import io
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from omegadet import cli
 from omegadet.cli import cmd_check
 from omegadet.determinize import ADAPTIVE, STRATEGIES, as_strategy, determinize
-from omegadet.nba import BuchiAutomaton, format_lasso, parse_lasso, parse_nba, serialize_nba
+from omegadet.nba import BuchiAutomaton, format_lasso, parse_lasso, parse_nba, serialize_nba, successors
 from omegadet.oracle import _stem_layers, enumerate_lassos, nba_accepts_lasso, sample_lassos
 from omegadet.parity import ParityAutomaton, _run_lasso, parse_dpa, run_lasso, serialize_dpa
 from omegadet.safra import slice_to_safra
@@ -313,11 +316,8 @@ def test_check_matches_the_unmemoised_loop_on_mutated_dpas(corpus_files, corpus_
     assert min(outcomes.values()) >= 30, outcomes
 
 
-def test_check_decides_each_nba_key_once(corpus_files, monkeypatch, capsys):
-    path = next(p for p in corpus_files if len(parse_nba(p.read_bytes()).alphabet) == 2)
-    aut = parse_nba(path.read_bytes())
-    lassos = list(enumerate_lassos(aut.alphabet, 3, 3))
-    keys = {(_stem_layers(aut, lasso.stem)[-1], lasso.cycle) for lasso in lassos}
+def test_check_calls_the_oracle_once_per_nba_orbit(corpus_files, monkeypatch, capsys):
+    paths = [p for p in corpus_files if len(parse_nba(p.read_bytes()).alphabet) == 2][:5]
     calls = []
 
     def counted(aut, lasso):
@@ -325,9 +325,162 @@ def test_check_decides_each_nba_key_once(corpus_files, monkeypatch, capsys):
         return nba_accepts_lasso(aut, lasso)
 
     monkeypatch.setattr(cli, "nba_accepts_lasso", counted)
-    assert cli.main(["check", "-i", str(path), "--max-u", "3", "--max-v", "3"]) == 0
-    assert capsys.readouterr().out == f"checked {len(lassos)} lassos: agreement\n"
-    assert len(calls) == len(keys) < len(lassos)
+    for path in paths:
+        aut = parse_nba(path.read_bytes())
+        bound = determinize(aut, "ms").num_states + 1
+        lassos = list(enumerate_lassos(aut.alphabet, 3, 3))
+        keys = {(_stem_layers(aut, lasso.stem)[-1], lasso.cycle) for lasso in lassos}
+        # Since u·v^ω = (u·v)·v^ω, a call decides its state set and the sets
+        # after v, v², ..., up to a decided set or the DPA size plus one.
+        decided = set()
+        expected = []
+        for lasso in lassos:
+            layer = _stem_layers(aut, lasso.stem)[-1]
+            if (layer, lasso.cycle) in decided:
+                continue
+            expected.append(lasso)
+            decided.add((layer, lasso.cycle))
+            for _ in range(bound):
+                for symbol in lasso.cycle:
+                    layer = successors(aut, layer, symbol)
+                if (layer, lasso.cycle) in decided:
+                    break
+                decided.add((layer, lasso.cycle))
+        calls.clear()
+        assert cli.main(["check", "-i", str(path), "--max-u", "3", "--max-v", "3"]) == 0
+        assert capsys.readouterr().out == f"checked {len(lassos)} lassos: agreement\n"
+        assert calls == expected
+        assert len(calls) < len(keys) < len(lassos)
+
+
+def test_check_follows_each_edge_of_a_chain_dpa_a_bounded_number_of_times(tmp_path, monkeypatch, capsys):
+    # State i moves to i + 1 with priority 1, and the last state loops with priority 2.
+    # Deciding every stem end afresh would follow about n²/2 edges for each cycle.
+    n = 300
+    nba_file = tmp_path / "loop.nba"
+    nba_file.write_text("nba\nstates 1\nalphabet a\ninit 0\naccept 0\n0 a 0\n")
+    edges = "".join(f"{i} a {i + 1} 1\n" for i in range(n - 1))
+    dpa_file = tmp_path / "chain.dpa"
+    dpa_file.write_text(f"dpa\nstates {n}\nalphabet a\ninit 0\n{edges}{n - 1} a {n - 1} 2\n")
+    follows = []
+    follow = ParityAutomaton.follow
+
+    def counted(self, state, symbol):
+        follows.append(state)
+        return follow(self, state, symbol)
+
+    monkeypatch.setattr(ParityAutomaton, "follow", counted)
+    argv = ["check", "-i", str(nba_file), "--dpa", str(dpa_file), "--max-u", str(n), "--max-v", "2"]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == f"checked {2 * (n + 1)} lassos: agreement\n"
+    # n to walk the stems, then each state once per cycle: n edges for "a", 2n for "a a".
+    assert len(follows) <= 4 * n + 10, len(follows)
+
+
+def test_check_bounds_the_nba_orbit_by_the_dpa_size(tmp_path, monkeypatch, capsys):
+    # Disjoint cycles of every prime length up to 19 (77 states), each entered
+    # at one initial state: the state set after a^k repeats only after
+    # 2·3·5·7·11·13·17·19 = 9699690 steps.
+    lines = []
+    initial = []
+    start = 0
+    for length in (2, 3, 5, 7, 11, 13, 17, 19):
+        initial.append(start)
+        lines += [f"{start + i} a {start + (i + 1) % length}" for i in range(length)]
+        start += length
+    nba_file = tmp_path / "primes.nba"
+    nba_file.write_text(
+        f"nba\nstates {start}\nalphabet a\ninit {' '.join(map(str, initial))}\naccept {start - 1}\n"
+        + "\n".join(lines) + "\n"
+    )
+    dpa_file = tmp_path / "all.dpa"
+    dpa_file.write_text("dpa\nstates 1\nalphabet a\ninit 0\n0 a 0 2\n")
+    began = time.perf_counter()
+    outcome = check_both_ways(
+        monkeypatch, capsys, ["-i", str(nba_file), "--dpa", str(dpa_file), "--max-u", "0", "--max-v", "1"]
+    )
+    # Walking the whole orbit would take tens of seconds; the bound stops it after two cycles.
+    assert time.perf_counter() - began < 5
+    assert outcome == (0, "checked 1 lassos: agreement\n", "")
+
+
+@st.composite
+def partial_dpas(draw, alphabet: tuple[str, ...], max_states: int = 30) -> ParityAutomaton:
+    """A DPA with random targets and priorities 1..5, from which up to three edges are removed."""
+    num_states = draw(st.integers(1, max_states))
+    states = st.integers(0, num_states - 1)
+    keys = [(state, symbol) for state in range(num_states) for symbol in alphabet]
+    edges = {key: (draw(states), draw(st.integers(1, 5))) for key in keys}
+    for key in draw(st.lists(st.sampled_from(keys), max_size=3)):
+        edges.pop(key, None)
+    return ParityAutomaton(num_states, alphabet, draw(states), edges)
+
+
+def parity_to_buchi(dpa: ParityAutomaton) -> BuchiAutomaton:
+    """An NBA for the language of ``dpa``: a missing edge rejects, where ``check`` reports it.
+
+    A run either waits, or commits to an even ``k``: from then on every
+    priority is at least ``k``, and the states entered by an edge of priority
+    ``k`` are accepting.  Waiting state ``q`` is ``q``; committed state ``q``
+    with flag ``f`` is ``n + 2·(n·(k/2 - 1) + q) + f``.
+    """
+    n = dpa.num_states
+    evens = range(2, max((p for _, p in dpa.edges.values()), default=0) + 1, 2)
+
+    def committed(q, k, flag):
+        return n + 2 * (n * (k // 2 - 1) + q) + flag
+
+    transitions = set()
+    for (q, symbol), (target, priority) in dpa.edges.items():
+        transitions.add((q, symbol, target))
+        for k in evens:
+            if priority >= k:
+                transitions.add((q, symbol, committed(target, k, priority == k)))
+                for flag in (0, 1):
+                    transitions.add((committed(q, k, flag), symbol, committed(target, k, priority == k)))
+    return BuchiAutomaton(
+        num_states=n + 2 * n * len(evens),
+        alphabet=dpa.alphabet,
+        transitions=frozenset(transitions),
+        initial=frozenset({dpa.initial}),
+        accepting=frozenset(committed(q, k, 1) for q in range(n) for k in evens),
+    )
+
+
+@settings(max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_check_matches_the_unmemoised_loop_on_random_partial_dpas(tmp_path, monkeypatch, capsys, data):
+    alphabet = data.draw(st.sampled_from((("a",), ("a", "b"), ("a", "b", "c"))))
+    if data.draw(st.booleans()):
+        dpa = data.draw(partial_dpas(alphabet))
+        num_states = data.draw(st.integers(1, 8))
+        states = st.integers(0, num_states - 1)
+        aut = BuchiAutomaton(
+            num_states=num_states,
+            alphabet=alphabet,
+            transitions=frozenset(data.draw(st.sets(st.tuples(states, st.sampled_from(alphabet), states), max_size=24))),
+            initial=frozenset(data.draw(st.sets(states, min_size=1))),
+            accepting=frozenset(data.draw(st.sets(states))),
+        )
+    else:
+        # The NBA accepts the DPA's language, so the check agrees up to the
+        # first missing edge, or up to a lasso through a flipped priority.
+        dpa = data.draw(partial_dpas(alphabet, max_states=8))
+        aut = parity_to_buchi(dpa)
+        if dpa.edges and data.draw(st.booleans()):
+            key = data.draw(st.sampled_from(sorted(dpa.edges)))
+            target, priority = dpa.edges[key]
+            dpa = ParityAutomaton(dpa.num_states, alphabet, dpa.initial, {**dpa.edges, key: (target, priority + 1)})
+    nba_file = tmp_path / "random.nba"
+    nba_file.write_bytes(serialize_nba(aut))
+    dpa_file = tmp_path / "random.dpa"
+    dpa_file.write_bytes(serialize_dpa(dpa))
+    argv = ["-i", str(nba_file), "--dpa", str(dpa_file)]
+    if data.draw(st.booleans()):
+        argv += ["--max-u", "3", "--max-v", "3"]
+    else:
+        argv += ["--random", "300", "--max-u", "12", "--max-v", "4", "--seed", str(data.draw(st.integers(0, 9)))]
+    check_both_ways(monkeypatch, capsys, argv)
 
 
 def test_check_memory_stays_linear_in_the_longest_stem(medium_staged_file, capsys):

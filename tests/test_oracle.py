@@ -1,5 +1,7 @@
+import pytest
+
 from omegadet.determinize import MULLER_SCHUPP, initial_slice, transition
-from omegadet.nba import BuchiAutomaton, Lasso, parse_nba
+from omegadet.nba import BuchiAutomaton, Lasso, UnknownSymbolError, parse_nba
 from omegadet.oracle import (
     enumerate_lassos,
     nba_accepts_lasso,
@@ -23,6 +25,14 @@ def test_rejects_without_accepting_states():
     aut = parse_nba(b"nba\nstates 2\nalphabet a b\ninit 0\naccept\n0 a 1\n1 a 0\n0 b 0\n")
     for lasso in enumerate_lassos(aut.alphabet, 2, 2):
         assert not nba_accepts_lasso(aut, lasso).accepted
+
+
+@pytest.mark.parametrize("stem, cycle", [(("a",), ("z",)), ((), ("z",)), (("z",), ("a",)), (("a", "a"), ("a", "z"))])
+def test_unknown_symbol_raises_also_after_a_stem_that_empties_the_set(stem, cycle):
+    # State 0 has no successor, so the stem "a" leaves no state to read "z" with.
+    aut = BuchiAutomaton(1, ("a",), frozenset(), frozenset({0}), frozenset({0}))
+    with pytest.raises(UnknownSymbolError, match="symbol 'z' not in alphabet"):
+        nba_accepts_lasso(aut, Lasso(stem, cycle))
 
 
 def test_accepts_medium(medium_nba):
