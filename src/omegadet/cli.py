@@ -43,6 +43,7 @@ from .parity import (
     MissingEdgeError,
     ParityAutomaton,
     _run_lasso,
+    _walk_cycle,
     parse_dpa,
     run_lasso,
     serialize_dpa,
@@ -210,8 +211,9 @@ def _first_disagreement(aut: BuchiAutomaton, dpa: ParityAutomaton, words) -> tup
       verdict goes to the sets after ``v``, ``v²``, ..., stopping at a decided
       set or after ``dpa.num_states + 1`` cycle iterations (the bound of
       :func:`run_lasso`).  A repeated set is a decided one.
-    * DPA side: :func:`_dpa_verdict` walks ``v`` from the state and stores the
-      verdict of every boundary state on its trail.
+    * DPA side: ``_walk_cycle`` walks ``v`` from the state up to a decided or
+      a repeated state, as a prefix of :func:`run_lasso`'s walk, and the
+      verdict goes to every boundary state on its trail.
 
     Only the path of the last stem walked is kept: ``path[k]`` holds the state
     set and state after its first ``k`` symbols, and a new stem is walked on
@@ -258,42 +260,15 @@ def _first_disagreement(aut: BuchiAutomaton, dpa: ParityAutomaton, words) -> tup
                 nba_known[layer] = nba_accepts
         dpa_accepts = dpa_known.get(state)
         if dpa_accepts is None:
-            dpa_accepts = _dpa_verdict(dpa_known, state, dpa.follow, cycle)
+            trail, minimums, state = _walk_cycle(state, dpa.follow, cycle, dpa_known)
+            dpa_accepts = dpa_known.get(state)
+            if dpa_accepts is None:
+                dpa_accepts = min(minimums[trail[state]:]) % 2 == 0
+            dpa_known.update(dict.fromkeys(trail, dpa_accepts))
         checked += 1
         if nba_accepts != dpa_accepts:
             return checked, Lasso(stem, cycle)
     return checked, None
-
-
-def _dpa_verdict(known: dict[int, bool], state: int, follow, cycle: tuple[str, ...]) -> bool:
-    """Whether the DPA accepts ``cycle^ω`` from ``state``; ``known`` maps states to that verdict.
-
-    Walks ``cycle`` from ``state``, keeping the minimum priority of each
-    iteration, until it reaches a boundary state in ``known`` or one it has
-    passed; in the second case the minimum over the repeating iterations
-    decides.  The walk is a prefix of :func:`_run_lasso`'s from ``state``, so
-    it follows no edge that run would not.  Every boundary state on the trail
-    reaches the same loop and is stored with the verdict.
-    """
-    trail: dict[int, int] = {}
-    minimums: list[int] = []
-    while True:
-        verdict = known.get(state)
-        if verdict is not None:
-            break
-        start = trail.get(state)
-        if start is not None:
-            verdict = min(minimums[start:]) % 2 == 0
-            break
-        trail[state] = len(minimums)
-        lowest = None
-        for symbol in cycle:
-            state, priority = follow(state, symbol)
-            if lowest is None or priority < lowest:
-                lowest = priority
-        minimums.append(lowest)
-    known.update(dict.fromkeys(trail, verdict))
-    return verdict
 
 
 def cmd_stats(args) -> int:

@@ -58,7 +58,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
-from .nba import BuchiAutomaton, InvalidAutomatonError, SuccessorMasks, from_mask, successors, to_mask
+from .nba import BuchiAutomaton, InvalidAutomatonError, SuccessorMasks, from_mask, mask_states, successors, to_mask
 from .parity import ParityAutomaton
 from .slices import InvalidSliceError, PreSlice, RankedSlice, format_entries, format_slice, index_of
 from .safra import unflatten
@@ -779,14 +779,8 @@ def _labels(ids: dict[Macrostate, int]) -> dict[int, str]:
     for (masks, ranks), i in ids.items():
         for mask in masks:
             if mask not in set_texts:
-                # Bits taken lowest first are the ids in ascending order, as format_set sorts them.
-                texts = []
-                rest = mask
-                while rest:
-                    low = rest & -rest
-                    texts.append(str(low.bit_length() - 1))
-                    rest ^= low
-                set_texts[mask] = "{" + ",".join(texts) + "}"
+                # Ids in ascending order, as format_set sorts them.
+                set_texts[mask] = "{" + ",".join(map(str, mask_states(mask))) + "}"
         out[i] = format_entries([set_texts[mask] for mask in masks], ranks)
     return out
 

@@ -6,10 +6,12 @@ formats can carry them.  All values are immutable after construction and
 every operation is a pure function, so automata are safe to share across
 threads.
 
-Inside the determinization pipeline a state set is an ``int`` bitmask with bit
-``q`` standing for state ``q``.  This module owns that encoding: ``to_mask``
-and ``from_mask`` convert, and :meth:`BuchiAutomaton.post` maps set masks to
-successor masks.
+A state set is an ``int`` bitmask with bit ``q`` standing for state ``q``.
+This module owns that encoding: ``to_mask``, ``from_mask`` and ``mask_states``
+convert.  An automaton keeps one transition table, the successor mask of each
+state per symbol; :meth:`BuchiAutomaton.post` maps set masks to successor masks
+through it, and :meth:`BuchiAutomaton.successors_of` and :func:`successors`
+read it too.
 """
 from __future__ import annotations
 
@@ -64,7 +66,9 @@ def _check_tokens(tokens: Collection[str], what: str, error: type[ValueError], *
 class BuchiAutomaton:
     """NBA as a tuple of state count, ordered alphabet, transitions, initial and accepting sets.
 
-    Construction also derives ``accepting_mask``, the accepting set as a bitmask.
+    The alphabet is kept as a tuple and the other collections as frozensets,
+    whatever containers are passed in.  Construction also derives
+    ``accepting_mask``, the accepting set as a bitmask, and the transition table.
     """
 
     num_states: int
@@ -74,6 +78,11 @@ class BuchiAutomaton:
     accepting: frozenset[int]
 
     def __post_init__(self):
+        # Copies of mutable containers; tuple() and frozenset() return an
+        # immutable argument of their own type as it is.
+        object.__setattr__(self, "alphabet", tuple(self.alphabet))
+        for name in ("transitions", "initial", "accepting"):
+            object.__setattr__(self, name, frozenset(getattr(self, name)))
         if self.num_states < 0:
             raise InvalidAutomatonError("num_states must be non-negative")
         _check_tokens(self.alphabet, "symbol token", InvalidAutomatonError)
@@ -91,30 +100,30 @@ class BuchiAutomaton:
             for q in group:
                 if not 0 <= q < self.num_states:
                     raise InvalidAutomatonError(f"{name} state {q} out of range")
-        delta: dict[tuple[int, str], set[int]] = {}
-        # Keyed by the states that have successors, so memory grows with the
-        # transitions and not with num_states.
+        # The one transition table: ``tables[symbol][q]`` is the successor
+        # mask of state ``q``.  Keyed by the states that have successors, so
+        # memory grows with the transitions and not with num_states.
         tables: dict[str, dict[int, int]] = {sym: {} for sym in self.alphabet}
         for src, sym, dst in self.transitions:
-            delta.setdefault((src, sym), set()).add(dst)
             table = tables[sym]
             table[src] = table.get(src, 0) | 1 << dst
-        object.__setattr__(self, "_delta", {k: frozenset(v) for k, v in delta.items()})
-        object.__setattr__(self, "_post_tables", tables)
+        object.__setattr__(self, "_tables", tables)
         object.__setattr__(self, "accepting_mask", to_mask(self.accepting))
+
+    def _table(self, symbol: str) -> dict[int, int]:
+        """Successor mask of each state on ``symbol``; states without successors are absent."""
+        try:
+            return self._tables[symbol]  # type: ignore[attr-defined]
+        except KeyError:
+            raise UnknownSymbolError(f"symbol {symbol!r} not in alphabet") from None
 
     def successors_of(self, state: int, symbol: str) -> frozenset[int]:
         """Successor states of a single state on one symbol."""
-        if symbol not in self.alphabet:
-            raise UnknownSymbolError(f"symbol {symbol!r} not in alphabet")
-        return self._delta.get((state, symbol), frozenset())  # type: ignore[attr-defined]
+        return from_mask(self._table(symbol).get(state, 0))
 
     def post(self, symbol: str) -> "SuccessorMasks":
         """Fresh memo mapping a state-set mask to its successor mask on ``symbol``."""
-        try:
-            return SuccessorMasks(self._post_tables[symbol])  # type: ignore[attr-defined]
-        except KeyError:
-            raise UnknownSymbolError(f"symbol {symbol!r} not in alphabet") from None
+        return SuccessorMasks(self._table(symbol))
 
 
 class SuccessorMasks(dict):
@@ -153,14 +162,19 @@ def to_mask(states: Iterable[int]) -> int:
     return mask
 
 
-def from_mask(mask: int) -> frozenset[int]:
-    """The states whose bits are set in ``mask``."""
+def mask_states(mask: int) -> list[int]:
+    """The states whose bits are set in ``mask``, in ascending order."""
     out = []
     while mask:
         low = mask & -mask
         out.append(low.bit_length() - 1)
         mask ^= low
-    return frozenset(out)
+    return out
+
+
+def from_mask(mask: int) -> frozenset[int]:
+    """The states whose bits are set in ``mask``."""
+    return frozenset(mask_states(mask))
 
 
 @dataclass(frozen=True)
@@ -171,6 +185,8 @@ class Lasso:
     cycle: tuple[str, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "stem", tuple(self.stem))
+        object.__setattr__(self, "cycle", tuple(self.cycle))
         if len(self.cycle) < 1:
             raise LassoFormatError("lasso cycle must contain at least one symbol")
         _check_tokens(self.stem + self.cycle, "lasso token", LassoFormatError)
@@ -191,14 +207,13 @@ def check_symbols(aut: BuchiAutomaton, symbols: Iterable[str]) -> None:
 
 def successors(aut: BuchiAutomaton, source_set: frozenset[int] | set[int], symbol: str) -> frozenset[int]:
     """States reachable from any member of ``source_set`` on ``symbol``."""
-    if symbol not in aut.alphabet:
-        raise UnknownSymbolError(f"symbol {symbol!r} not in alphabet")
-    out: set[int] = set()
+    table = aut._table(symbol)
+    out = 0
     for q in source_set:
         if not 0 <= q < aut.num_states:
             raise InvalidAutomatonError(f"source state {q} out of range")
-        out |= aut.successors_of(q, symbol)
-    return frozenset(out)
+        out |= table.get(q, 0)
+    return from_mask(out)
 
 
 def _read_lines(data: bytes | str, header: str, error: type[_LineError]) -> list[tuple[int, list[str]]]:

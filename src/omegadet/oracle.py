@@ -2,9 +2,10 @@
 
 The membership decision works on the product of automaton states with cycle
 positions: a lasso is accepted exactly when some product node holding an
-accepting state lies on a cycle reachable after the stem.  The tests compare
-it with an independently coded decision procedure based on boundary-relation
-powers.
+accepting state lies on a cycle reachable after the stem.  It reads the
+automaton's successor masks, with state sets as bitmasks, and visits
+successors in ascending order.  The tests compare it with an independently
+coded decision procedure based on boundary-relation powers.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import product
 
-from .nba import BuchiAutomaton, Lasso, check_symbols, successors
+from .nba import BuchiAutomaton, Lasso, SuccessorMasks, check_symbols, mask_states, successors, to_mask
 
 
 @dataclass(frozen=True)
@@ -40,16 +41,17 @@ class LassoVerdict:
         return tuple(states[:n])
 
 
-def _stem_layers(aut: BuchiAutomaton, stem: tuple[str, ...]) -> list[frozenset[int]]:
-    layers = [frozenset(aut.initial)]
+def _stem_layers(tables: dict[str, dict[int, int]], initial: int, stem: tuple[str, ...]) -> list[int]:
+    """The state-set masks after each prefix of ``stem``, from the ``initial`` mask."""
+    layers = [initial]
     for symbol in stem:
-        layers.append(successors(aut, layers[-1], symbol))
+        layers.append(SuccessorMasks(tables[symbol])[layers[-1]])
     return layers
 
 
-def _product_edges(aut: BuchiAutomaton, cycle: tuple[str, ...], node: tuple[int, int]):
+def _product_edges(tables: dict[str, dict[int, int]], cycle: tuple[str, ...], node: tuple[int, int]):
     q, j = node
-    for target in sorted(aut.successors_of(q, cycle[j])):
+    for target in mask_states(tables[cycle[j]].get(q, 0)):
         yield (target, (j + 1) % len(cycle))
 
 
@@ -60,14 +62,15 @@ def nba_accepts_lasso(aut: BuchiAutomaton, lasso: Lasso) -> LassoVerdict:
     alphabet, also when the stem leaves no state to read it.
     """
     check_symbols(aut, lasso.stem + lasso.cycle)
-    layers = _stem_layers(aut, lasso.stem)
-    starts = sorted((q, 0) for q in layers[-1])
+    tables = aut._tables  # type: ignore[attr-defined]
+    layers = _stem_layers(tables, to_mask(aut.initial), lasso.stem)
+    starts = [(q, 0) for q in mask_states(layers[-1])]
     # Forward reachability over (state, cycle position) with parent pointers.
     parents: dict[tuple[int, int], tuple[int, int] | None] = {node: None for node in starts}
     frontier = deque(starts)
     while frontier:
         node = frontier.popleft()
-        for succ in _product_edges(aut, lasso.cycle, node):
+        for succ in _product_edges(tables, lasso.cycle, node):
             if succ not in parents:
                 parents[succ] = node
                 frontier.append(succ)
@@ -75,7 +78,7 @@ def nba_accepts_lasso(aut: BuchiAutomaton, lasso: Lasso) -> LassoVerdict:
     anchor = None
     loop_nodes: list[tuple[int, int]] | None = None
     for candidate in sorted(n for n in parents if n[0] in aut.accepting):
-        loop_nodes = _shortest_cycle(aut, lasso.cycle, candidate)
+        loop_nodes = _shortest_cycle(tables, lasso.cycle, candidate)
         if loop_nodes is not None:
             anchor = candidate
             break
@@ -86,21 +89,21 @@ def nba_accepts_lasso(aut: BuchiAutomaton, lasso: Lasso) -> LassoVerdict:
     path_nodes = [anchor]
     while parents[path_nodes[0]] is not None:
         path_nodes.insert(0, parents[path_nodes[0]])  # type: ignore[arg-type]
-    stem_run = _stem_run(aut, lasso.stem, layers, path_nodes[0][0])
+    stem_run = _stem_run(tables, lasso.stem, layers, path_nodes[0][0])
     prefix = tuple(stem_run) + tuple(q for q, _ in path_nodes[1:])
     loop = tuple(q for q, _ in loop_nodes)
     return LassoVerdict(accepted=True, prefix_states=prefix, loop_states=loop)
 
 
 def _shortest_cycle(
-    aut: BuchiAutomaton, cycle: tuple[str, ...], node: tuple[int, int]
+    tables: dict[str, dict[int, int]], cycle: tuple[str, ...], node: tuple[int, int]
 ) -> list[tuple[int, int]] | None:
     """Shortest non-empty product path from ``node`` back to itself, or None."""
     parents: dict[tuple[int, int], tuple[int, int]] = {}
     frontier: deque[tuple[int, int]] = deque([node])
     while frontier:
         current = frontier.popleft()
-        for succ in _product_edges(aut, cycle, current):
+        for succ in _product_edges(tables, cycle, current):
             if succ == node:
                 path = [current]
                 while path[0] != node:
@@ -113,17 +116,18 @@ def _shortest_cycle(
 
 
 def _stem_run(
-    aut: BuchiAutomaton,
+    tables: dict[str, dict[int, int]],
     stem: tuple[str, ...],
-    layers: list[frozenset[int]],
+    layers: list[int],
     target: int,
 ) -> list[int]:
     """A concrete run over the stem ending in ``target``, rebuilt backwards."""
     run = [target]
     for i in range(len(stem), 0, -1):
         current = run[0]
-        for candidate in sorted(layers[i - 1]):
-            if current in aut.successors_of(candidate, stem[i - 1]):
+        table = tables[stem[i - 1]]
+        for candidate in mask_states(layers[i - 1]):
+            if table.get(candidate, 0) >> current & 1:
                 run.insert(0, candidate)
                 break
         else:  # pragma: no cover - layers guarantee a predecessor
@@ -149,19 +153,17 @@ def _lasso_words(alphabet: tuple[str, ...], max_stem: int, max_cycle: int):
     """
     if max_cycle < 1:
         raise ValueError("max_cycle must be at least 1")
-    stems = [
-        stem
-        for length in range(max_stem + 1)
-        for stem in product(alphabet, repeat=length)
-    ]
     cycles = [
         cycle
         for length in range(1, max_cycle + 1)
         for cycle in product(alphabet, repeat=length)
     ]
-    for stem in stems:
-        for cycle in cycles:
-            yield stem, cycle
+    # Stems are generated one at a time: there are exponentially many in
+    # max_stem, and each is used only with the cycles that follow it.
+    for length in range(max_stem + 1):
+        for stem in product(alphabet, repeat=length):
+            for cycle in cycles:
+                yield stem, cycle
 
 
 def sample_lassos(alphabet: tuple[str, ...], count: int, max_stem: int, max_cycle: int, seed: int):

@@ -2,12 +2,14 @@
 
 Acceptance is min-even over edge priorities: a run is accepting when the
 smallest priority occurring infinitely often along its edges is even.
+:func:`_walk_cycle` is the one loop that iterates a lasso's cycle over a DPA;
+:func:`run_lasso`, ``omegadet trace`` and ``omegadet check`` all run it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Any, Callable, Hashable, Mapping
+from typing import Any, Callable, Container, Hashable, Mapping
 
 from .nba import Lasso, UnknownSymbolError, _check_tokens, _LineError, _read_int, _read_lines
 
@@ -26,9 +28,10 @@ class ParityAutomaton:
 
     ``edges`` maps ``(state, symbol)`` to ``(target, priority)``.  ``labels``
     optionally annotate states with their canonical slice string.  Both are
-    stored as read-only copies of the mappings passed in.  Alphabet tokens are
-    pairwise distinct, and they and the labels are non-empty UTF-8 and hold no
-    whitespace, ``#`` or ``|``, so :func:`parse_dpa` reads the serialized text back.
+    stored as read-only copies of the mappings passed in, and the alphabet as
+    a tuple.  Alphabet tokens are pairwise distinct, and they and the labels
+    are non-empty UTF-8 and hold no whitespace, ``#`` or ``|``, so
+    :func:`parse_dpa` reads the serialized text back.
     """
 
     num_states: int
@@ -38,6 +41,7 @@ class ParityAutomaton:
     labels: Mapping[int, str] = field(default_factory=dict)
 
     def __post_init__(self):
+        object.__setattr__(self, "alphabet", tuple(self.alphabet))
         object.__setattr__(self, "edges", MappingProxyType(dict(self.edges)))
         object.__setattr__(self, "labels", MappingProxyType(dict(self.labels)))
         if not 0 <= self.initial < self.num_states:
@@ -96,25 +100,33 @@ def _run_lasso(state: Hashable, follow: Callable[[Any, str], tuple[Any, int]], l
     """The loop of :func:`run_lasso` from ``state`` through any ``follow(state, symbol) -> (state, priority)``."""
     for symbol in lasso.stem:
         state, _ = follow(state, symbol)
-    first_seen: dict = {}
-    boundary_states: list = []
-    segment_minimums: list[int] = []
-    while state not in first_seen:
-        first_seen[state] = len(boundary_states)
-        boundary_states.append(state)
-        segment_min = None
-        for symbol in lasso.cycle:
+    trail, minimums, state = _walk_cycle(state, follow, lasso.cycle, {})
+    start = trail[state]
+    min_priority = min(minimums[start:])
+    return LassoRun(min_priority % 2 == 0, tuple(trail)[start:], min_priority)
+
+
+def _walk_cycle(
+    state: Hashable, follow: Callable[[Any, str], tuple[Any, int]], cycle: tuple[str, ...], known: Container
+) -> tuple[dict, list[int], Any]:
+    """Iterate ``cycle`` from ``state`` until a boundary state is in ``known`` or repeats.
+
+    Returns the boundary states passed, each mapped to the index of the
+    iteration it starts, the minimum priority of each iteration, and the
+    boundary state the walk stopped at.  When that state is not in ``known``,
+    it is in the trail, and the iterations from its index on repeat forever.
+    """
+    trail: dict = {}
+    minimums: list[int] = []
+    while state not in known and state not in trail:
+        trail[state] = len(minimums)
+        lowest = None
+        for symbol in cycle:
             state, priority = follow(state, symbol)
-            segment_min = priority if segment_min is None else min(segment_min, priority)
-        assert segment_min is not None
-        segment_minimums.append(segment_min)
-    start = first_seen[state]
-    min_priority = min(segment_minimums[start:])
-    return LassoRun(
-        accepted=min_priority % 2 == 0,
-        loop_states=tuple(boundary_states[start:]),
-        min_priority=min_priority,
-    )
+            if lowest is None or priority < lowest:
+                lowest = priority
+        minimums.append(lowest)
+    return trail, minimums, state
 
 
 def serialize_dpa(dpa: ParityAutomaton) -> bytes:

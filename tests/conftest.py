@@ -142,5 +142,5 @@ def assert_valid_witness(aut, lasso, verdict) -> None:
     assert len(loop) > 1 and (len(loop) - 1) % len(lasso.cycle) == 0
     run = verdict.run_prefix(len(prefix) + 2 * (len(loop) - 1))
     for i in range(len(run) - 1):
-        assert run[i + 1] in aut.successors_of(run[i], lasso.symbol_at(i))
+        assert (run[i], lasso.symbol_at(i), run[i + 1]) in aut.transitions
     assert any(q in aut.accepting for q in loop[:-1])

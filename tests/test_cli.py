@@ -15,7 +15,7 @@ from omegadet import cli
 from omegadet.cli import cmd_check
 from omegadet.determinize import ADAPTIVE, STRATEGIES, as_strategy, determinize
 from omegadet.nba import BuchiAutomaton, format_lasso, parse_lasso, parse_nba, serialize_nba, successors
-from omegadet.oracle import _stem_layers, enumerate_lassos, nba_accepts_lasso, sample_lassos
+from omegadet.oracle import enumerate_lassos, nba_accepts_lasso, sample_lassos
 from omegadet.parity import ParityAutomaton, _run_lasso, parse_dpa, run_lasso, serialize_dpa
 from omegadet.safra import slice_to_safra
 from omegadet.slices import parse_slice
@@ -329,20 +329,25 @@ def test_check_calls_the_oracle_once_per_nba_orbit(corpus_files, monkeypatch, ca
         aut = parse_nba(path.read_bytes())
         bound = determinize(aut, "ms").num_states + 1
         lassos = list(enumerate_lassos(aut.alphabet, 3, 3))
-        keys = {(_stem_layers(aut, lasso.stem)[-1], lasso.cycle) for lasso in lassos}
+
+        def after(layer, word):
+            for symbol in word:
+                layer = successors(aut, layer, symbol)
+            return layer
+
+        keys = {(after(aut.initial, lasso.stem), lasso.cycle) for lasso in lassos}
         # Since u·v^ω = (u·v)·v^ω, a call decides its state set and the sets
         # after v, v², ..., up to a decided set or the DPA size plus one.
         decided = set()
         expected = []
         for lasso in lassos:
-            layer = _stem_layers(aut, lasso.stem)[-1]
+            layer = after(aut.initial, lasso.stem)
             if (layer, lasso.cycle) in decided:
                 continue
             expected.append(lasso)
             decided.add((layer, lasso.cycle))
             for _ in range(bound):
-                for symbol in lasso.cycle:
-                    layer = successors(aut, layer, symbol)
+                layer = after(layer, lasso.cycle)
                 if (layer, lasso.cycle) in decided:
                     break
                 decided.add((layer, lasso.cycle))
@@ -495,6 +500,21 @@ def test_check_memory_stays_linear_in_the_longest_stem(medium_staged_file, capsy
         tracemalloc.stop()
     assert status == 0 and capsys.readouterr().out == "checked 20 lassos: agreement\n"
     assert peak < 4_000_000, peak
+
+
+def test_check_memory_does_not_grow_with_the_number_of_stems(tmp_path, capsys):
+    # --max-u 14 over two letters enumerates 32767 stems; a list of them all
+    # took over 4 MB.
+    path = tmp_path / "two.nba"
+    path.write_text("nba\nstates 2\nalphabet a b\ninit 0\naccept 1\n0 a 1\n0 b 0\n1 a 1\n1 b 0\n")
+    tracemalloc.start()
+    try:
+        status = cli.main(["check", "-i", str(path), "--max-u", "14", "--max-v", "1"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert status == 0 and capsys.readouterr().out == "checked 65534 lassos: agreement\n"
+    assert peak < 1_000_000, peak
 
 
 @pytest.mark.parametrize("flags", [(), ("--random", "3"), ("--dpa", "{dpa}"), ("--dpa", "{dpa}", "--random", "3")])

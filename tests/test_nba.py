@@ -17,6 +17,7 @@ from omegadet.nba import (
     parse_nba,
     serialize_nba,
     successors,
+    to_mask,
 )
 from omegadet.oracle import random_nba
 
@@ -55,6 +56,45 @@ def test_successors_monotone_and_distributes(case):
     small_side = successors(aut, left, symbol)
     assert small_side <= successors(aut, left | right, symbol)
     assert successors(aut, left | right, symbol) == small_side | successors(aut, right, symbol)
+
+
+@st.composite
+def nba_with_transitions(draw):
+    num_states = draw(st.integers(1, 8) | st.integers(65, 200))
+    alphabet = ("a", "b", "c")[: draw(st.integers(1, 3))]
+    states = st.integers(0, num_states - 1)
+    transitions = draw(st.frozensets(st.tuples(states, st.sampled_from(alphabet), states), max_size=60))
+    return BuchiAutomaton(num_states, alphabet, transitions, frozenset({0}), frozenset())
+
+
+@given(nba_with_transitions())
+def test_successor_table_matches_the_transitions(aut):
+    for symbol in aut.alphabet:
+        post = aut.post(symbol)
+        for q in range(aut.num_states):
+            expected = frozenset(dst for src, sym, dst in aut.transitions if (src, sym) == (q, symbol))
+            assert aut.successors_of(q, symbol) == expected
+            assert post[1 << q] == to_mask(expected)
+        sources = {src for src, _, _ in aut.transitions}
+        assert successors(aut, sources, symbol) == {dst for src, sym, dst in aut.transitions if sym == symbol}
+
+
+def test_automaton_and_lasso_keep_no_container_of_the_caller():
+    alphabet, transitions, initial, accepting = ["a"], {(0, "a", 1)}, {0}, {1}
+    aut = BuchiAutomaton(2, alphabet, transitions, initial, accepting)  # type: ignore[arg-type]
+    alphabet.append("b")
+    transitions.add((1, "a", 0))
+    initial.add(1)
+    accepting.clear()
+    same = BuchiAutomaton(2, ("a",), frozenset({(0, "a", 1)}), frozenset({0}), frozenset({1}))
+    assert aut == same and hash(aut) == hash(same)
+    assert aut.accepting == frozenset({1}) and aut.accepting_mask == 2
+    assert aut.successors_of(1, "a") == frozenset() and isinstance(aut.alphabet, tuple)
+    stem, cycle = ["a"], ["a", "a"]
+    lasso = Lasso(stem, cycle)  # type: ignore[arg-type]
+    stem.clear()
+    cycle.append("b")
+    assert lasso == Lasso(("a",), ("a", "a")) and hash(lasso) == hash(Lasso(("a",), ("a", "a")))
 
 
 def test_parse_small_file(small_nba):

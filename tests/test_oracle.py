@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from omegadet.determinize import MULLER_SCHUPP, initial_slice, transition
@@ -59,11 +61,15 @@ def nba_accepts_lasso_by_powers(aut: BuchiAutomaton, lasso: Lasso) -> bool:
     Builds the relation "some run over one full cycle goes from p to q,
     visiting an accepting state or not", composes it up to the pigeonhole
     bound, and looks for an accepting self-loop reachable from the post-stem
-    states.
+    states.  Successors come from ``aut.transitions``, not from the
+    automaton's transition table.
     """
+    delta: dict[tuple[int, str], set[int]] = {}
+    for p, symbol, q in aut.transitions:
+        delta.setdefault((p, symbol), set()).add(q)
     start_states = set(aut.initial)
     for symbol in lasso.stem:
-        start_states = {q for p in start_states for q in aut.successors_of(p, symbol)}
+        start_states = {q for p in start_states for q in delta.get((p, symbol), ())}
     base: dict[int, dict[int, bool]] = {p: {} for p in range(aut.num_states)}
     for p in range(aut.num_states):
         # Pairs (state, accepting seen at segment times 0..t-1) after t symbols.
@@ -72,7 +78,7 @@ def nba_accepts_lasso_by_powers(aut: BuchiAutomaton, lasso: Lasso) -> bool:
             current = {
                 (target, flag or q in aut.accepting)
                 for q, flag in current
-                for target in aut.successors_of(q, symbol)
+                for target in delta.get((q, symbol), ())
             }
         for q, flag in current:
             base[p][q] = base[p].get(q, False) or flag
@@ -104,6 +110,24 @@ def _compose(
     return out
 
 
+
+
+# SHA-256 over repr((accepted, prefix_states, loop_states)) of every verdict on
+# the corpus, recorded with the oracle that walked frozenset state sets: moving
+# it onto successor masks must not change a verdict or a witness.
+GOLDEN_VERDICTS_SHA256 = "c8bbab69cf1f123637afdc3bb1203ecfd5695850339275f74938296482bb08e5"
+
+
+def test_golden_verdicts_and_witnesses_on_the_corpus():
+    digest = hashlib.sha256()
+    count = 0
+    for aut in build_corpus():
+        for lasso in enumerate_lassos(aut.alphabet, 3, 2):
+            verdict = nba_accepts_lasso(aut, lasso)
+            digest.update(repr((verdict.accepted, verdict.prefix_states, verdict.loop_states)).encode())
+            count += 1
+    assert count == 14700
+    assert digest.hexdigest() == GOLDEN_VERDICTS_SHA256
 
 
 def test_implementations_agree():

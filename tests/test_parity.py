@@ -139,6 +139,14 @@ def test_parity_automaton_is_read_only():
     assert dpa.edges[(0, "a")] == (0, 2)
 
 
+def test_parity_automaton_keeps_no_alphabet_of_the_caller():
+    alphabet = ["a"]
+    dpa = ParityAutomaton(num_states=1, alphabet=alphabet, initial=0, edges={(0, "a"): (0, 2)})  # type: ignore[arg-type]
+    alphabet.append("b")
+    assert dpa.alphabet == ("a",)
+    assert serialize_dpa(dpa) == b"dpa\nstates 1\nalphabet a\ninit 0\n0 a 0 2\n"
+
+
 @pytest.mark.parametrize(
     "alphabet, labels",
     [
