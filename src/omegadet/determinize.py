@@ -43,22 +43,22 @@ scan the finer set counts, stopping at the first with a match, and on a miss
 apply the fallback.  The staged ``_choose`` scans every count with no probe,
 so ``validate=True`` checks the probe against an independent lookup.
 
-The staged kernels (``_step``, ``_prune``, ``_choose``, ``_merge``,
-``_normalize``, composed by ``_stages``) keep every intermediate stage.
-They serve the public ``step``, ``prune``, ``merge``, ``normalize``,
-``choose_partition`` and ``transition``, which convert
-``PreSlice``/``RankedSlice`` values at the boundary, and so ``omegadet
-trace``.  ``determinize(validate=True)`` runs both on every edge and
-requires the same successor and priority.
+The staged kernels (``_step``, ``_prune``, ``_choose``, ``_merge`` and
+``_normalize``) keep every intermediate stage, and ``_stages`` runs them into
+one public :class:`TransitionTrace`.  They serve ``step``, ``prune``,
+``merge``, ``normalize``, ``choose_partition`` and ``transition``, which
+convert ``PreSlice``/``RankedSlice`` values at the boundary, and so
+``omegadet trace``.  ``determinize(validate=True)`` runs ``_stages`` and
+the fused kernel on every edge and requires the same successor and priority.
 """
 from __future__ import annotations
 
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
-from .nba import BuchiAutomaton, InvalidAutomatonError, SuccessorMasks, from_mask, mask_states, successors, to_mask
+from .nba import BuchiAutomaton, InvalidAutomatonError, SuccessorMasks, from_mask, successors, to_mask
 from .parity import ParityAutomaton
 from .slices import InvalidSliceError, PreSlice, RankedSlice, format_entries, format_slice, index_of
 from .safra import unflatten
@@ -212,9 +212,6 @@ def _partition_from_cuts(n: int, cuts: Iterable[int]) -> IntervalPartition:
 
 def _iter_partitions(ranks: tuple[int, ...], k: int) -> Iterator[IntervalPartition]:
     n = len(ranks)
-    if n == 0:
-        yield ()
-        return
     forced = _forced_cuts(ranks, k)
     free = [c for c in range(1, n) if c not in forced]
     for size in range(len(free) + 1):
@@ -308,8 +305,6 @@ def _choose(
     explored: UnionIndex,
 ) -> IntervalPartition:
     n = len(ranks)
-    if n == 0:
-        return ()
     if strategy.kind == "ms":
         positions = range(1, n + 1)
         return tuple(zip(positions, positions))
@@ -370,39 +365,38 @@ def _normalize(masks: tuple[int, ...], ranks: tuple[int, ...]) -> Macrostate:
     return masks, tuple([dense[rank] for rank in ranks])
 
 
-class _Stages(NamedTuple):
-    stepped: Macrostate
-    pruned: Macrostate
-    green: int
-    red: int
-    dominating: int
-    priority: int
-    partition: IntervalPartition
-    merged: Macrostate
-    successor: Macrostate
-
-
-# Sink self-loop: rank 1 stays dead, so the edge keeps priority 1.
-_SINK_STAGES = _Stages(_SINK, _SINK, 0, 1 << 1, 1, 1, (), _SINK, _SINK)
-
-
 def _stages(
     aut: BuchiAutomaton,
     post: SuccessorMasks,
     source: Macrostate,
+    symbol: str,
     strategy: MergeStrategy,
     explored: UnionIndex,
-) -> _Stages:
+) -> TransitionTrace:
+    """Every stage of one transition from ``source``, by the staged kernels."""
     masks, ranks = source
-    if not masks:
-        return _SINK_STAGES
-    stepped = _step(post, aut.accepting_mask, masks, ranks)  # type: ignore[attr-defined]
-    pruned_masks, pruned_ranks, green, red = _prune(*stepped)
-    k, priority = _dominating(green, red, aut.num_states)
-    partition = _choose(pruned_masks, pruned_ranks, k, green, strategy, explored)
-    merged = _merge(pruned_masks, pruned_ranks, partition)
-    return _Stages(
-        stepped, (pruned_masks, pruned_ranks), green, red, k, priority, partition, merged, _normalize(*merged)
+    if masks:
+        stepped = _step(post, aut.accepting_mask, masks, ranks)  # type: ignore[attr-defined]
+        *pruned, green, red = _prune(*stepped)
+        k, priority = _dominating(green, red, aut.num_states)
+        partition = _choose(*pruned, k, green, strategy, explored)
+        merged = _merge(*pruned, partition)
+    else:
+        # Sink self-loop: rank 1 stays dead, so the edge keeps priority 1.
+        stepped = pruned = merged = _SINK
+        green, red, k, priority, partition = 0, 1 << 1, 1, 1, ()
+    return TransitionTrace(
+        source=_ranked(masks, ranks),
+        symbol=symbol,
+        stepped=_pre(*stepped),
+        pruned=_pre(*pruned),
+        green=from_mask(green),
+        red=from_mask(red),
+        dominating=k,
+        priority=priority,
+        partition=partition,
+        merged=_pre(*merged),
+        successor=_ranked(*_normalize(*merged)),
     )
 
 
@@ -421,17 +415,15 @@ def _successor(
     empty accepting child never relocates a rank, and the stepped ranks are
     exactly ``1..2n``.
 
-    The successor comes out normalized.  Under ``ms`` the pruned sets are the
-    merged ones; under ``safra`` and ``max`` :func:`_runs` merges them.
-
-    Under ``adaptive``, whatever the fallback, the ``max`` runs come first.
-    The ``max`` partition keeps only the forced cuts, so it is the one
-    permitted partition with the fewest sets: if its successor is explored,
-    it is the first match in the order of :func:`_reuse`, and the explored
-    macrostate is returned as it is.  Otherwise :func:`_reuse` scans only the
-    finer set counts, and on a miss the fallback merges; the built-in ``max``
-    fallback returns the runs already built.  ``_induced_cuts`` accepts an
-    explored macrostate only if merging and normalizing give exactly it.
+    The successor comes out normalized, and each merge rule runs in one place:
+    under ``ms`` the pruned sets are the merged ones, under ``safra`` and
+    ``max`` :func:`_runs` merges them.  ``adaptive`` first probes the ``max``
+    runs, the permitted partition with the fewest sets, so an explored one is
+    the first match in the order of :func:`_reuse` and is returned as it is.
+    Then :func:`_reuse` scans the finer set counts.  On a miss the fallback
+    merges as its plain strategy does, and ``max`` returns the probe's runs.
+    ``_induced_cuts`` accepts an explored macrostate only if merging and
+    normalizing give exactly it.
     """
     masks, ranks = source
     if not masks:
@@ -468,28 +460,27 @@ def _successor(
     k, priority = _dominating(green, ((1 << fresh) - 2) & ~surviving, num_states)
     if not out_masks:
         return _SINK, priority
-    if strategy.kind == "ms":
+    kind = strategy.kind
+    if kind == "adaptive":
+        # The max successor has the fewest sets of any permitted merge, so if it
+        # is explored the scan would pick it first.  Every claimed state lands in
+        # exactly one pruned set, so ``claimed`` is their union.
+        coarsest = _runs(out_masks, out_ranks, k, green, False)
+        fewest = len(coarsest[0])
+        same = explored.get((claimed, fewest))
+        if same is not None:
+            hit = same.get(coarsest)
+            if hit is not None:
+                return hit, priority
+        found = _reuse(tuple(out_masks), tuple(out_ranks), k, claimed, explored, fewest + 1)
+        if found is not None:
+            return found[1], priority
+        kind = strategy.fallback
+        if kind == "max":
+            return coarsest, priority
+    if kind == "ms":
         return _compact(tuple(out_masks), out_ranks, surviving), priority
-    if strategy.kind != "adaptive":
-        return _runs(out_masks, out_ranks, k, green, strategy.kind == "safra"), priority
-    # The max successor has the fewest sets of any permitted merge, so if it
-    # is explored the scan would pick it first.  Every claimed state lands in
-    # exactly one pruned set, so ``claimed`` is their union.
-    coarsest = _runs(out_masks, out_ranks, k, green, False)
-    fewest = len(coarsest[0])
-    same = explored.get((claimed, fewest))
-    if same is not None:
-        hit = same.get(coarsest)
-        if hit is not None:
-            return hit, priority
-    found = _reuse(tuple(out_masks), tuple(out_ranks), k, claimed, explored, fewest + 1)
-    if found is not None:
-        return found[1], priority
-    if strategy.fallback == "max":
-        return coarsest, priority
-    if strategy.fallback == "ms":
-        return _compact(tuple(out_masks), out_ranks, surviving), priority
-    return _runs(out_masks, out_ranks, k, green, True), priority
+    return _runs(out_masks, out_ranks, k, green, kind == "safra"), priority
 
 
 def _runs(masks: list[int], ranks: list[int], k: int, green: int, safra: bool) -> Macrostate:
@@ -570,22 +561,6 @@ def _pre(masks: tuple[int, ...], ranks: tuple[int, ...]) -> PreSlice:
 
 def _ranked(masks: tuple[int, ...], ranks: tuple[int, ...]) -> RankedSlice:
     return RankedSlice(sets=tuple([from_mask(mask) for mask in masks]), ranks=ranks)
-
-
-def _trace(source: RankedSlice, symbol: str, stages: _Stages) -> TransitionTrace:
-    return TransitionTrace(
-        source=source,
-        symbol=symbol,
-        stepped=_pre(*stages.stepped),
-        pruned=_pre(*stages.pruned),
-        green=from_mask(stages.green),
-        red=from_mask(stages.red),
-        dominating=stages.dominating,
-        priority=stages.priority,
-        partition=stages.partition,
-        merged=_pre(*stages.merged),
-        successor=_ranked(*stages.successor),
-    )
 
 
 def restricted_successors(aut: BuchiAutomaton, slice_: RankedSlice, q: int, symbol: str) -> frozenset[int]:
@@ -696,9 +671,7 @@ def transition(
     reaches it.
     """
     strategy = as_strategy(strategy)
-    post = aut.post(symbol)
-    stages = _stages(aut, post, _source(aut, slice_), strategy, _explored(strategy, context))
-    return _trace(slice_, symbol, stages)
+    return _stages(aut, aut.post(symbol), _source(aut, slice_), symbol, strategy, _explored(strategy, context))
 
 
 def initial_slice(aut: BuchiAutomaton) -> RankedSlice:
@@ -745,9 +718,8 @@ def determinize(
         for symbol, post in posts:
             succ, priority = _successor(post, accepting, aut.num_states, current, strategy, index)
             if validate:
-                stages = _stages(aut, post, current, strategy, index)
-                trace = _trace(_ranked(*current), symbol, stages)
-                if (stages.successor, stages.priority) != (succ, priority):
+                trace = _stages(aut, post, current, symbol, strategy, index)
+                if (_key(trace.successor), trace.priority) != (succ, priority):
                     raise InternalInvariantError(
                         f"on {symbol!r} from {format_slice(trace.source)} the fused kernel gives "
                         f"{format_slice(_ranked(*succ))} with priority {priority}, the staged kernels "
@@ -780,7 +752,12 @@ def _labels(ids: dict[Macrostate, int]) -> dict[int, str]:
         for mask in masks:
             if mask not in set_texts:
                 # Ids in ascending order, as format_set sorts them.
-                set_texts[mask] = "{" + ",".join(map(str, mask_states(mask))) + "}"
+                digits, rest = [], mask
+                while rest:
+                    low = rest & -rest
+                    digits.append(str(low.bit_length() - 1))
+                    rest ^= low
+                set_texts[mask] = "{" + ",".join(digits) + "}"
         out[i] = format_entries([set_texts[mask] for mask in masks], ranks)
     return out
 

@@ -62,6 +62,13 @@ def _check_tokens(tokens: Collection[str], what: str, error: type[ValueError], *
         raise error(f"bad {what} {bad!r}: {_TOKEN_RULE}", *line)
 
 
+def _check_alphabet(alphabet: Collection[str], error: type[ValueError], *line: int) -> None:
+    """The alphabet rule of automata and their text: tokens the text can carry, pairwise distinct."""
+    _check_tokens(alphabet, "symbol token", error, *line)
+    if len(set(alphabet)) != len(alphabet):
+        raise error("duplicate alphabet token", *line)
+
+
 @dataclass(frozen=True)
 class BuchiAutomaton:
     """NBA as a tuple of state count, ordered alphabet, transitions, initial and accepting sets.
@@ -85,9 +92,7 @@ class BuchiAutomaton:
             object.__setattr__(self, name, frozenset(getattr(self, name)))
         if self.num_states < 0:
             raise InvalidAutomatonError("num_states must be non-negative")
-        _check_tokens(self.alphabet, "symbol token", InvalidAutomatonError)
-        if len(set(self.alphabet)) != len(self.alphabet):
-            raise InvalidAutomatonError("alphabet tokens must be pairwise distinct")
+        _check_alphabet(self.alphabet, InvalidAutomatonError)
         symbols = set(self.alphabet)
         for src, sym, dst in self.transitions:
             if not (0 <= src < self.num_states and 0 <= dst < self.num_states):
@@ -238,6 +243,36 @@ def _read_lines(data: bytes | str, header: str, error: type[_LineError]) -> list
     return items[1:]
 
 
+def _take(
+    items: list[tuple[int, list[str]]], keyword: str, min_args: int, error: type[_LineError]
+) -> tuple[int, list[str]]:
+    """Pop the next line, which must be ``keyword`` with at least ``min_args`` arguments: its number and arguments."""
+    if not items:
+        raise error(f"missing '{keyword}' line")
+    lineno, tokens = items.pop(0)
+    if tokens[0] != keyword:
+        raise error(f"expected '{keyword}' line, found {tokens[0]!r}", lineno)
+    if len(tokens) - 1 < min_args:
+        raise error(f"'{keyword}' needs at least {min_args} argument(s)", lineno)
+    return lineno, tokens[1:]
+
+
+def _read_header(items: list[tuple[int, list[str]]], error: type[_LineError]) -> tuple[int, int, tuple[str, ...]]:
+    """The ``states`` and ``alphabet`` lines of .nba/.dpa text: the count, its line and the alphabet."""
+    lineno, args = _take(items, "states", 1, error)
+    num_states = _read_int(args[0], lineno, error)
+    if num_states < 0 or len(args) != 1:
+        raise error("'states' takes one non-negative count", lineno)
+    alphabet_line, alphabet = _take(items, "alphabet", 0, error)
+    _check_alphabet(alphabet, error, alphabet_line)
+    return num_states, lineno, tuple(alphabet)
+
+
+def _header_lines(header: str, num_states: int, alphabet: tuple[str, ...]) -> list[str]:
+    """The first three lines of .nba/.dpa text: the header, ``states`` and ``alphabet``."""
+    return [header, f"states {num_states}", " ".join(["alphabet", *alphabet]).rstrip()]
+
+
 def _decimal(token: str) -> int:
     """``token`` as ASCII decimal digits with an optional leading ``-``; ValueError otherwise."""
     digits = token[1:] if token[:1] == "-" else token
@@ -268,30 +303,11 @@ def parse_nba(data: bytes | str) -> BuchiAutomaton:
     transition line are errors.
     """
     items = _read_lines(data, "nba", NbaFormatError)
-
-    def take(keyword: str, min_args: int) -> tuple[int, list[str]]:
-        if not items:
-            raise NbaFormatError(f"missing '{keyword}' line")
-        lineno, tokens = items.pop(0)
-        if tokens[0] != keyword:
-            raise NbaFormatError(f"expected '{keyword}' line, found {tokens[0]!r}", lineno)
-        if len(tokens) - 1 < min_args:
-            raise NbaFormatError(f"'{keyword}' needs at least {min_args} argument(s)", lineno)
-        return lineno, tokens[1:]
-
-    lineno, args = take("states", 1)
-    num_states = _read_int(args[0], lineno, NbaFormatError)
-    if num_states < 0 or len(args) != 1:
-        raise NbaFormatError("'states' takes one non-negative count", lineno)
-
-    lineno, alphabet = take("alphabet", 0)
-    _check_tokens(alphabet, "symbol token", NbaFormatError, lineno)
-    if len(set(alphabet)) != len(alphabet):
-        raise NbaFormatError("duplicate alphabet token", lineno)
+    num_states, _, alphabet = _read_header(items, NbaFormatError)
     symbol_set = set(alphabet)
 
     def take_states(keyword: str, min_args: int) -> frozenset[int]:
-        lineno, args = take(keyword, min_args)
+        lineno, args = _take(items, keyword, min_args, NbaFormatError)
         states: set[int] = set()
         for token in args:
             q = _read_int(token, lineno, NbaFormatError, num_states)
@@ -317,7 +333,7 @@ def parse_nba(data: bytes | str) -> BuchiAutomaton:
 
     return BuchiAutomaton(
         num_states=num_states,
-        alphabet=tuple(alphabet),
+        alphabet=alphabet,
         transitions=frozenset(transitions),
         initial=initial,
         accepting=accepting,
@@ -328,9 +344,7 @@ def serialize_nba(aut: BuchiAutomaton) -> bytes:
     """Canonical .nba text: transitions sorted by (source, symbol index, target)."""
     index = {sym: i for i, sym in enumerate(aut.alphabet)}
     lines = [
-        "nba",
-        f"states {aut.num_states}",
-        " ".join(["alphabet", *aut.alphabet]).rstrip(),
+        *_header_lines("nba", aut.num_states, aut.alphabet),
         " ".join(["init", *map(str, sorted(aut.initial))]),
         " ".join(["accept", *map(str, sorted(aut.accepting))]).rstrip(),
     ]

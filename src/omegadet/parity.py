@@ -11,7 +11,8 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Any, Callable, Container, Hashable, Mapping
 
-from .nba import Lasso, UnknownSymbolError, _check_tokens, _LineError, _read_int, _read_lines
+from .nba import Lasso, UnknownSymbolError, _check_alphabet, _check_tokens, _header_lines, _LineError, _read_header
+from .nba import _read_int, _read_lines, _take
 
 
 class DpaFormatError(_LineError):
@@ -37,8 +38,9 @@ class ParityAutomaton:
     num_states: int
     alphabet: tuple[str, ...]
     initial: int
-    edges: Mapping[tuple[int, str], tuple[int, int]]
-    labels: Mapping[int, str] = field(default_factory=dict)
+    # The hash skips the mappings, which cannot be hashed; equality compares them.
+    edges: Mapping[tuple[int, str], tuple[int, int]] = field(hash=False)
+    labels: Mapping[int, str] = field(default_factory=dict, hash=False)
 
     def __post_init__(self):
         object.__setattr__(self, "alphabet", tuple(self.alphabet))
@@ -46,10 +48,8 @@ class ParityAutomaton:
         object.__setattr__(self, "labels", MappingProxyType(dict(self.labels)))
         if not 0 <= self.initial < self.num_states:
             raise DpaFormatError(f"initial state {self.initial} out of range")
-        _check_tokens(self.alphabet, "symbol token", DpaFormatError)
+        _check_alphabet(self.alphabet, DpaFormatError)
         symbols = set(self.alphabet)
-        if len(symbols) != len(self.alphabet):
-            raise DpaFormatError("alphabet tokens must be pairwise distinct")
         _check_tokens(self.labels.values(), "label", DpaFormatError)
         for (src, sym), (dst, priority) in self.edges.items():
             if not (0 <= src < self.num_states and 0 <= dst < self.num_states):
@@ -132,12 +132,7 @@ def _walk_cycle(
 def serialize_dpa(dpa: ParityAutomaton) -> bytes:
     """Canonical .dpa text: optional label lines, then edges sorted by (src, symbol index)."""
     index = {sym: i for i, sym in enumerate(dpa.alphabet)}
-    lines = [
-        "dpa",
-        f"states {dpa.num_states}",
-        " ".join(["alphabet", *dpa.alphabet]).rstrip(),
-        f"init {dpa.initial}",
-    ]
+    lines = [*_header_lines("dpa", dpa.num_states, dpa.alphabet), f"init {dpa.initial}"]
     for state in sorted(dpa.labels):
         lines.append(f"label {state} {dpa.labels[state]}")
     for (src, sym), (dst, priority) in sorted(dpa.edges.items(), key=lambda e: (e[0][0], index[e[0][1]])):
@@ -148,26 +143,13 @@ def serialize_dpa(dpa: ParityAutomaton) -> bytes:
 def parse_dpa(data: bytes | str) -> ParityAutomaton:
     """Parse the .dpa text format (see :func:`serialize_dpa` for the layout)."""
     items = _read_lines(data, "dpa", DpaFormatError)
-
-    if not items or items[0][1][0] != "states" or len(items[0][1]) != 2:
-        raise DpaFormatError("expected 'states <n>' line", items[0][0] if items else 1)
-    lineno, tokens = items.pop(0)
-    num_states = _read_int(tokens[1], lineno, DpaFormatError)
+    num_states, lineno, alphabet = _read_header(items, DpaFormatError)
     if num_states < 1:
         raise DpaFormatError("a parity automaton needs at least one state", lineno)
-
-    if not items or items[0][1][0] != "alphabet":
-        raise DpaFormatError("expected 'alphabet' line", items[0][0] if items else 1)
-    lineno, tokens = items.pop(0)
-    alphabet = tuple(tokens[1:])
-    _check_tokens(alphabet, "symbol token", DpaFormatError, lineno)
-    if len(set(alphabet)) != len(alphabet):
-        raise DpaFormatError("duplicate alphabet token", lineno)
-
-    if not items or items[0][1][0] != "init" or len(items[0][1]) != 2:
-        raise DpaFormatError("expected 'init <id>' line", items[0][0] if items else 1)
-    lineno, tokens = items.pop(0)
-    initial = _read_int(tokens[1], lineno, DpaFormatError, num_states)
+    lineno, args = _take(items, "init", 1, DpaFormatError)
+    if len(args) != 1:
+        raise DpaFormatError("'init' takes one state", lineno)
+    initial = _read_int(args[0], lineno, DpaFormatError, num_states)
 
     labels: dict[int, str] = {}
     while items and items[0][1][0] == "label":

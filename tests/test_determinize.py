@@ -322,21 +322,49 @@ def test_transition_inside_sink(medium_nba):
     assert out.priority == 1 and out.dominating == 1
 
 
+# SHA-256 over every field of the staged traces of the replayed corpus edges
+# below, recorded before the staged kernels built the public trace themselves.
+GOLDEN_TRACE_SHA256 = {
+    "ms": "8430350303ca2636155737da192df8bfd8166549d2d104204c9bb8af40e365c0",
+    "safra": "0cba1dd7bce4c55bc508a6adf7b4fba1e1afcca6c7db6d1377d9e2e0aad23bc5",
+    "max": "eaf1eea18cfd9548efe5f8a0a4a985ede2aeebf373672b28d4d6319acff06d51",
+    "adaptive": "2956d2dab95d43412076e9427b88ccdd9b8bc3424edbe6389f27e3ae9d21342d",
+}
+
+
+def _trace_text(trace) -> str:
+    fields = (
+        format_slice(trace.source),
+        trace.symbol,
+        format_slice(trace.stepped),
+        format_slice(trace.pruned),
+        sorted(trace.green),
+        sorted(trace.red),
+        trace.dominating,
+        trace.priority,
+        trace.partition,
+        format_slice(trace.merged),
+        format_slice(trace.successor),
+    )
+    return " ".join(map(str, fields)) + "\n"
+
+
 @pytest.mark.parametrize("strategy", ["ms", "safra", "max", "adaptive"])
-def test_explored_edges_replay_with_the_target_as_context(strategy):
+def test_explored_edges_replay_with_the_target_as_context(golden_automata, strategy):
     # Exploration runs the fused kernel, transition the staged kernels.  Every
     # DPA edge, recomputed from its source label with its target as the only
     # context, is the same edge.  Under adaptive the context matters: the
-    # first 60 corpus automata include eight on which an exploration along one
-    # lasso reaches adaptive successors that the DPA does not take.
-    for aut in build_corpus(60):
+    # first 60 corpus automata alone include eight on which an exploration
+    # along one lasso reaches adaptive successors that the DPA does not take.
+    digest = hashlib.sha256()
+    for aut in golden_automata["corpus"]:
         dpa = determinize(aut, strategy, labels=True)
         slices = {state: parse_slice(text) for state, text in dpa.labels.items()}
-        for state in range(dpa.num_states):
-            for symbol in aut.alphabet:
-                target, priority = dpa.follow(state, symbol)
-                trace = transition(aut, slices[state], symbol, strategy, (slices[target],))
-                assert (trace.successor, trace.priority) == (slices[target], priority)
+        for (state, symbol), (target, priority) in dpa.edges.items():
+            trace = transition(aut, slices[state], symbol, strategy, (slices[target],))
+            assert (trace.successor, trace.priority) == (slices[target], priority)
+            digest.update(_trace_text(trace).encode())
+    assert digest.hexdigest() == GOLDEN_TRACE_SHA256[strategy]
 
 
 @pytest.mark.parametrize("strategy", ["ms", "safra", "max", "adaptive"])
@@ -396,11 +424,11 @@ def successor_scenarios(draw):
     adaptive = strategy.kind == "adaptive"
     hit = adaptive and draw(st.booleans())
     if adaptive:
-        stages = pipeline._stages(aut, post, (masks, ranks), strategy, {})
-        pruned_masks, pruned_ranks = stages.pruned
+        stages = pipeline._stages(aut, post, (masks, ranks), symbol, strategy, {})
+        pruned_masks, pruned_ranks = pipeline._key(stages.pruned)
         hit = hit and bool(pruned_masks)
         if hit:
-            context.append(stages.successor)
+            context.append(pipeline._key(stages.successor))
         n = len(pruned_masks)
         for _ in range(draw(st.integers(0, 4)) if n else 0):
             # Merges under arbitrary interval partitions, which may break the
@@ -470,9 +498,9 @@ def test_fused_successor_matches_the_staged_kernels(scenario):
     for key in context:
         pipeline._remember(index, key)
     post = aut.post(symbol)
-    stages = pipeline._stages(aut, post, source, strategy, index)
+    stages = pipeline._stages(aut, post, source, symbol, strategy, index)
     fused = pipeline._successor(post, aut.accepting_mask, aut.num_states, source, strategy, index)
-    assert fused == (stages.successor, stages.priority)
+    assert fused == (pipeline._key(stages.successor), stages.priority)
     if hit:
         # The lookup found an explored macrostate and returned that very object.
         assert any(fused[0] is key for key in context)
@@ -684,7 +712,9 @@ def test_strategy_validation():
 
 # SHA-256 over the concatenated labelled .dpa bytes of each automaton set,
 # recorded with the frozenset-based pipeline that the bitmask kernels
-# replaced: the output must stay byte-identical.
+# replaced: the output must stay byte-identical.  The adaptive strategies with
+# an ``ms`` or ``safra`` fallback were recorded before the merge rules were
+# dispatched from one place in the fused kernel; an adaptive miss takes them.
 GOLDEN_DPA_SHA256 = {
     ("corpus", "ms"): "4a66402e76b99c46f215753a0e5b1dcb861815eb4badb8d87097a701ffa4c3aa",
     ("corpus", "safra"): "68cd4de9b865997252cf6a4243c4f534b2164cc4f43579749eeb934c03171d0c",
@@ -694,6 +724,10 @@ GOLDEN_DPA_SHA256 = {
     ("grid", "safra"): "41a8a7ff6af7c5e8250a6a7f32da6c0bb0670e792db3c11b9ecd9e8ee01304a9",
     ("grid", "max"): "6ed59599c855141e573084d878151f6c74305e16f364871c4b278c20ba7a0fb7",
     ("grid", "adaptive"): "8a2283fc5ccd8da01c2ec1cea3c9042758bb50cf99eeb641103d30937df13390",
+    ("corpus", ADAPTIVE_FALLBACKS[0]): "c6ee6e15261be0e5356c557835403af1f3ea28f6a5f74c57c5febd60cb5bca9a",
+    ("corpus", ADAPTIVE_FALLBACKS[1]): "384362d56162bb11df7913d5730373c93512cb6a71bf8b8c26ab19d74c24766d",
+    ("grid", ADAPTIVE_FALLBACKS[0]): "3eed282225a2bee3fa1593de49dea361dcf7729ad48a7050f1140a292b7e756d",
+    ("grid", ADAPTIVE_FALLBACKS[1]): "c056f473cb392f0ed70790d7f5592548652493aae8e8e42efaecd242c37aab77",
 }
 
 
@@ -704,10 +738,11 @@ def golden_automata():
     return {"corpus": build_corpus(), "grid": grid}
 
 
-@pytest.mark.parametrize("strategy", ["ms", "safra", "max", "adaptive"])
+@pytest.mark.parametrize("strategy", ["ms", "safra", "max", "adaptive", *ADAPTIVE_FALLBACKS[:2]], ids=str)
 def test_golden_dpa_bytes(golden_automata, strategy):
     for name, automata in golden_automata.items():
         digest = hashlib.sha256()
         for aut in automata:
             digest.update(serialize_dpa(determinize(aut, strategy)))
         assert digest.hexdigest() == GOLDEN_DPA_SHA256[(name, strategy)], name
+

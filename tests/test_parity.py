@@ -212,6 +212,34 @@ def test_parse_dpa_errors():
     assert err.value.line == 5
 
 
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        ("dpa\n", None, "missing 'states' line"),
+        ("dpa\nstates 1\n", None, "missing 'alphabet' line"),
+        ("dpa\nstates 1\nalphabet a\n", None, "missing 'init' line"),
+        ("dpa\nstates 1\ninit 0\n", 3, "expected 'alphabet' line, found 'init'"),
+        ("dpa\nstates 1\nalphabet a\n0 a 0 1\n", 4, "expected 'init' line, found '0'"),
+        ("dpa\nstates\nalphabet a\ninit 0\n", 2, "'states' needs at least 1 argument"),
+        ("dpa\nstates 1\nalphabet a\ninit\n", 4, "'init' needs at least 1 argument"),
+    ],
+)
+def test_parse_dpa_names_a_missing_or_misplaced_header_line(text, line, message):
+    # The .nba reader's messages and line numbers: a missing line has none.
+    with pytest.raises(DpaFormatError, match=message) as err:
+        parse_dpa(text)
+    assert err.value.line == line
+
+
+def test_equal_parity_automata_hash_equal():
+    def dpa(priority):
+        return ParityAutomaton(1, ("a",), 0, {(0, "a"): (0, priority)}, {0: "({0}:1)"})
+
+    assert dpa(2) == dpa(2) and hash(dpa(2)) == hash(dpa(2))
+    assert dpa(2) != dpa(1)
+    assert len({dpa(2), dpa(2), dpa(1)}) == 2
+
+
 def test_compact_priorities_preserves_decisions():
     rng = random.Random(99)
     for seed in range(25):
