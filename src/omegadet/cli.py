@@ -98,11 +98,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="omegadet", description=description)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, *, output: bool = False) -> None:
+    def add_common(p: argparse.ArgumentParser, *, output: bool = False, strategy: bool = True) -> None:
         p.add_argument("--input", "-i", required=True, help="input .nba file")
         if output:
             p.add_argument("--output", "-o", help="output file (default: stdout)")
-        p.add_argument("--strategy", choices=tuple(STRATEGIES), default="ms")
+        if strategy:
+            p.add_argument("--strategy", choices=tuple(STRATEGIES), default="ms")
         p.add_argument("--cap", type=_int_at_least(1), default=1_000_000, help="macrostate cap (>= 1)")
 
     p = sub.add_parser("determinize", help="translate a .nba file into a .dpa file")
@@ -110,10 +111,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", action="store_true", help="annotate states with slice strings")
 
     p = sub.add_parser("check", help="compare DPA decisions against the membership oracle")
-    p.add_argument("--input", "-i", required=True, help="input .nba file")
+    add_common(p)
     p.add_argument("--dpa", help="check this .dpa file instead of determinizing")
-    p.add_argument("--strategy", choices=tuple(STRATEGIES), default="ms")
-    p.add_argument("--cap", type=_int_at_least(1), default=1_000_000, help="macrostate cap (>= 1)")
     p.add_argument("--max-u", type=_int_at_least(0), default=3, help="maximum stem length (>= 0)")
     p.add_argument("--max-v", type=_int_at_least(1), default=3, help="maximum cycle length (>= 1)")
     p.add_argument(
@@ -122,8 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("stats", help="macrostate and edge counts per merge strategy")
-    p.add_argument("--input", "-i", required=True, help="input .nba file")
-    p.add_argument("--cap", type=_int_at_least(1), default=1_000_000, help="macrostate cap (>= 1)")
+    add_common(p, strategy=False)
 
     p = sub.add_parser("roundtrip", help="render a slice as a tree and recover it")
     p.add_argument("slice", help="canonical slice string, e.g. ({3}:4,{1}:2,{2}:3,{0}:1)")

@@ -33,7 +33,8 @@ merge is the identity) the kernel builds no partition.  Under ``safra``,
 merges them into runs, and the two strategies differ only in when a set
 stops the run to its left: ``safra`` runs each green rank's complete subtree,
 ``max`` the coarsest permitted intervals.  Either way the kernel compacts the
-ranks itself, one popcount over their bitmask per rank.
+ranks itself, one popcount over their bitmask per rank.  It checks nothing:
+its source is always normalized, so every invariant holds by construction.
 
 ``adaptive`` keeps the explored macrostates in an index keyed by their state
 union and number of sets.  It builds the ``max`` successor first, whatever
@@ -72,6 +73,10 @@ class InternalInvariantError(RuntimeError):
     """A pipeline-internal invariant failed; indicates a bug or bad input."""
 
 
+# The merge strategy kinds, which are also their CLI tokens.
+_KINDS = ("ms", "safra", "max", "adaptive")
+
+
 @dataclass(frozen=True)
 class MergeStrategy:
     """Merge-stage policy: identity, green-subtree collapse, coarsest, or successor reuse.
@@ -84,20 +89,17 @@ class MergeStrategy:
     fallback: str | None = None
 
     def __post_init__(self):
-        if self.kind not in STRATEGIES:
+        if self.kind not in _KINDS:
             raise ValueError(f"unknown strategy kind {self.kind!r}")
         if self.kind == "adaptive":
-            if self.fallback not in STRATEGIES or self.fallback == "adaptive":
+            if self.fallback not in _KINDS or self.fallback == "adaptive":
                 raise ValueError("adaptive strategies need a non-adaptive fallback")
         elif self.fallback is not None:
             raise ValueError("only adaptive strategies take a fallback")
 
 
-# The built-in strategy of each kind, by CLI token.  The keys come first, so
-# that MergeStrategy can check kinds against them: they are the only list of kinds.
-STRATEGIES: dict[str, MergeStrategy] = dict.fromkeys(("ms", "safra", "max", "adaptive"))  # type: ignore[arg-type]
-for _kind in STRATEGIES:
-    STRATEGIES[_kind] = MergeStrategy(_kind, fallback="max" if _kind == "adaptive" else None)
+# The built-in strategy of each kind, by CLI token.
+STRATEGIES = {kind: MergeStrategy(kind, fallback="max" if kind == "adaptive" else None) for kind in _KINDS}
 MULLER_SCHUPP, SAFRA, MAX_COLLAPSE, ADAPTIVE = STRATEGIES.values()
 
 
@@ -177,8 +179,6 @@ def _prune(masks: tuple[int, ...], ranks: tuple[int, ...]) -> tuple[tuple[int, .
 
 
 def _dominating(green: int, red: int, num_states: int) -> tuple[int, int]:
-    if green & red:
-        raise InternalInvariantError(f"green and red overlap: {sorted(from_mask(green & red))}")
     active = green | red
     k = (active & -active).bit_length() - 1 if active else num_states + 1
     return k, 2 * k if green >> k & 1 else 2 * k - 1
@@ -492,8 +492,8 @@ def _runs(masks: list[int], ranks: list[int], k: int, green: int, safra: bool) -
     when its rank is green, so each green rank's subtree is one run; ``max``
     lets the sets ranked above ``k`` join when its rank is at least ``k``, so
     every set ranked below ``k`` stays alone and the rank-``k`` set ends its
-    run.  ``_compact`` then maps each rank ``r`` to the number of ranks up to
-    ``r`` and checks the invariants of ``_normalize`` on those values.
+    run.  The run minima are distinct ranks of the pruned sets and the last
+    run holds the least, so ``_compact`` maps them onto ``1..m`` unchecked.
     """
     run_masks: list[int] = []
     run_ranks: list[int] = []
@@ -524,13 +524,9 @@ def _compact(masks: tuple[int, ...], ranks: list[int], present: int) -> Macrosta
     """``masks`` with ``ranks`` compacted onto ``1..n``; ``present`` is the bitmask of ``ranks``.
 
     Each rank ``r`` becomes the number of ranks up to ``r``, one popcount.
-    Checks the rank invariants of ``_normalize`` on the same values, with the
-    same errors; the caller guarantees non-empty, pairwise disjoint sets.
+    The caller guarantees what ``_normalize`` checks: non-empty, pairwise
+    disjoint sets and pairwise distinct positive ranks, the last the least.
     """
-    if present & 1 or present.bit_count() != len(ranks):
-        raise InternalInvariantError(f"normalize requires pairwise distinct positive ranks, got {tuple(ranks)}")
-    if (present & -present).bit_length() - 1 != ranks[-1]:
-        raise InvalidSliceError("the rightmost set must carry rank 1")
     return masks, tuple([(present & ((2 << rank) - 1)).bit_count() for rank in ranks])
 
 
@@ -542,7 +538,7 @@ def _key(slice_: PreSlice | RankedSlice) -> Macrostate:
 
 
 def _source(aut: BuchiAutomaton, slice_: RankedSlice) -> Macrostate:
-    if any(not 0 <= q < aut.num_states for block in slice_.sets for q in block):
+    if any(q >= aut.num_states for block in slice_.sets for q in block):
         raise InvalidAutomatonError(f"slice holds a state out of range for {aut.num_states} states")
     return _key(slice_)
 
@@ -594,7 +590,10 @@ def dominating_rank(green: frozenset[int], red: frozenset[int], num_states: int)
     With no active ranks the dominating rank defaults to ``num_states + 1``
     and the priority is odd.
     """
-    return _dominating(to_mask(green), to_mask(red), num_states)
+    green_mask, red_mask = to_mask(green), to_mask(red)
+    if green_mask & red_mask:
+        raise InternalInvariantError(f"green and red overlap: {sorted(from_mask(green_mask & red_mask))}")
+    return _dominating(green_mask, red_mask, num_states)
 
 
 def iter_valid_partitions(pre: PreSlice, k: int) -> Iterator[IntervalPartition]:
@@ -763,14 +762,11 @@ def _labels(ids: dict[Macrostate, int]) -> dict[int, str]:
 
 
 def check_transition_invariants(aut: BuchiAutomaton, trace: TransitionTrace) -> None:
-    """Assert conservation, disjointness, the parity rule, and partition constraints."""
+    """Assert conservation, the parity rule, and partition constraints; slices checked disjointness."""
     expected = successors(aut, trace.source.state_set, trace.symbol)
     for name, stage in (("step", trace.stepped), ("prune", trace.pruned), ("merge", trace.merged)):
         if stage.state_set != expected:
             raise InternalInvariantError(f"{name} changed the successor union")
-        # PreSlice construction already enforces disjointness; re-assert cheaply.
-        if sum(len(b) for b in stage.sets) != len(stage.state_set):
-            raise InternalInvariantError(f"{name} produced overlapping sets")
     if trace.successor.state_set != expected:
         raise InternalInvariantError("normalize changed the successor union")
     if trace.green & trace.red:

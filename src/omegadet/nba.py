@@ -16,6 +16,7 @@ read it too.
 from __future__ import annotations
 
 import re
+from collections import deque
 from dataclasses import dataclass
 from typing import Collection, Iterable
 
@@ -221,10 +222,11 @@ def successors(aut: BuchiAutomaton, source_set: frozenset[int] | set[int], symbo
     return from_mask(out)
 
 
-def _read_lines(data: bytes | str, header: str, error: type[_LineError]) -> list[tuple[int, list[str]]]:
+def _read_lines(data: bytes | str, header: str, error: type[_LineError]) -> deque[tuple[int, list[str]]]:
     """Tokens of each line of .nba/.dpa text after the ``header`` line, with its 1-based number.
 
-    Bytes must be UTF-8.  ``#`` starts a comment, and lines left blank are
+    The lines come in a deque, so readers take them from the front in constant
+    time.  Bytes must be UTF-8.  ``#`` starts a comment, and lines left blank are
     skipped.  Faults raise ``error(message, line)``.
     """
     if isinstance(data, bytes):
@@ -233,23 +235,24 @@ def _read_lines(data: bytes | str, header: str, error: type[_LineError]) -> list
         except UnicodeDecodeError as exc:
             line = len((data[: exc.start] + b".").decode("utf-8").splitlines())
             raise error(f"input is not UTF-8: {exc.reason}", line) from None
-    items: list[tuple[int, list[str]]] = []
+    items: deque[tuple[int, list[str]]] = deque()
     for lineno, raw in enumerate(data.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
             items.append((lineno, line.split()))
     if not items or items[0][1] != [header]:
         raise error(f"expected {header!r} header", items[0][0] if items else 1)
-    return items[1:]
+    items.popleft()
+    return items
 
 
 def _take(
-    items: list[tuple[int, list[str]]], keyword: str, min_args: int, error: type[_LineError]
+    items: deque[tuple[int, list[str]]], keyword: str, min_args: int, error: type[_LineError]
 ) -> tuple[int, list[str]]:
     """Pop the next line, which must be ``keyword`` with at least ``min_args`` arguments: its number and arguments."""
     if not items:
         raise error(f"missing '{keyword}' line")
-    lineno, tokens = items.pop(0)
+    lineno, tokens = items.popleft()
     if tokens[0] != keyword:
         raise error(f"expected '{keyword}' line, found {tokens[0]!r}", lineno)
     if len(tokens) - 1 < min_args:
@@ -257,7 +260,7 @@ def _take(
     return lineno, tokens[1:]
 
 
-def _read_header(items: list[tuple[int, list[str]]], error: type[_LineError]) -> tuple[int, int, tuple[str, ...]]:
+def _read_header(items: deque[tuple[int, list[str]]], error: type[_LineError]) -> tuple[int, int, tuple[str, ...]]:
     """The ``states`` and ``alphabet`` lines of .nba/.dpa text: the count, its line and the alphabet."""
     lineno, args = _take(items, "states", 1, error)
     num_states = _read_int(args[0], lineno, error)

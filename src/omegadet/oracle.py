@@ -121,7 +121,7 @@ def _stem_run(
     layers: list[int],
     target: int,
 ) -> list[int]:
-    """A concrete run over the stem ending in ``target``, rebuilt backwards."""
+    """A concrete run over the stem ending in ``target``, rebuilt backwards through the stem layers."""
     run = [target]
     for i in range(len(stem), 0, -1):
         current = run[0]
@@ -130,8 +130,6 @@ def _stem_run(
             if table.get(candidate, 0) >> current & 1:
                 run.insert(0, candidate)
                 break
-        else:  # pragma: no cover - layers guarantee a predecessor
-            raise AssertionError("stem layer without predecessor")
     return run
 
 

@@ -64,11 +64,12 @@ class ParityAutomaton:
 
     def follow(self, state: int, symbol: str) -> tuple[int, int]:
         """Target state and priority of the unique outgoing edge."""
-        if symbol not in self.alphabet:
-            raise UnknownSymbolError(f"symbol {symbol!r} not in alphabet")
         try:
             return self.edges[(state, symbol)]
         except KeyError:
+            # No edge uses a foreign symbol, so only a miss reads the alphabet.
+            if symbol not in self.alphabet:
+                raise UnknownSymbolError(f"symbol {symbol!r} not in alphabet") from None
             raise MissingEdgeError(f"no edge from state {state} on {symbol!r}") from None
 
 
@@ -153,7 +154,7 @@ def parse_dpa(data: bytes | str) -> ParityAutomaton:
 
     labels: dict[int, str] = {}
     while items and items[0][1][0] == "label":
-        lineno, tokens = items.pop(0)
+        lineno, tokens = items.popleft()
         if len(tokens) != 3:
             raise DpaFormatError("label line must be 'label <id> <slice>'", lineno)
         state = _read_int(tokens[1], lineno, DpaFormatError, num_states)

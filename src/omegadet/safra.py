@@ -27,13 +27,19 @@ class TreeFormatError(ValueError):
 class SafraNode:
     """One tree node: reduced (non-redundant) label, rank, ordered children.
 
-    Equality is structural.  Comparing, hashing and printing walk the tree
-    without recursion, so they work on trees of any depth.
+    The label is kept as a frozenset and the children as a tuple, whatever
+    containers are passed in.  Equality is structural.  Comparing, hashing
+    and printing walk the tree without recursion, so they work on trees of
+    any depth.
     """
 
     label: frozenset[int]
     rank: int
     children: tuple["SafraNode", ...] = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "label", frozenset(self.label))
+        object.__setattr__(self, "children", tuple(self.children))
 
     def _preorder(self) -> list[tuple[frozenset[int], int, int]]:
         """Label, rank and child count of each node in pre-order, which determine the tree."""
@@ -105,13 +111,19 @@ def unflatten(ranks: Sequence[int]) -> TreeShape:
 
 
 def validate_tree(root: SafraNode) -> int:
-    """Check all ranked Safra tree invariants; returns the node count."""
+    """Check all ranked Safra tree invariants; returns the node count.
+
+    State ids must be non-negative ``int`` and ranks ``int`` (``bool`` is
+    neither), so :func:`format_tree` writes text that :func:`parse_tree` reads.
+    """
     labels_seen: set[int] = set()
     ranks: list[int] = []
     # Depth-first pre-order; each entry carries its parent's and left sibling's rank.
     stack: list[tuple[SafraNode, int | None, int | None]] = [(root, None, None)]
     while stack:
         node, parent_rank, previous_rank = stack.pop()
+        if type(node.rank) is not int:
+            raise InvalidTreeError(f"rank {node.rank!r} is not an int")
         if parent_rank is not None:
             if node.rank <= parent_rank:
                 raise InvalidTreeError("children must outrank their parent")
@@ -119,6 +131,9 @@ def validate_tree(root: SafraNode) -> int:
                 raise InvalidTreeError("sibling ranks must increase left to right")
         if not node.label:
             raise InvalidTreeError("node labels must be non-empty")
+        for q in node.label:
+            if type(q) is not int or q < 0:
+                raise InvalidTreeError(f"state id {q!r} is not a non-negative int")
         if node.label & labels_seen:
             raise InvalidTreeError(f"labels are not disjoint: {sorted(node.label & labels_seen)} repeated")
         labels_seen.update(node.label)
@@ -161,7 +176,7 @@ def slice_to_safra(slice_: RankedSlice) -> SafraNode:
         node = SafraNode(
             label=slice_.sets[i - 1],
             rank=slice_.ranks[i - 1],
-            children=tuple(children[i]),
+            children=children[i],
         )
         nodes[i] = node
         p = shape.parent_of[i - 1]
@@ -213,7 +228,7 @@ def parse_tree(text: str) -> SafraNode:
             if pos < len(text) and text[pos] == ")":
                 pos += 1
                 label, rank, children = open_nodes.pop()
-                node = SafraNode(label=label, rank=rank, children=tuple(children))
+                node = SafraNode(label=label, rank=rank, children=children)
                 continue
             raise TreeFormatError(f"expected ',' or ')' at offset {pos + 1}")
         if not open_nodes:

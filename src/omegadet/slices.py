@@ -30,20 +30,36 @@ class StateNotPresentError(LookupError):
     """The queried state is not contained in any set of the slice."""
 
 
-def _check_disjoint(sets: tuple[frozenset[int], ...]) -> None:
-    seen: set[int] = set()
-    for block in sets:
-        if block & seen:
-            raise InvalidSliceError(f"sets are not pairwise disjoint: {sorted(block & seen)} repeated")
-        seen |= block
-
-
 @dataclass(frozen=True)
 class _Slice:
-    """The fields and queries that ranked slices and pre-slices share."""
+    """The fields and queries that ranked slices and pre-slices share.
+
+    Construction keeps the sets as a tuple of frozensets and the ranks as a
+    tuple, whatever containers are passed in, so a slice is a hashable value.
+    State ids must be non-negative ``int`` and ranks ``int`` (``bool`` is
+    neither), so :func:`format_slice` writes text that the parsers read back.
+    """
 
     sets: tuple[frozenset[int], ...]
     ranks: tuple[int, ...]
+
+    def _check_entries(self) -> None:
+        """Copy the containers; check the lengths, disjointness and the types of ids and ranks."""
+        object.__setattr__(self, "sets", tuple([frozenset(block) for block in self.sets]))
+        object.__setattr__(self, "ranks", tuple(self.ranks))
+        if len(self.ranks) != len(self.sets):
+            raise InvalidSliceError("sets and ranks must have equal length")
+        seen: set[int] = set()
+        for block in self.sets:
+            if block & seen:
+                raise InvalidSliceError(f"sets are not pairwise disjoint: {sorted(block & seen)} repeated")
+            seen |= block
+        for q in seen:
+            if type(q) is not int or q < 0:
+                raise InvalidSliceError(f"state id {q!r} is not a non-negative int")
+        for rank in self.ranks:
+            if type(rank) is not int:
+                raise InvalidSliceError(f"rank {rank!r} is not an int")
 
     def __len__(self) -> int:
         return len(self.sets)
@@ -62,12 +78,10 @@ class RankedSlice(_Slice):
     """
 
     def __post_init__(self):
+        self._check_entries()
         n = len(self.sets)
-        if len(self.ranks) != n:
-            raise InvalidSliceError("sets and ranks must have equal length")
         if any(not block for block in self.sets):
             raise InvalidSliceError("ranked slice sets must be non-empty")
-        _check_disjoint(self.sets)
         if sorted(self.ranks) != list(range(1, n + 1)):
             raise InvalidSliceError(f"ranks {self.ranks} are not a bijection onto 1..{n}")
         if n and self.ranks[-1] != 1:
@@ -79,11 +93,9 @@ class PreSlice(_Slice):
     """Intermediate slice: empty sets allowed, ranks positive but otherwise free."""
 
     def __post_init__(self):
-        if len(self.ranks) != len(self.sets):
-            raise InvalidSliceError("sets and ranks must have equal length")
+        self._check_entries()
         if any(r < 1 for r in self.ranks):
             raise InvalidSliceError("ranks must be positive")
-        _check_disjoint(self.sets)
 
 
 SliceLike = Union[RankedSlice, PreSlice]

@@ -120,6 +120,8 @@ def test_dominating_rank():
 def test_dominating_rank_rejects_overlap():
     with pytest.raises(InternalInvariantError):
         dominating_rank(frozenset({2}), frozenset({2}), 3)
+    with pytest.raises(InternalInvariantError, match=r"^green and red overlap: \[2\]$"):
+        dominating_rank(frozenset({2, 3}), frozenset({1, 2}), 3)
 
 
 def test_valid_partitions_wide():
@@ -288,10 +290,11 @@ def test_normalize_rejects_empty_sets_and_misplaced_minimum():
 
 
 def test_step_rejects_states_outside_the_automaton(small_nba):
-    # parse_slice rejects negative ids, so the second slice is built directly.
-    for slice_ in (parse_slice("({5}:1)"), RankedSlice(sets=(frozenset({-1}),), ranks=(1,))):
-        with pytest.raises(InvalidAutomatonError):
-            step(small_nba, slice_, "a")
+    with pytest.raises(InvalidAutomatonError):
+        step(small_nba, parse_slice("({5}:1)"), "a")
+    # A negative id cannot reach step: the slice constructor rejects it, as parse_slice does.
+    with pytest.raises(InvalidSliceError):
+        RankedSlice(sets=(frozenset({-1}),), ranks=(1,))
 
 
 def test_transition_medium_safra(medium_nba):

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from omegadet.determinize import MULLER_SCHUPP, determinize
-from omegadet.nba import Lasso, parse_nba
+from omegadet.nba import Lasso, UnknownSymbolError, parse_nba
 from omegadet.oracle import enumerate_lassos, random_nba, sample_lassos
 from omegadet.parity import (
     DpaFormatError,
@@ -39,6 +39,19 @@ def sink_only_dpa() -> ParityAutomaton:
         initial=0,
         edges={(0, "a"): (0, 1), (0, "b"): (0, 1)},
     )
+
+
+def test_follow_errors():
+    dpa = ParityAutomaton(num_states=2, alphabet=("a", "b"), initial=0, edges={(0, "a"): (1, 2)})
+    assert dpa.follow(0, "a") == (1, 2)
+    # State 0 has an edge and state 1 has none; a foreign symbol is unknown from both.
+    for state in (0, 1):
+        with pytest.raises(UnknownSymbolError, match="^symbol 'c' not in alphabet$"):
+            dpa.follow(state, "c")
+    with pytest.raises(MissingEdgeError, match="^no edge from state 0 on 'b'$"):
+        dpa.follow(0, "b")
+    with pytest.raises(MissingEdgeError, match="^no edge from state 1 on 'a'$"):
+        dpa.follow(1, "a")
 
 
 def test_run_lasso_small(small_nba):

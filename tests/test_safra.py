@@ -136,6 +136,33 @@ def test_validate_tree_errors():
         validate_tree(SafraNode(label=frozenset({0}), rank=1, children=backwards))
 
 
+def test_nodes_keep_no_container_of_the_caller():
+    label, children = {0}, [SafraNode(label={1}, rank=2)]  # type: ignore[arg-type]
+    node = SafraNode(label=label, rank=1, children=children)  # type: ignore[arg-type]
+    label.add(7)
+    children.clear()
+    same = parse_tree("{0}:1({1}:2)")
+    assert node == same and hash(node) == hash(same)
+    assert validate_tree(node) == 2
+
+
+@pytest.mark.parametrize(
+    "tree",
+    [
+        SafraNode(label=frozenset({-2}), rank=1),
+        SafraNode(label=frozenset({True}), rank=1),
+        SafraNode(label=frozenset({0}), rank=True),
+        SafraNode(label=frozenset({0}), rank=1.0),
+        SafraNode(label=frozenset({0}), rank=1, children=(SafraNode(label=frozenset({1}), rank="2"),)),
+    ],
+)
+def test_validate_tree_rejects_ids_and_ranks_that_do_not_format_to_tree_text(tree):
+    with pytest.raises(InvalidTreeError):
+        validate_tree(tree)
+    with pytest.raises(InvalidTreeError):
+        safra_to_slice(tree)
+
+
 @given(ranked_slices())
 def test_round_trip_from_slices(slice_):
     assert safra_to_slice(slice_to_safra(slice_)) == slice_

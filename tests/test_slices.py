@@ -185,6 +185,33 @@ def test_format_parse_round_trip():
         assert format_slice(parse_slice(text)) == text
 
 
+def test_slices_keep_no_container_of_the_caller():
+    first, last, ranks = {1}, {0}, [2, 1]
+    slice_ = RankedSlice(sets=[first, last], ranks=ranks)  # type: ignore[arg-type]
+    pre = PreSlice(sets=[set(), first], ranks=ranks)  # type: ignore[arg-type]
+    first.add(5)
+    ranks.reverse()
+    same = parse_slice("({1}:2,{0}:1)")
+    assert slice_ == same and hash(slice_) == hash(same)
+    assert pre == parse_preslice("({}:2,{1}:1)") and hash(pre) == hash(parse_preslice("({}:2,{1}:1)"))
+
+
+@pytest.mark.parametrize(
+    "sets, ranks",
+    [
+        ((frozenset({-1}),), (1,)),
+        ((frozenset({True}),), (1,)),
+        ((frozenset({"0"}),), (1,)),
+        ((frozenset({0}),), (True,)),
+        ((frozenset({0}),), (1.0,)),
+    ],
+)
+def test_slices_reject_ids_and_ranks_that_do_not_format_to_slice_text(sets, ranks):
+    for kind in (RankedSlice, PreSlice):
+        with pytest.raises(InvalidSliceError):
+            kind(sets=sets, ranks=ranks)
+
+
 def test_parse_preslice_with_empty_sets():
     pre = parse_preslice("({}:4,{}:2,{2}:5,{}:3,{3}:6,{0}:1)")
     assert pre.sets[0] == frozenset()
