@@ -346,16 +346,16 @@ _SINK: Macrostate = ((), ())
 
 
 def _normalize(masks: tuple[int, ...], ranks: tuple[int, ...]) -> Macrostate:
-    """Compact ranks onto ``1..n``, checking the ranked-slice invariants on the way."""
+    """Compact ranks onto ``1..n``, checking non-empty sets and the ranks on the way.
+
+    Disjointness is not checked again: the ``PreSlice`` constructor checks it
+    for the public :func:`normalize`, and ``_step``, ``_prune`` and ``_merge``
+    keep the sets disjoint.
+    """
     if not masks:
         return _SINK
-    seen = 0
-    for mask in masks:
-        if not mask:
-            raise InternalInvariantError("normalize requires a pre-slice without empty sets")
-        if mask & seen:
-            raise InvalidSliceError(f"sets are not pairwise disjoint: {sorted(from_mask(mask & seen))} repeated")
-        seen |= mask
+    if not all(masks):
+        raise InternalInvariantError("normalize requires a pre-slice without empty sets")
     order = sorted(ranks)
     if order[0] < 1 or len(set(order)) != len(order):
         raise InternalInvariantError(f"normalize requires pairwise distinct positive ranks, got {ranks}")
@@ -524,7 +524,7 @@ def _compact(masks: tuple[int, ...], ranks: list[int], present: int) -> Macrosta
     """``masks`` with ``ranks`` compacted onto ``1..n``; ``present`` is the bitmask of ``ranks``.
 
     Each rank ``r`` becomes the number of ranks up to ``r``, one popcount.
-    The caller guarantees what ``_normalize`` checks: non-empty, pairwise
+    The caller guarantees the ranked-slice invariants: non-empty, pairwise
     disjoint sets and pairwise distinct positive ranks, the last the least.
     """
     return masks, tuple([(present & ((2 << rank) - 1)).bit_count() for rank in ranks])

@@ -75,8 +75,10 @@ class BuchiAutomaton:
     """NBA as a tuple of state count, ordered alphabet, transitions, initial and accepting sets.
 
     The alphabet is kept as a tuple and the other collections as frozensets,
-    whatever containers are passed in.  Construction also derives
-    ``accepting_mask``, the accepting set as a bitmask, and the transition table.
+    whatever containers are passed in.  State ids and the state count must be
+    ``int`` (``bool`` is not one), so :func:`parse_nba` reads the serialized
+    text back.  Construction also derives ``accepting_mask``, the accepting set
+    as a bitmask, and the transition table.
     """
 
     num_states: int
@@ -91,21 +93,22 @@ class BuchiAutomaton:
         object.__setattr__(self, "alphabet", tuple(self.alphabet))
         for name in ("transitions", "initial", "accepting"):
             object.__setattr__(self, name, frozenset(getattr(self, name)))
-        if self.num_states < 0:
-            raise InvalidAutomatonError("num_states must be non-negative")
+        n = self.num_states
+        if type(n) is not int or n < 0:
+            raise InvalidAutomatonError(f"num_states {n!r} is not a non-negative int")
         _check_alphabet(self.alphabet, InvalidAutomatonError)
         symbols = set(self.alphabet)
         for src, sym, dst in self.transitions:
-            if not (0 <= src < self.num_states and 0 <= dst < self.num_states):
-                raise InvalidAutomatonError(f"transition ({src},{sym},{dst}) references an invalid state")
+            if not (type(src) is int and type(dst) is int and 0 <= src < n and 0 <= dst < n):
+                raise InvalidAutomatonError(f"transition ({src!r},{sym},{dst!r}) references an invalid state")
             if sym not in symbols:
                 raise InvalidAutomatonError(f"transition ({src},{sym},{dst}) uses an unknown symbol")
         if not self.initial:
             raise InvalidAutomatonError("initial state set must be non-empty")
         for group, name in ((self.initial, "initial"), (self.accepting, "accepting")):
             for q in group:
-                if not 0 <= q < self.num_states:
-                    raise InvalidAutomatonError(f"{name} state {q} out of range")
+                if type(q) is not int or not 0 <= q < n:
+                    raise InvalidAutomatonError(f"{name} state {q!r} out of range")
         # The one transition table: ``tables[symbol][q]`` is the successor
         # mask of state ``q``.  Keyed by the states that have successors, so
         # memory grows with the transitions and not with num_states.

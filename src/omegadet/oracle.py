@@ -4,8 +4,13 @@ The membership decision works on the product of automaton states with cycle
 positions: a lasso is accepted exactly when some product node holding an
 accepting state lies on a cycle reachable after the stem.  It reads the
 automaton's successor masks, with state sets as bitmasks, and visits
-successors in ascending order.  The tests compare it with an independently
-coded decision procedure based on boundary-relation powers.
+successors in ascending order.  One breadth-first search, :func:`_search`,
+finds the nodes reachable after the stem and then, for each accepting
+candidate in sorted order, a shortest cycle back to it.  The witness is
+rebuilt in time linear in the stem and the product path: parent pointers
+and the stem run are followed by appending, then reversed once.  The tests
+compare it with an independently coded decision procedure based on
+boundary-relation powers.
 """
 from __future__ import annotations
 
@@ -14,7 +19,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import product
 
-from .nba import BuchiAutomaton, Lasso, SuccessorMasks, check_symbols, mask_states, successors, to_mask
+from .nba import BuchiAutomaton, Lasso, check_symbols, mask_states, successors, to_mask
 
 
 @dataclass(frozen=True)
@@ -41,20 +46,6 @@ class LassoVerdict:
         return tuple(states[:n])
 
 
-def _stem_layers(tables: dict[str, dict[int, int]], initial: int, stem: tuple[str, ...]) -> list[int]:
-    """The state-set masks after each prefix of ``stem``, from the ``initial`` mask."""
-    layers = [initial]
-    for symbol in stem:
-        layers.append(SuccessorMasks(tables[symbol])[layers[-1]])
-    return layers
-
-
-def _product_edges(tables: dict[str, dict[int, int]], cycle: tuple[str, ...], node: tuple[int, int]):
-    q, j = node
-    for target in mask_states(tables[cycle[j]].get(q, 0)):
-        yield (target, (j + 1) % len(cycle))
-
-
 def nba_accepts_lasso(aut: BuchiAutomaton, lasso: Lasso) -> LassoVerdict:
     """Decide membership of ``stem . cycle^ω`` and recover a witness run if accepted.
 
@@ -63,74 +54,69 @@ def nba_accepts_lasso(aut: BuchiAutomaton, lasso: Lasso) -> LassoVerdict:
     """
     check_symbols(aut, lasso.stem + lasso.cycle)
     tables = aut._tables  # type: ignore[attr-defined]
-    layers = _stem_layers(tables, to_mask(aut.initial), lasso.stem)
-    starts = [(q, 0) for q in mask_states(layers[-1])]
-    # Forward reachability over (state, cycle position) with parent pointers.
-    parents: dict[tuple[int, int], tuple[int, int] | None] = {node: None for node in starts}
-    frontier = deque(starts)
-    while frontier:
-        node = frontier.popleft()
-        for succ in _product_edges(tables, lasso.cycle, node):
-            if succ not in parents:
-                parents[succ] = node
-                frontier.append(succ)
-
-    anchor = None
-    loop_nodes: list[tuple[int, int]] | None = None
-    for candidate in sorted(n for n in parents if n[0] in aut.accepting):
-        loop_nodes = _shortest_cycle(tables, lasso.cycle, candidate)
-        if loop_nodes is not None:
-            anchor = candidate
+    layers = [to_mask(aut.initial)]
+    for symbol in lasso.stem:
+        table = tables[symbol]
+        layer = 0
+        for q in mask_states(layers[-1]):
+            layer |= table.get(q, 0)
+        layers.append(layer)
+    parents, _ = _search(tables, lasso.cycle, [(q, 0) for q in mask_states(layers[-1])])
+    for anchor in sorted(node for node in parents if node[0] in aut.accepting):
+        loop_parents, last = _search(tables, lasso.cycle, [anchor], goal=anchor)
+        if last is not None:
             break
-    if anchor is None or loop_nodes is None:
+    else:
         return LassoVerdict(accepted=False)
 
-    # Product path from a post-stem start node to the anchor, then the stem run.
-    path_nodes = [anchor]
-    while parents[path_nodes[0]] is not None:
-        path_nodes.insert(0, parents[path_nodes[0]])  # type: ignore[arg-type]
-    stem_run = _stem_run(tables, lasso.stem, layers, path_nodes[0][0])
-    prefix = tuple(stem_run) + tuple(q for q, _ in path_nodes[1:])
-    loop = tuple(q for q, _ in loop_nodes)
+    # Product path from a post-stem node to the anchor, then a stem run into
+    # its first state, picked backwards through the stem layers.
+    path = _path(parents, anchor)
+    run = [path[0][0]]
+    for i in range(len(lasso.stem), 0, -1):
+        table = tables[lasso.stem[i - 1]]
+        run.append(next(q for q in mask_states(layers[i - 1]) if table.get(q, 0) >> run[-1] & 1))
+    run.reverse()
+    prefix = tuple(run) + tuple(q for q, _ in path[1:])
+    loop = tuple(q for q, _ in _path(loop_parents, last)) + (anchor[0],)
     return LassoVerdict(accepted=True, prefix_states=prefix, loop_states=loop)
 
 
-def _shortest_cycle(
-    tables: dict[str, dict[int, int]], cycle: tuple[str, ...], node: tuple[int, int]
-) -> list[tuple[int, int]] | None:
-    """Shortest non-empty product path from ``node`` back to itself, or None."""
-    parents: dict[tuple[int, int], tuple[int, int]] = {}
-    frontier: deque[tuple[int, int]] = deque([node])
-    while frontier:
-        current = frontier.popleft()
-        for succ in _product_edges(tables, cycle, current):
-            if succ == node:
-                path = [current]
-                while path[0] != node:
-                    path.insert(0, parents[path[0]])
-                return path + [node]
-            if succ not in parents:
-                parents[succ] = current
-                frontier.append(succ)
-    return None
-
-
-def _stem_run(
+def _search(
     tables: dict[str, dict[int, int]],
-    stem: tuple[str, ...],
-    layers: list[int],
-    target: int,
-) -> list[int]:
-    """A concrete run over the stem ending in ``target``, rebuilt backwards through the stem layers."""
-    run = [target]
-    for i in range(len(stem), 0, -1):
-        current = run[0]
-        table = tables[stem[i - 1]]
-        for candidate in mask_states(layers[i - 1]):
-            if table.get(candidate, 0) >> current & 1:
-                run.insert(0, candidate)
-                break
-    return run
+    cycle: tuple[str, ...],
+    starts: list[tuple[int, int]],
+    goal: tuple[int, int] | None = None,
+) -> tuple[dict[tuple[int, int], tuple[int, int] | None], tuple[int, int] | None]:
+    """Breadth-first search over (state, cycle position) from ``starts``.
+
+    Returns the parent of every node reached (None for a start) and the first
+    node found with an edge into ``goal``, or None when there is none; the
+    search stops at that node.  Successors are visited in ascending order.
+    """
+    parents: dict[tuple[int, int], tuple[int, int] | None] = dict.fromkeys(starts)
+    frontier = deque(starts)
+    while frontier:
+        node = frontier.popleft()
+        q, j = node
+        position = (j + 1) % len(cycle)
+        for target in mask_states(tables[cycle[j]].get(q, 0)):
+            succ = (target, position)
+            if succ == goal:
+                return parents, node
+            if succ not in parents:
+                parents[succ] = node
+                frontier.append(succ)
+    return parents, None
+
+
+def _path(parents: dict[tuple[int, int], tuple[int, int] | None], node: tuple[int, int]) -> list[tuple[int, int]]:
+    """The search path from a start node to ``node``, rebuilt through ``parents``."""
+    path = [node]
+    while parents[path[-1]] is not None:
+        path.append(parents[path[-1]])  # type: ignore[arg-type]
+    path.reverse()
+    return path
 
 
 def enumerate_lassos(alphabet: tuple[str, ...], max_stem: int, max_cycle: int):

@@ -31,7 +31,8 @@ class ParityAutomaton:
     optionally annotate states with their canonical slice string.  Both are
     stored as read-only copies of the mappings passed in, and the alphabet as
     a tuple.  Alphabet tokens are pairwise distinct, and they and the labels
-    are non-empty UTF-8 and hold no whitespace, ``#`` or ``|``, so
+    are non-empty UTF-8 and hold no whitespace, ``#`` or ``|``.  State ids,
+    the state count and priorities must be ``int`` (``bool`` is not one).  So
     :func:`parse_dpa` reads the serialized text back.
     """
 
@@ -46,21 +47,24 @@ class ParityAutomaton:
         object.__setattr__(self, "alphabet", tuple(self.alphabet))
         object.__setattr__(self, "edges", MappingProxyType(dict(self.edges)))
         object.__setattr__(self, "labels", MappingProxyType(dict(self.labels)))
-        if not 0 <= self.initial < self.num_states:
-            raise DpaFormatError(f"initial state {self.initial} out of range")
+        n = self.num_states
+        if type(n) is not int:
+            raise DpaFormatError(f"num_states {n!r} is not an int")
+        if type(self.initial) is not int or not 0 <= self.initial < n:
+            raise DpaFormatError(f"initial state {self.initial!r} out of range")
         _check_alphabet(self.alphabet, DpaFormatError)
         symbols = set(self.alphabet)
         _check_tokens(self.labels.values(), "label", DpaFormatError)
         for (src, sym), (dst, priority) in self.edges.items():
-            if not (0 <= src < self.num_states and 0 <= dst < self.num_states):
-                raise DpaFormatError(f"edge ({src},{sym}) -> {dst} references an invalid state")
+            if not (type(src) is int and type(dst) is int and 0 <= src < n and 0 <= dst < n):
+                raise DpaFormatError(f"edge ({src!r},{sym}) -> {dst!r} references an invalid state")
             if sym not in symbols:
                 raise DpaFormatError(f"edge ({src},{sym}) uses an unknown symbol")
-            if priority < 1:
-                raise DpaFormatError(f"priority {priority} on ({src},{sym}) must be >= 1")
+            if type(priority) is not int or priority < 1:
+                raise DpaFormatError(f"priority {priority!r} on ({src},{sym}) is not an int >= 1")
         for state in self.labels:
-            if not 0 <= state < self.num_states:
-                raise DpaFormatError(f"label for invalid state {state}")
+            if type(state) is not int or not 0 <= state < n:
+                raise DpaFormatError(f"label for invalid state {state!r}")
 
     def follow(self, state: int, symbol: str) -> tuple[int, int]:
         """Target state and priority of the unique outgoing edge."""

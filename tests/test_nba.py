@@ -236,6 +236,22 @@ def test_every_constructible_automaton_reads_back(alphabet):
     assert parse_nba(serialize_nba(aut)) == aut
 
 
+@pytest.mark.parametrize(
+    "num_states, transitions, initial, accepting",
+    [
+        (2, {(0, "a", True)}, {0}, set()),
+        (2, set(), {True}, set()),
+        (True, set(), {0}, set()),
+        (2, {(0, "a", 1.0)}, {0}, set()),
+        (2, set(), {0}, {1.0}),
+    ],
+)
+def test_automaton_rejects_ids_and_counts_that_are_not_ints(num_states, transitions, initial, accepting):
+    # A bool is written as True and a float as 1.0, which parse_nba rejects.
+    with pytest.raises(InvalidAutomatonError):
+        BuchiAutomaton(num_states, ("a",), transitions, initial, accepting)
+
+
 def test_initial_must_be_non_empty():
     with pytest.raises(InvalidAutomatonError):
         BuchiAutomaton(1, ("a",), frozenset(), frozenset(), frozenset())

@@ -55,6 +55,22 @@ def test_witnesses_are_valid_runs():
                 assert_valid_witness(aut, lasso, verdict)
 
 
+def test_long_witnesses_are_valid_runs():
+    # Hundreds of times longer than any corpus witness: a 20000-symbol stem,
+    # and a 2000-state product path and cycle.
+    loop = BuchiAutomaton(1, ("a",), {(0, "a", 0)}, {0}, {0})
+    lasso = Lasso(("a",) * 20000, ("a",))
+    verdict = nba_accepts_lasso(loop, lasso)
+    assert len(verdict.prefix_states) == 20001 and len(verdict.loop_states) == 2
+    assert_valid_witness(loop, lasso, verdict)
+
+    ring = BuchiAutomaton(2000, ("a",), {(q, "a", (q + 1) % 2000) for q in range(2000)}, {0}, {1999})
+    lasso = Lasso((), ("a",))
+    verdict = nba_accepts_lasso(ring, lasso)
+    assert len(verdict.prefix_states) == 2000 and len(verdict.loop_states) == 2001
+    assert_valid_witness(ring, lasso, verdict)
+
+
 def nba_accepts_lasso_by_powers(aut: BuchiAutomaton, lasso: Lasso) -> bool:
     """Reference decision procedure, coded apart from the oracle: powers of the one-cycle boundary relation.
 

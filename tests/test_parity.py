@@ -181,6 +181,21 @@ def test_parity_automaton_rejects_text_it_could_not_read_back(alphabet, labels):
         ParityAutomaton(num_states=2, alphabet=alphabet, initial=0, edges={}, labels=labels)
 
 
+@pytest.mark.parametrize(
+    "num_states, initial, edge",
+    [
+        (2, 0, (1, 2.5)),
+        (2, True, (1, 2)),
+        (2, 0, (True, 2)),
+        (2.0, 0, (1, 2)),
+    ],
+)
+def test_parity_automaton_rejects_ids_counts_and_priorities_that_are_not_ints(num_states, initial, edge):
+    # A bool is written as True and a float as 2.5 or 2.0, which parse_dpa rejects.
+    with pytest.raises(DpaFormatError):
+        ParityAutomaton(num_states=num_states, alphabet=("a",), initial=initial, edges={(0, "a"): edge})
+
+
 @given(st.lists(TOKEN_TEXT, max_size=3), st.lists(TOKEN_TEXT, max_size=2))
 def test_every_constructible_parity_automaton_reads_back(alphabet, label_texts):
     try:
