@@ -20,10 +20,10 @@ or red rank) is green and ``2k - 1`` otherwise; when no rank is active it is
 ``2(|Q|+1) - 1``.  If every set dies the successor is the unique empty sink
 slice, entered and left with priority 1.
 
-Inside the pipeline a macrostate is a pair ``(masks, ranks)`` of int tuples:
-one state-set bitmask (see :mod:`omegadet.nba`) and one rank per position.
-Green and red rank sets are bitmasks over ranks, and :func:`determinize`
-interns the pairs directly.
+Exploration keeps a macrostate as a pair ``(masks, ranks)`` of int tuples:
+one state-set bitmask (see :mod:`omegadet.nba`) and one rank per position,
+and :func:`determinize` interns the pairs directly.  Only the fused kernel
+and the adaptive index read that bit layout.
 
 Exploration runs one fused kernel per edge, ``_successor``: a single loop
 steps and prunes without building the stepped macrostate, and only the
@@ -45,12 +45,17 @@ apply the fallback.  The staged ``_choose`` scans every count with no probe,
 so ``validate=True`` checks the probe against an independent lookup.
 
 The staged kernels (``_step``, ``_prune``, ``_choose``, ``_merge`` and
-``_normalize``) keep every intermediate stage, and ``_stages`` runs them into
-one public :class:`TransitionTrace`.  They serve ``step``, ``prune``,
-``merge``, ``normalize``, ``choose_partition`` and ``transition``, which
-convert ``PreSlice``/``RankedSlice`` values at the boundary, and so
-``omegadet trace``.  ``determinize(validate=True)`` runs ``_stages`` and
-the fused kernel on every edge and requires the same successor and priority.
+``_normalize``) state each stage on what the public API speaks: tuples of
+frozensets, tuples of ranks, and frozensets of green and red ranks.
+``_stages`` runs them into one public :class:`TransitionTrace`.  ``step``,
+``prune``, ``merge``, ``normalize``, ``choose_partition``,
+``dominating_rank`` and ``transition``, and so ``omegadet trace``, pass
+their slices straight through, so their memory grows with the slice and not
+with its largest state id or rank.  Only the adaptive branch of ``_choose``
+encodes the pruned sets as bitmasks, for the lookup it shares with the fused
+kernel.  ``determinize(validate=True)`` runs ``_stages`` and the fused kernel
+on every edge and requires the same successor and priority, so the set
+arithmetic checks the mask arithmetic instead of sharing it.
 """
 from __future__ import annotations
 
@@ -59,7 +64,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .nba import BuchiAutomaton, InvalidAutomatonError, SuccessorMasks, from_mask, successors, to_mask
+from .nba import BuchiAutomaton, SuccessorMasks, check_symbols, from_mask, successors, to_mask
 from .parity import ParityAutomaton
 from .slices import InvalidSliceError, PreSlice, RankedSlice, format_entries, format_slice, index_of
 from .safra import unflatten
@@ -116,6 +121,8 @@ def as_strategy(value: MergeStrategy | str) -> MergeStrategy:
 Interval = tuple[int, int]
 IntervalPartition = tuple[Interval, ...]
 Macrostate = tuple[tuple[int, ...], tuple[int, ...]]
+Sets = tuple[frozenset[int], ...]
+Ranks = tuple[int, ...]
 # Explored macrostates grouped by the union of their state sets and their
 # number of sets, each mapped to itself so that a lookup returns the explored
 # object.  Fill it through _remember only.
@@ -139,49 +146,7 @@ class TransitionTrace:
     successor: RankedSlice
 
 
-# --- Stage kernels on (masks, ranks) macrostates -----------------------------
-
-
-def _step(post: SuccessorMasks, accepting: int, masks: tuple[int, ...], ranks: tuple[int, ...]) -> Macrostate:
-    claimed = 0
-    out_masks: list[int] = []
-    out_ranks: list[int] = []
-    fresh = len(masks) + 1
-    for mask, rank in zip(masks, ranks):
-        image = post[mask]
-        restricted = image & ~claimed
-        claimed |= image
-        out_masks += (restricted & accepting, restricted & ~accepting)
-        out_ranks += (fresh, rank)
-        fresh += 1
-    return tuple(out_masks), tuple(out_ranks)
-
-
-def _prune(masks: tuple[int, ...], ranks: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...], int, int]:
-    """Pruned macrostate plus the green and red rank sets as rank bitmasks."""
-    out_masks: list[int] = []
-    out_ranks: list[int] = []
-    every = 0
-    marks = 0
-    for mask, rank in zip(masks, ranks):
-        every |= 1 << rank
-        if mask:
-            out_masks.append(mask)
-            out_ranks.append(rank)
-        else:
-            marks |= 1 << rank
-            if out_ranks and rank < out_ranks[-1]:
-                out_ranks[-1] = rank
-    surviving = 0
-    for rank in out_ranks:
-        surviving |= 1 << rank
-    return tuple(out_masks), tuple(out_ranks), surviving & marks, every & ~surviving
-
-
-def _dominating(green: int, red: int, num_states: int) -> tuple[int, int]:
-    active = green | red
-    k = (active & -active).bit_length() - 1 if active else num_states + 1
-    return k, 2 * k if green >> k & 1 else 2 * k - 1
+# --- Interval partitions and the adaptive index ------------------------------
 
 
 def _forced_cuts(ranks: tuple[int, ...], k: int) -> set[int]:
@@ -296,11 +261,49 @@ def _reuse(
     return None
 
 
+# --- Staged kernels on state sets and ranks ----------------------------------
+
+
+def _step(aut: BuchiAutomaton, symbol: str, sets: Sets, ranks: Ranks) -> tuple[Sets, Ranks]:
+    if not sets:
+        # The sink steps to itself, but only on a symbol of the alphabet.
+        check_symbols(aut, (symbol,))
+    claimed: set[int] = set()
+    out_sets: list[frozenset[int]] = []
+    out_ranks: list[int] = []
+    fresh = len(sets) + 1
+    for block, rank in zip(sets, ranks):
+        image = successors(aut, block, symbol)
+        restricted = image - claimed
+        claimed |= image
+        out_sets += (restricted & aut.accepting, restricted - aut.accepting)
+        out_ranks += (fresh, rank)
+        fresh += 1
+    return tuple(out_sets), tuple(out_ranks)
+
+
+def _prune(sets: Sets, ranks: Ranks) -> tuple[Sets, Ranks, frozenset[int], frozenset[int]]:
+    """Pruned sets and ranks plus the green and red ranks."""
+    out_sets: list[frozenset[int]] = []
+    out_ranks: list[int] = []
+    marks: set[int] = set()
+    for block, rank in zip(sets, ranks):
+        if block:
+            out_sets.append(block)
+            out_ranks.append(rank)
+        else:
+            marks.add(rank)
+            if out_ranks and rank < out_ranks[-1]:
+                out_ranks[-1] = rank
+    surviving = frozenset(out_ranks)
+    return tuple(out_sets), tuple(out_ranks), surviving & marks, frozenset(ranks) - surviving
+
+
 def _choose(
-    masks: tuple[int, ...],
-    ranks: tuple[int, ...],
+    sets: Sets,
+    ranks: Ranks,
     k: int,
-    green: int,
+    green: frozenset[int],
     strategy: MergeStrategy,
     explored: UnionIndex,
 ) -> IntervalPartition:
@@ -314,47 +317,43 @@ def _choose(
         shape = unflatten(ranks)
         cuts = set(range(1, n))
         for pos, rank in enumerate(ranks, start=1):
-            if green >> rank & 1:
+            if rank in green:
                 cuts.difference_update(range(shape.left_boundary_of[pos - 1] + 1, pos))
         return _partition_from_cuts(n, cuts)
+    # The adaptive index is keyed by bitmasks (see _remember).
+    masks = tuple([to_mask(block) for block in sets])
     found = _reuse(masks, ranks, k, _union(masks), explored, 1)
     if found is not None:
         return _partition_from_cuts(n, found[0])
-    return _choose(masks, ranks, k, green, STRATEGIES[strategy.fallback], explored)
+    return _choose(sets, ranks, k, green, STRATEGIES[strategy.fallback], explored)
 
 
-def _merge(masks: tuple[int, ...], ranks: tuple[int, ...], partition: IntervalPartition) -> Macrostate:
-    n = len(masks)
-    out_masks: list[int] = []
+def _merge(sets: Sets, ranks: Ranks, partition: IntervalPartition) -> tuple[Sets, Ranks]:
+    n = len(sets)
+    out_sets: list[frozenset[int]] = []
     out_ranks: list[int] = []
     covered = 0
     for lo, hi in partition:
         if lo != covered + 1 or hi < lo or hi > n:
             raise InternalInvariantError(f"partition {partition} does not tile 1..{n}")
         covered = hi
-        block = 0
-        for mask in masks[lo - 1 : hi]:
-            block |= mask
-        out_masks.append(block)
+        out_sets.append(frozenset().union(*sets[lo - 1 : hi]))
         out_ranks.append(min(ranks[lo - 1 : hi]))
     if covered != n:
         raise InternalInvariantError(f"partition {partition} does not cover 1..{n}")
-    return tuple(out_masks), tuple(out_ranks)
+    return tuple(out_sets), tuple(out_ranks)
 
 
-_SINK: Macrostate = ((), ())
-
-
-def _normalize(masks: tuple[int, ...], ranks: tuple[int, ...]) -> Macrostate:
+def _normalize(sets: Sets, ranks: Ranks) -> tuple[Sets, Ranks]:
     """Compact ranks onto ``1..n``, checking non-empty sets and the ranks on the way.
 
     Disjointness is not checked again: the ``PreSlice`` constructor checks it
     for the public :func:`normalize`, and ``_step``, ``_prune`` and ``_merge``
     keep the sets disjoint.
     """
-    if not masks:
-        return _SINK
-    if not all(masks):
+    if not sets:
+        return sets, ranks
+    if not all(sets):
         raise InternalInvariantError("normalize requires a pre-slice without empty sets")
     order = sorted(ranks)
     if order[0] < 1 or len(set(order)) != len(order):
@@ -362,42 +361,48 @@ def _normalize(masks: tuple[int, ...], ranks: tuple[int, ...]) -> Macrostate:
     if ranks[-1] != order[0]:
         raise InvalidSliceError("the rightmost set must carry rank 1")
     dense = {rank: i for i, rank in enumerate(order, start=1)}
-    return masks, tuple([dense[rank] for rank in ranks])
+    return sets, tuple([dense[rank] for rank in ranks])
 
 
 def _stages(
-    aut: BuchiAutomaton,
-    post: SuccessorMasks,
-    source: Macrostate,
-    symbol: str,
-    strategy: MergeStrategy,
-    explored: UnionIndex,
+    aut: BuchiAutomaton, source: RankedSlice, symbol: str, strategy: MergeStrategy, explored: UnionIndex
 ) -> TransitionTrace:
     """Every stage of one transition from ``source``, by the staged kernels."""
-    masks, ranks = source
-    if masks:
-        stepped = _step(post, aut.accepting_mask, masks, ranks)  # type: ignore[attr-defined]
+    stepped = _step(aut, symbol, source.sets, source.ranks)
+    if source.sets:
         *pruned, green, red = _prune(*stepped)
-        k, priority = _dominating(green, red, aut.num_states)
+        k, priority = dominating_rank(green, red, aut.num_states)
         partition = _choose(*pruned, k, green, strategy, explored)
         merged = _merge(*pruned, partition)
     else:
         # Sink self-loop: rank 1 stays dead, so the edge keeps priority 1.
-        stepped = pruned = merged = _SINK
-        green, red, k, priority, partition = 0, 1 << 1, 1, 1, ()
+        pruned = merged = stepped
+        green, red, k, priority, partition = frozenset(), frozenset({1}), 1, 1, ()
     return TransitionTrace(
-        source=_ranked(masks, ranks),
+        source=source,
         symbol=symbol,
-        stepped=_pre(*stepped),
-        pruned=_pre(*pruned),
-        green=from_mask(green),
-        red=from_mask(red),
+        stepped=PreSlice(*stepped),
+        pruned=PreSlice(*pruned),
+        green=green,
+        red=red,
         dominating=k,
         priority=priority,
         partition=partition,
-        merged=_pre(*merged),
-        successor=_ranked(*_normalize(*merged)),
+        merged=PreSlice(*merged),
+        successor=RankedSlice(*_normalize(*merged)),
     )
+
+
+# --- The fused kernel on (masks, ranks) macrostates --------------------------
+
+
+_SINK: Macrostate = ((), ())
+
+
+def _dominating(green: int, red: int, num_states: int) -> tuple[int, int]:
+    active = green | red
+    k = (active & -active).bit_length() - 1 if active else num_states + 1
+    return k, 2 * k if green >> k & 1 else 2 * k - 1
 
 
 def _successor(
@@ -530,17 +535,11 @@ def _compact(masks: tuple[int, ...], ranks: list[int], present: int) -> Macrosta
     return masks, tuple([(present & ((2 << rank) - 1)).bit_count() for rank in ranks])
 
 
-# --- Conversion at the PreSlice/RankedSlice boundary --------------------------
+# --- Conversion between slices and macrostates -------------------------------
 
 
-def _key(slice_: PreSlice | RankedSlice) -> Macrostate:
+def _key(slice_: RankedSlice) -> Macrostate:
     return tuple([to_mask(block) for block in slice_.sets]), slice_.ranks
-
-
-def _source(aut: BuchiAutomaton, slice_: RankedSlice) -> Macrostate:
-    if any(q >= aut.num_states for block in slice_.sets for q in block):
-        raise InvalidAutomatonError(f"slice holds a state out of range for {aut.num_states} states")
-    return _key(slice_)
 
 
 def _explored(strategy: MergeStrategy, context: Iterable[RankedSlice]) -> UnionIndex:
@@ -549,10 +548,6 @@ def _explored(strategy: MergeStrategy, context: Iterable[RankedSlice]) -> UnionI
         for key in map(_key, context):
             _remember(index, key)
     return index
-
-
-def _pre(masks: tuple[int, ...], ranks: tuple[int, ...]) -> PreSlice:
-    return PreSlice(sets=tuple([from_mask(mask) for mask in masks]), ranks=ranks)
 
 
 def _ranked(masks: tuple[int, ...], ranks: tuple[int, ...]) -> RankedSlice:
@@ -570,8 +565,7 @@ def restricted_successors(aut: BuchiAutomaton, slice_: RankedSlice, q: int, symb
 
 def step(aut: BuchiAutomaton, slice_: RankedSlice, symbol: str) -> PreSlice:
     """Advance one split-tree level: per position, accepting then non-accepting successors."""
-    post = aut.post(symbol)
-    return _pre(*_step(post, aut.accepting_mask, *_source(aut, slice_)))  # type: ignore[attr-defined]
+    return PreSlice(*_step(aut, symbol, slice_.sets, slice_.ranks))
 
 
 def prune(pre: PreSlice) -> tuple[PreSlice, frozenset[int], frozenset[int]]:
@@ -580,8 +574,8 @@ def prune(pre: PreSlice) -> tuple[PreSlice, frozenset[int], frozenset[int]]:
     Returns the pruned pre-slice together with the green ranks (survivors
     that marked an empty set) and the red ranks (non-survivors).
     """
-    masks, ranks, green, red = _prune(*_key(pre))
-    return _pre(masks, ranks), from_mask(green), from_mask(red)
+    sets, ranks, green, red = _prune(pre.sets, pre.ranks)
+    return PreSlice(sets, ranks), green, red
 
 
 def dominating_rank(green: frozenset[int], red: frozenset[int], num_states: int) -> tuple[int, int]:
@@ -590,10 +584,12 @@ def dominating_rank(green: frozenset[int], red: frozenset[int], num_states: int)
     With no active ranks the dominating rank defaults to ``num_states + 1``
     and the priority is odd.
     """
-    green_mask, red_mask = to_mask(green), to_mask(red)
-    if green_mask & red_mask:
-        raise InternalInvariantError(f"green and red overlap: {sorted(from_mask(green_mask & red_mask))}")
-    return _dominating(green_mask, red_mask, num_states)
+    overlap = green & red
+    if overlap:
+        raise InternalInvariantError(f"green and red overlap: {sorted(overlap)}")
+    active = green | red
+    k = min(active) if active else num_states + 1
+    return k, 2 * k if k in green else 2 * k - 1
 
 
 def iter_valid_partitions(pre: PreSlice, k: int) -> Iterator[IntervalPartition]:
@@ -642,17 +638,17 @@ def choose_partition(
     first in the order of :func:`iter_valid_partitions` wins.
     """
     strategy = as_strategy(strategy)
-    return _choose(*_key(pre), k, to_mask(green), strategy, _explored(strategy, context))
+    return _choose(pre.sets, pre.ranks, k, green, strategy, _explored(strategy, context))
 
 
 def merge(pre: PreSlice, partition: IntervalPartition) -> PreSlice:
     """Union the sets and keep the minimum rank within each interval."""
-    return _pre(*_merge(*_key(pre), partition))
+    return PreSlice(*_merge(pre.sets, pre.ranks, partition))
 
 
 def normalize(pre: PreSlice) -> RankedSlice:
     """Compact pairwise distinct ranks onto ``1..n`` preserving their order."""
-    return _ranked(*_normalize(*_key(pre)))
+    return RankedSlice(*_normalize(pre.sets, pre.ranks))
 
 
 def transition(
@@ -670,7 +666,7 @@ def transition(
     reaches it.
     """
     strategy = as_strategy(strategy)
-    return _stages(aut, aut.post(symbol), _source(aut, slice_), symbol, strategy, _explored(strategy, context))
+    return _stages(aut, slice_, symbol, strategy, _explored(strategy, context))
 
 
 def initial_slice(aut: BuchiAutomaton) -> RankedSlice:
@@ -717,7 +713,7 @@ def determinize(
         for symbol, post in posts:
             succ, priority = _successor(post, accepting, aut.num_states, current, strategy, index)
             if validate:
-                trace = _stages(aut, post, current, symbol, strategy, index)
+                trace = _stages(aut, _ranked(*current), symbol, strategy, index)
                 if (_key(trace.successor), trace.priority) != (succ, priority):
                     raise InternalInvariantError(
                         f"on {symbol!r} from {format_slice(trace.source)} the fused kernel gives "

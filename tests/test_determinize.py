@@ -1,6 +1,7 @@
 import hashlib
 import importlib
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -29,7 +30,7 @@ from omegadet.determinize import (
     step,
     transition,
 )
-from omegadet.nba import InvalidAutomatonError, parse_nba, to_mask
+from omegadet.nba import BuchiAutomaton, InvalidAutomatonError, UnknownSymbolError, parse_nba, to_mask
 from omegadet.oracle import random_nba
 from omegadet.parity import serialize_dpa
 from omegadet.slices import InvalidSliceError, PreSlice, RankedSlice, format_slice, parse_preslice, parse_slice
@@ -325,6 +326,46 @@ def test_transition_inside_sink(medium_nba):
     assert out.priority == 1 and out.dominating == 1
 
 
+def test_stage_functions_reject_a_foreign_symbol_on_the_sink(medium_nba):
+    sink = RankedSlice(sets=(), ranks=())
+    with pytest.raises(UnknownSymbolError):
+        step(medium_nba, sink, "z")
+    for strategy in ("ms", "safra", "max", "adaptive"):
+        with pytest.raises(UnknownSymbolError):
+            transition(medium_nba, sink, "z", strategy)
+
+
+def test_stage_functions_use_memory_by_slice_size_not_by_the_largest_id_or_rank():
+    # One bit per state id or rank would take 12.5 MB for the id and 125 MB
+    # for the rank.
+    big_id, big_rank = 10**8, 10**9
+    aut = BuchiAutomaton(
+        num_states=big_id + 1, alphabet=("a",), transitions={(big_id, "a", 0)}, initial={0}, accepting=()
+    )
+    source = RankedSlice(sets=(frozenset({big_id}), frozenset({0})), ranks=(2, 1))
+    pre = PreSlice(sets=(frozenset({big_id}), frozenset({0})), ranks=(big_rank, 1))
+    stepped = PreSlice(sets=(frozenset({big_id}), frozenset(), frozenset({0})), ranks=(2, big_rank, 1))
+    green = frozenset({big_rank})
+    calls = {
+        "normalize": lambda: normalize(pre),
+        "merge": lambda: merge(pre, ((1, 2),)),
+        "prune": lambda: prune(stepped),
+        "dominating_rank": lambda: dominating_rank(green, frozenset({1}), 3),
+        "step": lambda: step(aut, source, "a"),
+    }
+    for strategy in ("ms", "safra", "max"):
+        calls[f"choose_partition {strategy}"] = lambda s=strategy: choose_partition(pre, 1, green, s)
+        calls[f"transition {strategy}"] = lambda s=strategy: transition(aut, source, "a", s)
+    tracemalloc.start()
+    try:
+        for name, call in calls.items():
+            tracemalloc.reset_peak()
+            call()
+            assert tracemalloc.get_traced_memory()[1] < 2**20, name
+    finally:
+        tracemalloc.stop()
+
+
 # SHA-256 over every field of the staged traces of the replayed corpus edges
 # below, recorded before the staged kernels built the public trace themselves.
 GOLDEN_TRACE_SHA256 = {
@@ -422,25 +463,24 @@ def successor_scenarios(draw):
     ranks = tuple(draw(st.permutations(range(2, len(masks) + 1))) + [1])
     symbol = draw(st.sampled_from(alphabet))
     strategy = draw(st.sampled_from((MULLER_SCHUPP, SAFRA, MAX_COLLAPSE, *ADAPTIVE_FALLBACKS)))
-    post = aut.post(symbol)
     context = []
     adaptive = strategy.kind == "adaptive"
     hit = adaptive and draw(st.booleans())
     if adaptive:
-        stages = pipeline._stages(aut, post, (masks, ranks), symbol, strategy, {})
-        pruned_masks, pruned_ranks = pipeline._key(stages.pruned)
-        hit = hit and bool(pruned_masks)
+        stages = pipeline._stages(aut, pipeline._ranked(masks, ranks), symbol, strategy, {})
+        hit = hit and bool(stages.pruned.sets)
         if hit:
             context.append(pipeline._key(stages.successor))
-        n = len(pruned_masks)
+        n = len(stages.pruned)
         for _ in range(draw(st.integers(0, 4)) if n else 0):
             # Merges under arbitrary interval partitions, which may break the
             # forced cuts, with their own or with shuffled ranks.
             decoy_cuts = sorted(draw(st.sets(st.integers(1, n - 1)))) if n > 1 else []
             partition = tuple(zip([1] + [c + 1 for c in decoy_cuts], decoy_cuts + [n]))
-            merged_masks, merged_ranks = pipeline._merge(pruned_masks, pruned_ranks, partition)
+            merged = merge(stages.pruned, partition)
+            merged_masks = tuple(to_mask(block) for block in merged.sets)
             if draw(st.booleans()):
-                context.append(pipeline._normalize(merged_masks, merged_ranks))
+                context.append(pipeline._key(normalize(merged)))
             else:
                 order = tuple(draw(st.permutations(range(2, len(merged_masks) + 1))) + [1])
                 context.append((merged_masks, order))
@@ -501,7 +541,7 @@ def test_fused_successor_matches_the_staged_kernels(scenario):
     for key in context:
         pipeline._remember(index, key)
     post = aut.post(symbol)
-    stages = pipeline._stages(aut, post, source, symbol, strategy, index)
+    stages = pipeline._stages(aut, pipeline._ranked(*source), symbol, strategy, index)
     fused = pipeline._successor(post, aut.accepting_mask, aut.num_states, source, strategy, index)
     assert fused == (pipeline._key(stages.successor), stages.priority)
     if hit:
