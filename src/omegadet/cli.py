@@ -21,7 +21,6 @@ from .determinize import (
     STRATEGIES,
     CapacityError,
     InternalInvariantError,
-    as_strategy,
     determinize,
     transition,
 )
@@ -154,7 +153,7 @@ def _load_nba(path: str) -> BuchiAutomaton:
 
 def cmd_determinize(args) -> int:
     aut = _load_nba(args.input)
-    dpa = determinize(aut, as_strategy(args.strategy), cap=args.cap, labels=args.labels)
+    dpa = determinize(aut, args.strategy, cap=args.cap, labels=args.labels)
     data = serialize_dpa(dpa)
     if args.output:
         Path(args.output).write_bytes(data)
@@ -175,7 +174,7 @@ def cmd_check(args) -> int:
                 f"alphabet mismatch: nba {aut.alphabet} vs dpa {dpa.alphabet}"
             )
     else:
-        dpa = determinize(aut, as_strategy(args.strategy), cap=args.cap, labels=False)
+        dpa = determinize(aut, args.strategy, cap=args.cap, labels=False)
     if args.random is not None:
         lassos = sample_lassos(aut.alphabet, args.random, args.max_u, args.max_v, args.seed)
         words = ((lasso.stem, lasso.cycle) for lasso in lassos)
@@ -297,18 +296,17 @@ def cmd_trace(args) -> int:
     aut = _load_nba(args.input)
     lasso = parse_lasso(args.lasso)
     check_symbols(aut, lasso.stem + lasso.cycle)
-    strategy = as_strategy(args.strategy)
     # Under adaptive a successor depends on what was explored before it, so the
     # trace replays the DPA's edges and recomputes each one's stages with the
     # edge target as the only context, which fixes the partition that reaches it.
-    dpa = determinize(aut, strategy, cap=args.cap, labels=True)
+    dpa = determinize(aut, args.strategy, cap=args.cap, labels=True)
     print(f"initial: {dpa.labels[dpa.initial]}")
     step_numbers = itertools.count(1)
 
     def advance(state: int, symbol: str) -> tuple[int, int]:
         target, priority = dpa.follow(state, symbol)
         expected = parse_slice(dpa.labels[target])
-        trace = transition(aut, parse_slice(dpa.labels[state]), symbol, strategy, (expected,))
+        trace = transition(aut, parse_slice(dpa.labels[state]), symbol, args.strategy, (expected,))
         number = next(step_numbers)
         if trace.successor != expected or trace.priority != priority:
             raise InternalInvariantError(

@@ -44,18 +44,18 @@ scan the finer set counts, stopping at the first with a match, and on a miss
 apply the fallback.  The staged ``_choose`` scans every count with no probe,
 so ``validate=True`` checks the probe against an independent lookup.
 
-The staged kernels (``_step``, ``_prune``, ``_choose``, ``_merge`` and
-``_normalize``) state each stage on what the public API speaks: tuples of
-frozensets, tuples of ranks, and frozensets of green and red ranks.
-``_stages`` runs them into one public :class:`TransitionTrace`.  ``step``,
-``prune``, ``merge``, ``normalize``, ``choose_partition``,
-``dominating_rank`` and ``transition``, and so ``omegadet trace``, pass
-their slices straight through, so their memory grows with the slice and not
-with its largest state id or rank.  Only the adaptive branch of ``_choose``
+The public stage functions ``step``, ``prune``, ``dominating_rank``,
+``merge`` and ``normalize`` are the staged reference.  Each states its stage
+on slices, frozensets of state ids and tuples of ranks, so its memory grows
+with the slice and not with its largest state id or rank.  ``_choose``, which
+``choose_partition`` wraps, picks the partition; only its adaptive branch
 encodes the pruned sets as bitmasks, for the lookup it shares with the fused
-kernel.  ``determinize(validate=True)`` runs ``_stages`` and the fused kernel
-on every edge and requires the same successor and priority, so the set
-arithmetic checks the mask arithmetic instead of sharing it.
+kernel.  ``_stages`` runs them in turn into one :class:`TransitionTrace`, for
+``transition`` and so ``omegadet trace``.  ``determinize(validate=True)``
+runs ``_stages`` and the fused kernel on every edge and requires the same
+successor and priority, so the set arithmetic checks the mask arithmetic
+instead of sharing it, and ``dominating_rank`` is the one set-based
+statement of the priority rule.
 """
 from __future__ import annotations
 
@@ -121,8 +121,6 @@ def as_strategy(value: MergeStrategy | str) -> MergeStrategy:
 Interval = tuple[int, int]
 IntervalPartition = tuple[Interval, ...]
 Macrostate = tuple[tuple[int, ...], tuple[int, ...]]
-Sets = tuple[frozenset[int], ...]
-Ranks = tuple[int, ...]
 # Explored macrostates grouped by the union of their state sets and their
 # number of sets, each mapped to itself so that a lookup returns the explored
 # object.  Fill it through _remember only.
@@ -173,15 +171,6 @@ def _partition_from_cuts(n: int, cuts: Iterable[int]) -> IntervalPartition:
     if n:
         intervals.append((lo, n))
     return tuple(intervals)
-
-
-def _iter_partitions(ranks: tuple[int, ...], k: int) -> Iterator[IntervalPartition]:
-    n = len(ranks)
-    forced = _forced_cuts(ranks, k)
-    free = [c for c in range(1, n) if c not in forced]
-    for size in range(len(free) + 1):
-        for extra in itertools.combinations(free, size):
-            yield _partition_from_cuts(n, forced.union(extra))
 
 
 def _union(masks: tuple[int, ...]) -> int:
@@ -246,7 +235,7 @@ def _reuse(
     Merge keeps the state union, and a partition into ``m`` intervals gives
     ``m`` sets, so only explored macrostates keyed ``(union, m)`` can be
     reached, for ``m`` from ``fewest`` up to the number of pruned sets.  The
-    first match in the order of _iter_partitions wins: fewest cuts, so the
+    first match in the order of iter_valid_partitions wins: fewest cuts, so the
     scan stops at the first count with a match, then the lexicographic order
     of cuts within that count.
     """
@@ -261,33 +250,38 @@ def _reuse(
     return None
 
 
-# --- Staged kernels on state sets and ranks ----------------------------------
+# --- The staged reference on slices ------------------------------------------
 
 
-def _step(aut: BuchiAutomaton, symbol: str, sets: Sets, ranks: Ranks) -> tuple[Sets, Ranks]:
-    if not sets:
+def step(aut: BuchiAutomaton, slice_: RankedSlice, symbol: str) -> PreSlice:
+    """Advance one split-tree level: per position, accepting then non-accepting successors."""
+    if not slice_.sets:
         # The sink steps to itself, but only on a symbol of the alphabet.
         check_symbols(aut, (symbol,))
     claimed: set[int] = set()
     out_sets: list[frozenset[int]] = []
     out_ranks: list[int] = []
-    fresh = len(sets) + 1
-    for block, rank in zip(sets, ranks):
+    fresh = len(slice_) + 1
+    for block, rank in zip(slice_.sets, slice_.ranks):
         image = successors(aut, block, symbol)
         restricted = image - claimed
         claimed |= image
         out_sets += (restricted & aut.accepting, restricted - aut.accepting)
         out_ranks += (fresh, rank)
         fresh += 1
-    return tuple(out_sets), tuple(out_ranks)
+    return PreSlice(tuple(out_sets), tuple(out_ranks))
 
 
-def _prune(sets: Sets, ranks: Ranks) -> tuple[Sets, Ranks, frozenset[int], frozenset[int]]:
-    """Pruned sets and ranks plus the green and red ranks."""
+def prune(pre: PreSlice) -> tuple[PreSlice, frozenset[int], frozenset[int]]:
+    """Drop empty sets; relocate ranks leftward by block minimum.
+
+    Returns the pruned pre-slice together with the green ranks (survivors
+    that marked an empty set) and the red ranks (non-survivors).
+    """
     out_sets: list[frozenset[int]] = []
     out_ranks: list[int] = []
     marks: set[int] = set()
-    for block, rank in zip(sets, ranks):
+    for block, rank in zip(pre.sets, pre.ranks):
         if block:
             out_sets.append(block)
             out_ranks.append(rank)
@@ -296,40 +290,50 @@ def _prune(sets: Sets, ranks: Ranks) -> tuple[Sets, Ranks, frozenset[int], froze
             if out_ranks and rank < out_ranks[-1]:
                 out_ranks[-1] = rank
     surviving = frozenset(out_ranks)
-    return tuple(out_sets), tuple(out_ranks), surviving & marks, frozenset(ranks) - surviving
+    return PreSlice(tuple(out_sets), tuple(out_ranks)), surviving & marks, frozenset(pre.ranks) - surviving
+
+
+def dominating_rank(green: frozenset[int], red: frozenset[int], num_states: int) -> tuple[int, int]:
+    """Minimum active rank and the edge priority it induces.
+
+    With no active ranks the dominating rank defaults to ``num_states + 1``
+    and the priority is odd.
+    """
+    overlap = green & red
+    if overlap:
+        raise InternalInvariantError(f"green and red overlap: {sorted(overlap)}")
+    active = green | red
+    k = min(active) if active else num_states + 1
+    return k, 2 * k if k in green else 2 * k - 1
 
 
 def _choose(
-    sets: Sets,
-    ranks: Ranks,
-    k: int,
-    green: frozenset[int],
-    strategy: MergeStrategy,
-    explored: UnionIndex,
+    pre: PreSlice, k: int, green: frozenset[int], strategy: MergeStrategy, explored: UnionIndex
 ) -> IntervalPartition:
-    n = len(ranks)
+    n = len(pre)
     if strategy.kind == "ms":
         positions = range(1, n + 1)
         return tuple(zip(positions, positions))
     if strategy.kind == "max":
-        return _partition_from_cuts(n, _forced_cuts(ranks, k))
+        return _partition_from_cuts(n, _forced_cuts(pre.ranks, k))
     if strategy.kind == "safra":
-        shape = unflatten(ranks)
+        shape = unflatten(pre.ranks)
         cuts = set(range(1, n))
-        for pos, rank in enumerate(ranks, start=1):
+        for pos, rank in enumerate(pre.ranks, start=1):
             if rank in green:
                 cuts.difference_update(range(shape.left_boundary_of[pos - 1] + 1, pos))
         return _partition_from_cuts(n, cuts)
     # The adaptive index is keyed by bitmasks (see _remember).
-    masks = tuple([to_mask(block) for block in sets])
-    found = _reuse(masks, ranks, k, _union(masks), explored, 1)
+    masks = tuple([to_mask(block) for block in pre.sets])
+    found = _reuse(masks, pre.ranks, k, _union(masks), explored, 1)
     if found is not None:
         return _partition_from_cuts(n, found[0])
-    return _choose(sets, ranks, k, green, STRATEGIES[strategy.fallback], explored)
+    return _choose(pre, k, green, STRATEGIES[strategy.fallback], explored)
 
 
-def _merge(sets: Sets, ranks: Ranks, partition: IntervalPartition) -> tuple[Sets, Ranks]:
-    n = len(sets)
+def merge(pre: PreSlice, partition: IntervalPartition) -> PreSlice:
+    """Union the sets and keep the minimum rank within each interval."""
+    n = len(pre)
     out_sets: list[frozenset[int]] = []
     out_ranks: list[int] = []
     covered = 0
@@ -337,43 +341,43 @@ def _merge(sets: Sets, ranks: Ranks, partition: IntervalPartition) -> tuple[Sets
         if lo != covered + 1 or hi < lo or hi > n:
             raise InternalInvariantError(f"partition {partition} does not tile 1..{n}")
         covered = hi
-        out_sets.append(frozenset().union(*sets[lo - 1 : hi]))
-        out_ranks.append(min(ranks[lo - 1 : hi]))
+        out_sets.append(frozenset().union(*pre.sets[lo - 1 : hi]))
+        out_ranks.append(min(pre.ranks[lo - 1 : hi]))
     if covered != n:
         raise InternalInvariantError(f"partition {partition} does not cover 1..{n}")
-    return tuple(out_sets), tuple(out_ranks)
+    return PreSlice(tuple(out_sets), tuple(out_ranks))
 
 
-def _normalize(sets: Sets, ranks: Ranks) -> tuple[Sets, Ranks]:
-    """Compact ranks onto ``1..n``, checking non-empty sets and the ranks on the way.
+def normalize(pre: PreSlice) -> RankedSlice:
+    """Compact pairwise distinct ranks onto ``1..n`` preserving their order.
 
-    Disjointness is not checked again: the ``PreSlice`` constructor checks it
-    for the public :func:`normalize`, and ``_step``, ``_prune`` and ``_merge``
-    keep the sets disjoint.
+    Checks that the sets are non-empty and the ranks positive, the rightmost
+    the least.  Disjointness is not checked again: the ``PreSlice``
+    constructor did.
     """
-    if not sets:
-        return sets, ranks
-    if not all(sets):
+    if not pre.sets:
+        return RankedSlice(pre.sets, pre.ranks)
+    if not all(pre.sets):
         raise InternalInvariantError("normalize requires a pre-slice without empty sets")
-    order = sorted(ranks)
+    order = sorted(pre.ranks)
     if order[0] < 1 or len(set(order)) != len(order):
-        raise InternalInvariantError(f"normalize requires pairwise distinct positive ranks, got {ranks}")
-    if ranks[-1] != order[0]:
+        raise InternalInvariantError(f"normalize requires pairwise distinct positive ranks, got {pre.ranks}")
+    if pre.ranks[-1] != order[0]:
         raise InvalidSliceError("the rightmost set must carry rank 1")
     dense = {rank: i for i, rank in enumerate(order, start=1)}
-    return sets, tuple([dense[rank] for rank in ranks])
+    return RankedSlice(pre.sets, tuple([dense[rank] for rank in pre.ranks]))
 
 
 def _stages(
     aut: BuchiAutomaton, source: RankedSlice, symbol: str, strategy: MergeStrategy, explored: UnionIndex
 ) -> TransitionTrace:
-    """Every stage of one transition from ``source``, by the staged kernels."""
-    stepped = _step(aut, symbol, source.sets, source.ranks)
+    """Every stage of one transition from ``source``, by the staged reference."""
+    stepped = step(aut, source, symbol)
     if source.sets:
-        *pruned, green, red = _prune(*stepped)
+        pruned, green, red = prune(stepped)
         k, priority = dominating_rank(green, red, aut.num_states)
-        partition = _choose(*pruned, k, green, strategy, explored)
-        merged = _merge(*pruned, partition)
+        partition = _choose(pruned, k, green, strategy, explored)
+        merged = merge(pruned, partition)
     else:
         # Sink self-loop: rank 1 stays dead, so the edge keeps priority 1.
         pruned = merged = stepped
@@ -381,15 +385,15 @@ def _stages(
     return TransitionTrace(
         source=source,
         symbol=symbol,
-        stepped=PreSlice(*stepped),
-        pruned=PreSlice(*pruned),
+        stepped=stepped,
+        pruned=pruned,
         green=green,
         red=red,
         dominating=k,
         priority=priority,
         partition=partition,
-        merged=PreSlice(*merged),
-        successor=RankedSlice(*_normalize(*merged)),
+        merged=merged,
+        successor=normalize(merged),
     )
 
 
@@ -563,35 +567,6 @@ def restricted_successors(aut: BuchiAutomaton, slice_: RankedSlice, q: int, symb
     return aut.successors_of(q, symbol) - stolen
 
 
-def step(aut: BuchiAutomaton, slice_: RankedSlice, symbol: str) -> PreSlice:
-    """Advance one split-tree level: per position, accepting then non-accepting successors."""
-    return PreSlice(*_step(aut, symbol, slice_.sets, slice_.ranks))
-
-
-def prune(pre: PreSlice) -> tuple[PreSlice, frozenset[int], frozenset[int]]:
-    """Drop empty sets; relocate ranks leftward by block minimum.
-
-    Returns the pruned pre-slice together with the green ranks (survivors
-    that marked an empty set) and the red ranks (non-survivors).
-    """
-    sets, ranks, green, red = _prune(pre.sets, pre.ranks)
-    return PreSlice(sets, ranks), green, red
-
-
-def dominating_rank(green: frozenset[int], red: frozenset[int], num_states: int) -> tuple[int, int]:
-    """Minimum active rank and the edge priority it induces.
-
-    With no active ranks the dominating rank defaults to ``num_states + 1``
-    and the priority is odd.
-    """
-    overlap = green & red
-    if overlap:
-        raise InternalInvariantError(f"green and red overlap: {sorted(overlap)}")
-    active = green | red
-    k = min(active) if active else num_states + 1
-    return k, 2 * k if k in green else 2 * k - 1
-
-
 def iter_valid_partitions(pre: PreSlice, k: int) -> Iterator[IntervalPartition]:
     """All interval partitions permitted for the merge stage, coarsest first.
 
@@ -599,7 +574,12 @@ def iter_valid_partitions(pre: PreSlice, k: int) -> Iterator[IntervalPartition]:
     their optional boundary positions; the all-singleton partition is always
     last and always present.
     """
-    return _iter_partitions(pre.ranks, k)
+    n = len(pre)
+    forced = _forced_cuts(pre.ranks, k)
+    free = [c for c in range(1, n) if c not in forced]
+    for size in range(len(free) + 1):
+        for extra in itertools.combinations(free, size):
+            yield _partition_from_cuts(n, forced.union(extra))
 
 
 def is_valid_partition(pre: PreSlice, k: int, partition: IntervalPartition) -> bool:
@@ -609,7 +589,7 @@ def is_valid_partition(pre: PreSlice, k: int, partition: IntervalPartition) -> b
         return partition == ()
     expected_lo = 1
     for lo, hi in partition:
-        if lo != expected_lo or hi < lo:
+        if lo != expected_lo or hi < lo or hi > n:
             return False
         expected_lo = hi + 1
         for pos in range(lo, hi + 1):
@@ -638,17 +618,7 @@ def choose_partition(
     first in the order of :func:`iter_valid_partitions` wins.
     """
     strategy = as_strategy(strategy)
-    return _choose(pre.sets, pre.ranks, k, green, strategy, _explored(strategy, context))
-
-
-def merge(pre: PreSlice, partition: IntervalPartition) -> PreSlice:
-    """Union the sets and keep the minimum rank within each interval."""
-    return PreSlice(*_merge(pre.sets, pre.ranks, partition))
-
-
-def normalize(pre: PreSlice) -> RankedSlice:
-    """Compact pairwise distinct ranks onto ``1..n`` preserving their order."""
-    return RankedSlice(*_normalize(pre.sets, pre.ranks))
+    return _choose(pre, k, green, strategy, _explored(strategy, context))
 
 
 def transition(
@@ -687,9 +657,9 @@ def determinize(
     Macrostates are deduplicated by structural slice equality and numbered in
     discovery order, so the output is a deterministic function of the input
     automaton and strategy.  ``validate`` recomputes every generated
-    transition with the staged kernels, requires their successor and priority
+    transition with the staged reference, requires its successor and priority
     to equal the fused kernel's, and re-checks the pipeline invariants on
-    their stages.  ``labels`` annotates every state with its
+    its stages.  ``labels`` annotates every state with its
     canonical slice string.  Exceeding ``cap`` macrostates raises
     :class:`CapacityError`; ``cap`` must be at least 1, for the initial
     macrostate, or :class:`ValueError` is raised.
@@ -758,24 +728,17 @@ def _labels(ids: dict[Macrostate, int]) -> dict[int, str]:
 
 
 def check_transition_invariants(aut: BuchiAutomaton, trace: TransitionTrace) -> None:
-    """Assert conservation, the parity rule, and partition constraints; slices checked disjointness."""
+    """Assert that every stage keeps the successor union and that the partition is permitted.
+
+    The priority is :func:`dominating_rank`'s, which ``validate=True``
+    compares with the fused kernel's; the slice constructors checked
+    disjointness.
+    """
     expected = successors(aut, trace.source.state_set, trace.symbol)
     for name, stage in (("step", trace.stepped), ("prune", trace.pruned), ("merge", trace.merged)):
         if stage.state_set != expected:
             raise InternalInvariantError(f"{name} changed the successor union")
     if trace.successor.state_set != expected:
         raise InternalInvariantError("normalize changed the successor union")
-    if trace.green & trace.red:
-        raise InternalInvariantError("green and red ranks overlap")
-    active = trace.green | trace.red
-    expected_k = min(active) if active else aut.num_states + 1
-    if trace.dominating != expected_k:
-        raise InternalInvariantError("dominating rank does not match the active ranks")
-    even = trace.priority % 2 == 0
-    if even != (trace.dominating in trace.green):
-        raise InternalInvariantError("priority parity does not match the dominating event")
-    expected_priority = 2 * trace.dominating if even else 2 * trace.dominating - 1
-    if trace.priority != expected_priority:
-        raise InternalInvariantError("priority value does not match the dominating rank")
     if not is_valid_partition(trace.pruned, trace.dominating, trace.partition):
         raise InternalInvariantError(f"merge partition {trace.partition} violates the constraints")

@@ -146,6 +146,13 @@ def test_valid_partitions_rank_one_dominating():
     assert list(iter_valid_partitions(pre, 1)) == [((1, 2),), ((1, 1), (2, 2))]
 
 
+def test_is_valid_partition_rejects_an_interval_past_the_last_set():
+    pre = parse_preslice("({0}:2,{1}:1)")
+    assert not is_valid_partition(pre, 1, ((1, 2), (3, 3)))
+    assert not is_valid_partition(pre, 1, ((1, 3),))
+    assert is_valid_partition(pre, 1, ((1, 2),))
+
+
 def test_choose_partition_strategies_wide():
     cases = {
         "ms": "({2}:6,{1}:3,{3}:2,{5}:5,{4}:4,{0}:1)",
@@ -623,7 +630,7 @@ def test_exploration_neither_merges_nor_normalizes(golden_automata, monkeypatch,
     monkeypatch.setattr(pipeline, "_reuse", reuse)
     monkeypatch.setattr(pipeline, "_remember", remember)
     monkeypatch.setattr(pipeline, "_successor", successor)
-    for name in ("_choose", "_merge", "_normalize", "unflatten"):
+    for name in ("_choose", "step", "prune", "merge", "normalize", "unflatten"):
         monkeypatch.setattr(pipeline, name, forbidden(name))
     for aut in golden_automata["grid"]:
         assert determinize(aut, strategy).num_states > 1
