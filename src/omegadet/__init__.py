@@ -22,7 +22,6 @@ from .determinize import (
     merge,
     normalize,
     prune,
-    restricted_successors,
     step,
     transition,
 )
@@ -35,26 +34,9 @@ from .nba import (
     serialize_nba,
     successors,
 )
-from .oracle import (
-    enumerate_lassos,
-    nba_accepts_lasso,
-    random_nba,
-    split_tree_levels,
-)
-from .parity import ParityAutomaton, compact_priorities, parse_dpa, run_lasso, serialize_dpa
+from .oracle import enumerate_lassos, nba_accepts_lasso, random_nba
+from .parity import ParityAutomaton, parse_dpa, run_lasso, serialize_dpa
 from .safra import SafraNode, TreeShape, format_tree, parse_tree, safra_to_slice, slice_to_safra, unflatten
-from .slices import (
-    PreSlice,
-    RankedSlice,
-    compare_profiles,
-    format_slice,
-    index_of,
-    k_cut,
-    left_boundary,
-    parent,
-    parse_slice,
-    rank_profile,
-    subtree_set,
-)
+from .slices import PreSlice, RankedSlice, format_slice, parse_slice
 
 __version__ = "0.1.0"

@@ -66,7 +66,7 @@ from typing import Iterable, Iterator
 
 from .nba import BuchiAutomaton, SuccessorMasks, check_symbols, from_mask, successors, to_mask
 from .parity import ParityAutomaton
-from .slices import InvalidSliceError, PreSlice, RankedSlice, format_entries, format_slice, index_of
+from .slices import PreSlice, RankedSlice, format_entries, format_slice
 from .safra import unflatten
 
 
@@ -351,19 +351,18 @@ def merge(pre: PreSlice, partition: IntervalPartition) -> PreSlice:
 def normalize(pre: PreSlice) -> RankedSlice:
     """Compact pairwise distinct ranks onto ``1..n`` preserving their order.
 
-    Checks that the sets are non-empty and the ranks positive, the rightmost
-    the least.  Disjointness is not checked again: the ``PreSlice``
-    constructor did.
+    Checks that the sets are non-empty and the ranks distinct.  The
+    ``PreSlice`` constructor checked disjointness and positive ranks, and the
+    ``RankedSlice`` constructor rejects the result unless the rightmost rank
+    was the least.
     """
     if not pre.sets:
         return RankedSlice(pre.sets, pre.ranks)
     if not all(pre.sets):
         raise InternalInvariantError("normalize requires a pre-slice without empty sets")
     order = sorted(pre.ranks)
-    if order[0] < 1 or len(set(order)) != len(order):
-        raise InternalInvariantError(f"normalize requires pairwise distinct positive ranks, got {pre.ranks}")
-    if pre.ranks[-1] != order[0]:
-        raise InvalidSliceError("the rightmost set must carry rank 1")
+    if len(set(order)) != len(order):
+        raise InternalInvariantError(f"normalize requires pairwise distinct ranks, got {pre.ranks}")
     dense = {rank: i for i, rank in enumerate(order, start=1)}
     return RankedSlice(pre.sets, tuple([dense[rank] for rank in pre.ranks]))
 
@@ -556,15 +555,6 @@ def _explored(strategy: MergeStrategy, context: Iterable[RankedSlice]) -> UnionI
 
 def _ranked(masks: tuple[int, ...], ranks: tuple[int, ...]) -> RankedSlice:
     return RankedSlice(sets=tuple([from_mask(mask) for mask in masks]), ranks=ranks)
-
-
-def restricted_successors(aut: BuchiAutomaton, slice_: RankedSlice, q: int, symbol: str) -> frozenset[int]:
-    """Successors of ``q`` minus successors of all states in strictly earlier positions."""
-    pos = index_of(slice_, q)
-    stolen: set[int] = set()
-    for block in slice_.sets[: pos - 1]:
-        stolen |= successors(aut, block, symbol)
-    return aut.successors_of(q, symbol) - stolen
 
 
 def iter_valid_partitions(pre: PreSlice, k: int) -> Iterator[IntervalPartition]:

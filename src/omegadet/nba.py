@@ -138,19 +138,20 @@ class BuchiAutomaton:
 class SuccessorMasks(dict):
     """Successor mask of every state-set mask looked up, computed once per mask.
 
-    ``table[q]`` is the successor mask of state ``q``; a state missing from
-    ``table`` has no successors.  Instances are private to one caller (see
+    ``_table[q]`` is the successor mask of state ``q``; a state missing from
+    ``_table`` has no successors.  The table is the automaton's own, so it
+    stays private.  Instances are private to one caller (see
     :meth:`BuchiAutomaton.post`), so the memo is never shared between threads.
     """
 
-    __slots__ = ("table",)
+    __slots__ = ("_table",)
 
     def __init__(self, table: dict[int, int]):
         super().__init__()
-        self.table = table
+        self._table = table
 
     def __missing__(self, mask: int) -> int:
-        get = self.table.get
+        get = self._table.get
         out = 0
         rest = mask
         while rest:

@@ -1,4 +1,4 @@
-"""Ground-truth lasso membership, lasso enumeration, and split-tree levels.
+"""Ground-truth lasso membership, lasso enumeration, and random automata.
 
 The membership decision works on the product of automaton states with cycle
 positions: a lasso is accepted exactly when some product node holding an
@@ -19,7 +19,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import product
 
-from .nba import BuchiAutomaton, Lasso, check_symbols, mask_states, successors, to_mask
+from .nba import BuchiAutomaton, Lasso, check_symbols, mask_states, to_mask
 
 
 @dataclass(frozen=True)
@@ -35,15 +35,6 @@ class LassoVerdict:
     accepted: bool
     prefix_states: tuple[int, ...] | None = None
     loop_states: tuple[int, ...] | None = None
-
-    def run_prefix(self, n: int) -> tuple[int, ...]:
-        """First ``n`` states of the witness run."""
-        if not self.accepted or self.prefix_states is None or self.loop_states is None:
-            raise ValueError("no witness run on a rejecting verdict")
-        states = list(self.prefix_states)
-        while len(states) < n:
-            states.extend(self.loop_states[1:])
-        return tuple(states[:n])
 
 
 def nba_accepts_lasso(aut: BuchiAutomaton, lasso: Lasso) -> LassoVerdict:
@@ -162,35 +153,6 @@ def sample_lassos(alphabet: tuple[str, ...], count: int, max_stem: int, max_cycl
             stem=tuple(rng.choice(alphabet) for _ in range(stem_len)),
             cycle=tuple(rng.choice(alphabet) for _ in range(cycle_len)),
         )
-
-
-def split_tree_levels(
-    aut: BuchiAutomaton, prefix: tuple[str, ...]
-) -> tuple[tuple[frozenset[int], ...], ...]:
-    """Levels of the reduced split tree along a finite prefix.
-
-    Level 0 holds the initial set; each later level splits every set into its
-    accepting successors followed by the non-accepting ones, keeps only the
-    leftmost occurrence of each state, and drops empty sets.
-    """
-    level: tuple[frozenset[int], ...] = (frozenset(aut.initial),)
-    levels = [level]
-    for symbol in prefix:
-        raw: list[frozenset[int]] = []
-        for block in level:
-            block_successors = successors(aut, block, symbol)
-            raw.append(block_successors & aut.accepting)
-            raw.append(block_successors - aut.accepting)
-        claimed: set[int] = set()
-        next_level: list[frozenset[int]] = []
-        for block in raw:
-            kept = block - claimed
-            claimed |= block
-            if kept:
-                next_level.append(kept)
-        level = tuple(next_level)
-        levels.append(level)
-    return tuple(levels)
 
 
 def random_nba(

@@ -191,27 +191,3 @@ def parse_dpa(data: bytes | str) -> ParityAutomaton:
         labels=labels,
     )
 
-
-def compact_priorities(dpa: ParityAutomaton) -> ParityAutomaton:
-    """Optional post-pass: remap priorities onto small consecutive values.
-
-    The mapping is strictly increasing and parity-preserving, so the minimum
-    parity over any cycle is unchanged.  Off the main pipeline by default.
-    """
-    used = sorted({priority for _, priority in dpa.edges.values()})
-    mapping: dict[int, int] = {}
-    previous = 0
-    for priority in used:
-        candidate = previous + 1
-        if candidate % 2 != priority % 2:
-            candidate += 1
-        mapping[priority] = candidate
-        previous = candidate
-    edges = {key: (dst, mapping[priority]) for key, (dst, priority) in dpa.edges.items()}
-    return ParityAutomaton(
-        num_states=dpa.num_states,
-        alphabet=dpa.alphabet,
-        initial=dpa.initial,
-        edges=edges,
-        labels=dict(dpa.labels),
-    )

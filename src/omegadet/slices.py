@@ -4,16 +4,15 @@ A ranked slice is the macrostate datum of the determinization pipeline: a
 tuple of non-empty, pairwise disjoint state sets whose ranks form a bijection
 onto ``1..n`` with the rightmost set always holding rank 1.  A pre-slice is
 the relaxed intermediate form in which empty sets and rank gaps may occur.
-
-Tuple positions are 1-based throughout, matching the rank-tree view: the
-parent of a position is the closest position to its right with a smaller
-rank, and the left subtree boundary is the closest position to its left with
-a smaller rank (0 when none exists).
+:func:`format_slice` writes the canonical text, which :func:`parse_slice`
+and :func:`parse_preslice` read back strictly.  The rank-tree relation of a
+slice is computed by :func:`omegadet.safra.unflatten`; the definitional
+scans that the tests check it against are in ``tests/reference.py``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable
 
 from .nba import _decimal
 
@@ -24,10 +23,6 @@ class InvalidSliceError(ValueError):
 
 class SliceFormatError(ValueError):
     """Canonical slice text cannot be parsed."""
-
-
-class StateNotPresentError(LookupError):
-    """The queried state is not contained in any set of the slice."""
 
 
 @dataclass(frozen=True)
@@ -98,98 +93,6 @@ class PreSlice(_Slice):
             raise InvalidSliceError("ranks must be positive")
 
 
-SliceLike = Union[RankedSlice, PreSlice]
-
-
-def index_of(slice_: SliceLike, q: int) -> int:
-    """1-based tuple position of the set containing ``q``."""
-    for pos, block in enumerate(slice_.sets, start=1):
-        if q in block:
-            return pos
-    raise StateNotPresentError(f"state {q} not present in slice")
-
-
-def rank_of(slice_: SliceLike, q: int) -> int:
-    """Rank of the set containing ``q``."""
-    return slice_.ranks[index_of(slice_, q) - 1]
-
-
-def parent(slice_: SliceLike, i: int) -> int | None:
-    """Closest position right of ``i`` with a smaller rank; None for the root.
-
-    Defined on ranked slices and on pre-slices with pairwise distinct ranks.
-    This is the direct definitional scan; see ``safra.unflatten`` for the
-    linear-time computation of the whole relation.
-    """
-    _check_position(slice_, i)
-    ranks = slice_.ranks
-    for k in range(i + 1, len(ranks) + 1):
-        if ranks[k - 1] < ranks[i - 1]:
-            return k
-    return None
-
-
-def left_boundary(slice_: SliceLike, i: int) -> int:
-    """Closest position left of ``i`` with a smaller rank, or 0 when none exists."""
-    _check_position(slice_, i)
-    ranks = slice_.ranks
-    for k in range(i - 1, 0, -1):
-        if ranks[k - 1] < ranks[i - 1]:
-            return k
-    return 0
-
-
-def subtree_set(slice_: SliceLike, i: int) -> frozenset[int]:
-    """Union of the sets at positions ``left_boundary(i)+1 .. i`` (the subtree of ``i``)."""
-    lo = left_boundary(slice_, i)
-    out: set[int] = set()
-    for block in slice_.sets[lo:i]:
-        out |= block
-    return frozenset(out)
-
-
-def rank_profile(slice_: SliceLike, q: int) -> tuple[int, ...]:
-    """Ascending rank sequence from the root down to the set hosting ``q``."""
-    pos: int | None = index_of(slice_, q)
-    chain: list[int] = []
-    while pos is not None:
-        chain.append(slice_.ranks[pos - 1])
-        pos = parent(slice_, pos)
-    return tuple(reversed(chain))
-
-
-def compare_profiles(a: tuple[int, ...], b: tuple[int, ...]) -> int:
-    """Three-way profile order: -1 if ``a`` is better, 0 if equal, +1 if ``b`` is better.
-
-    Lexicographic on the common-length prefixes; on equal prefixes the longer
-    profile is the better one, so a strict prefix compares as worse.
-    """
-    m = min(len(a), len(b))
-    if a[:m] != b[:m]:
-        return -1 if a[:m] < b[:m] else 1
-    if len(a) == len(b):
-        return 0
-    return -1 if len(a) > len(b) else 1
-
-
-def k_cut(profile: tuple[int, ...], k: int) -> tuple[int, ...]:
-    """Prefix holding all ranks below ``k`` plus at most one first rank >= ``k``."""
-    for i, r in enumerate(profile, start=1):
-        if r >= k:
-            return profile[:i]
-    return profile
-
-
-def compare_profiles_cut(a: tuple[int, ...], b: tuple[int, ...], k: int) -> int:
-    """Three-way order of the ``k``-cuts; strict-prefix cuts compare as worse."""
-    return compare_profiles(k_cut(a, k), k_cut(b, k))
-
-
-def _check_position(slice_: SliceLike, i: int) -> None:
-    if not 1 <= i <= len(slice_.sets):
-        raise InvalidSliceError(f"position {i} out of range 1..{len(slice_.sets)}")
-
-
 def format_set(block: Iterable[int]) -> str:
     """Canonical set text ``{ids}`` with ascending ids."""
     return "{" + ",".join(map(str, sorted(block))) + "}"
@@ -200,7 +103,7 @@ def format_entries(set_texts: Iterable[str], ranks: Iterable[int]) -> str:
     return "(" + ",".join([f"{text}:{rank}" for text, rank in zip(set_texts, ranks)]) + ")"
 
 
-def format_slice(slice_: SliceLike) -> str:
+def format_slice(slice_: _Slice) -> str:
     """Canonical text form ``({ids}:rank,...)`` with ascending ids inside each set."""
     return format_entries(map(format_set, slice_.sets), slice_.ranks)
 

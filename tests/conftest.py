@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from omegadet.nba import BuchiAutomaton, parse_nba
 from omegadet.oracle import random_nba
 
+from .reference import run_prefix
+
 settings.register_profile("repo", deadline=None, suppress_health_check=[HealthCheck.too_slow])
 settings.load_profile("repo")
 
@@ -140,7 +142,7 @@ def assert_valid_witness(aut, lasso, verdict) -> None:
     assert prefix[0] in aut.initial
     assert loop[0] == prefix[-1] and loop[-1] == loop[0]
     assert len(loop) > 1 and (len(loop) - 1) % len(lasso.cycle) == 0
-    run = verdict.run_prefix(len(prefix) + 2 * (len(loop) - 1))
+    run = run_prefix(verdict, len(prefix) + 2 * (len(loop) - 1))
     for i in range(len(run) - 1):
         assert (run[i], lasso.symbol_at(i), run[i + 1]) in aut.transitions
     assert any(q in aut.accepting for q in loop[:-1])

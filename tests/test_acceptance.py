@@ -3,11 +3,13 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one pass/fail line
 per criterion.
 """
+import ast
 import random
 import subprocess
 import sys
 import time
 from itertools import permutations, product
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -23,19 +25,13 @@ from omegadet.determinize import (
     transition,
 )
 from omegadet.nba import parse_nba
-from omegadet.oracle import enumerate_lassos, nba_accepts_lasso, split_tree_levels
+from omegadet.oracle import enumerate_lassos, nba_accepts_lasso, random_nba
 from omegadet.parity import run_lasso
 from omegadet.safra import SafraNode, safra_to_slice, slice_to_safra, unflatten
-from omegadet.slices import (
-    PreSlice,
-    RankedSlice,
-    compare_profiles_cut,
-    format_slice,
-    parse_slice,
-    rank_profile,
-)
+from omegadet.slices import PreSlice, RankedSlice, format_slice, parse_slice
 
 from .conftest import MEDIUM_STAGED_NBA, SMALL_NBA, WIDE_STAGED_NBA, build_corpus
+from .reference import compare_profiles_cut, rank_profile, run_prefix, safra_tree_update, split_tree_levels
 from .test_determinize import count_ranked_slices
 from .test_safra import brute_force_shape, random_tree
 
@@ -325,7 +321,7 @@ def test_criterion_9_profile_cut_monotonicity(corpus_bundle):
     steps_checked = 0
     for aut, lasso, verdict in pairs:
         horizon = len(verdict.prefix_states) + 3 * (len(verdict.loop_states) - 1) + 3 * len(lasso.cycle)
-        run = verdict.run_prefix(horizon + 1)
+        run = run_prefix(verdict, horizon + 1)
         for token in ("ms", "safra"):
             current = initial_slice(aut)
             for i in range(horizon):
@@ -371,3 +367,54 @@ def test_criterion_10_deterministic_output(tmp_path):
             compared += 1
             identical = identical and outputs[0] == outputs[1]
     report(10, identical, f"{compared} strategy/input combinations byte-identical across runs")
+
+
+def _safra_edge_mismatches(aut, dpa) -> tuple[int, int, int]:
+    """Edges out of the non-sink states, and those the tree update gives another successor or priority."""
+    edges = successors = priorities = 0
+    for (src, symbol), (dst, priority) in dpa.edges.items():
+        source = parse_slice(dpa.labels[src])
+        if not source.sets:
+            continue
+        tree, got = safra_tree_update(aut, slice_to_safra(source), symbol)
+        target = RankedSlice((), ()) if tree is None else safra_to_slice(tree)
+        edges += 1
+        successors += target != parse_slice(dpa.labels[dst])
+        priorities += got != priority
+    return edges, successors, priorities
+
+
+def test_criterion_11_safra_instance():
+    # Safra's construction is an instance of the slice construction: on every
+    # edge of a `safra` DPA, the textbook tree update of the source's tree
+    # gives the target and the priority.  This needs one convention: the name
+    # of a new child that stays empty counts as red.
+    grid = [random_nba(n, ("a", "b"), 1.8 / n, 0.5, seed=9100 * n + i) for n in (12, 14, 16, 18) for i in range(6)]
+    wide = [random_nba(24, ("a", "b"), 1.8 / 24, 0.5, seed=9100 * 24 + i) for i in range(6)]
+    groups = {"grid": grid, "n=24": wide, "corpus": build_corpus(count=300, master_seed=20260808)}
+    totals = {
+        name: tuple(map(sum, zip(*[_safra_edge_mismatches(aut, determinize(aut, "safra")) for aut in automata])))
+        for name, automata in groups.items()
+    }
+    ok = all(edges and not successors and not priorities for edges, successors, priorities in totals.values())
+    detail = "; ".join(
+        f"{name}: {edges} edges, {successors} successor and {priorities} priority mismatches"
+        for name, (edges, successors, priorities) in totals.items()
+    )
+    report(11, ok, detail)
+
+
+def test_reference_is_independent():
+    # The reference is the independent side of the checks on the pipeline, so
+    # it may not import the pipeline, neither by module nor by the package's
+    # re-exports.
+    imports = []
+    for node in ast.walk(ast.parse(Path(__file__).with_name("reference.py").read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            imports += [(alias.name, 0) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imports.append((node.module, node.level))
+    assert ("omegadet.safra", 0) in imports
+    for module, level in imports:
+        assert level == 0, f"relative import of {module!r}"
+        assert module != "omegadet" and not module.startswith("omegadet.determinize"), module

@@ -26,7 +26,6 @@ from omegadet.determinize import (
     merge,
     normalize,
     prune,
-    restricted_successors,
     step,
     transition,
 )
@@ -36,6 +35,7 @@ from omegadet.parity import serialize_dpa
 from omegadet.slices import InvalidSliceError, PreSlice, RankedSlice, format_slice, parse_preslice, parse_slice
 
 from .conftest import build_corpus
+from .reference import restricted_successors
 
 # The package attribute omegadet.determinize is the function, so reach the module by name.
 pipeline = importlib.import_module("omegadet.determinize")

@@ -97,6 +97,18 @@ def test_automaton_and_lasso_keep_no_container_of_the_caller():
     assert lasso == Lasso(("a",), ("a", "a")) and hash(lasso) == hash(Lasso(("a",), ("a", "a")))
 
 
+def test_successor_memo_exposes_no_table_of_the_automaton(small_nba):
+    before = [small_nba.successors_of(q, "a") for q in range(small_nba.num_states)]
+    memo = small_nba.post("a")
+    assert not hasattr(memo, "table")
+    with pytest.raises(AttributeError):
+        memo.table = {}  # type: ignore[attr-defined]
+    assert memo[0b111] == to_mask({0, 1, 2})
+    memo[0b1] = 0
+    assert [small_nba.successors_of(q, "a") for q in range(small_nba.num_states)] == before
+    assert small_nba.post("a")[0b1] == to_mask(before[0])
+
+
 def test_parse_small_file(small_nba):
     assert small_nba.num_states == 3
     assert small_nba.alphabet == ("a",)

@@ -4,15 +4,10 @@ import pytest
 
 from omegadet.determinize import MULLER_SCHUPP, initial_slice, transition
 from omegadet.nba import BuchiAutomaton, Lasso, UnknownSymbolError, parse_nba
-from omegadet.oracle import (
-    enumerate_lassos,
-    nba_accepts_lasso,
-    random_nba,
-    sample_lassos,
-    split_tree_levels,
-)
+from omegadet.oracle import enumerate_lassos, nba_accepts_lasso, random_nba, sample_lassos
 
 from .conftest import assert_valid_witness, build_corpus
+from .reference import split_tree_levels
 
 
 def test_accepts_small(small_nba):

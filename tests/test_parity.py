@@ -11,13 +11,13 @@ from omegadet.parity import (
     DpaFormatError,
     MissingEdgeError,
     ParityAutomaton,
-    compact_priorities,
     parse_dpa,
     run_lasso,
     serialize_dpa,
 )
 
 from .conftest import TOKEN_TEXT
+from .reference import compact_priorities
 
 GOLDEN_SMALL_DPA = b"""dpa
 states 3

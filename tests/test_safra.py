@@ -14,8 +14,9 @@ from omegadet.safra import (
     unflatten,
     validate_tree,
 )
-from omegadet.slices import PreSlice, RankedSlice, left_boundary, parent, parse_slice
+from omegadet.slices import PreSlice, RankedSlice, parse_slice
 
+from .reference import left_boundary, parent
 from .test_slices import ranked_slices
 
 

@@ -9,16 +9,19 @@ from omegadet.slices import (
     PreSlice,
     RankedSlice,
     SliceFormatError,
+    format_slice,
+    parse_preslice,
+    parse_slice,
+)
+
+from .reference import (
     StateNotPresentError,
     compare_profiles,
     compare_profiles_cut,
-    format_slice,
     index_of,
     k_cut,
     left_boundary,
     parent,
-    parse_preslice,
-    parse_slice,
     rank_of,
     rank_profile,
     subtree_set,
