@@ -37,12 +37,12 @@ ranks itself, one popcount over their bitmask per rank.  It checks nothing:
 its source is always normalized, so every invariant holds by construction.
 
 ``adaptive`` keeps the explored macrostates in an index keyed by their state
-union and number of sets.  It builds the ``max`` successor first, whatever
-its fallback, and returns the explored macrostate when that successor is
-explored; it has the fewest sets of any permitted merge.  Only then does it
-scan the finer set counts, stopping at the first with a match, and on a miss
-apply the fallback.  The staged ``_choose`` scans every count with no probe,
-so ``validate=True`` checks the probe against an independent lookup.
+union and number of sets.  It builds the ``max`` successor first and returns
+the explored macrostate when that successor is explored; it has the fewest
+sets of any permitted merge.  Only then does it scan the finer set counts,
+stopping at the first with a match, and on a miss it returns the ``max``
+successor.  The staged ``_choose`` scans every count with no probe, so
+``validate=True`` checks the probe against an independent lookup.
 
 The public stage functions ``step``, ``prune``, ``dominating_rank``,
 ``merge`` and ``normalize`` are the staged reference.  Each states its stage
@@ -86,36 +86,25 @@ _KINDS = ("ms", "safra", "max", "adaptive")
 class MergeStrategy:
     """Merge-stage policy: identity, green-subtree collapse, coarsest, or successor reuse.
 
-    ``fallback`` names the policy an adaptive strategy applies when no
-    permitted partition leads to an already explored successor.
+    An adaptive strategy merges as ``max`` when no permitted partition leads
+    to an already explored successor.
     """
 
     kind: str
-    fallback: str | None = None
 
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown strategy kind {self.kind!r}")
-        if self.kind == "adaptive":
-            if self.fallback not in _KINDS or self.fallback == "adaptive":
-                raise ValueError("adaptive strategies need a non-adaptive fallback")
-        elif self.fallback is not None:
-            raise ValueError("only adaptive strategies take a fallback")
 
 
-# The built-in strategy of each kind, by CLI token.
-STRATEGIES = {kind: MergeStrategy(kind, fallback="max" if kind == "adaptive" else None) for kind in _KINDS}
+# The strategy of each kind, by CLI token.
+STRATEGIES = {kind: MergeStrategy(kind) for kind in _KINDS}
 MULLER_SCHUPP, SAFRA, MAX_COLLAPSE, ADAPTIVE = STRATEGIES.values()
 
 
 def as_strategy(value: MergeStrategy | str) -> MergeStrategy:
     """Coerce a CLI token (``ms``/``safra``/``max``/``adaptive``) to a strategy."""
-    if isinstance(value, MergeStrategy):
-        return value
-    try:
-        return STRATEGIES[value]
-    except KeyError:
-        raise ValueError(f"unknown strategy {value!r}") from None
+    return value if isinstance(value, MergeStrategy) else MergeStrategy(value)
 
 
 Interval = tuple[int, int]
@@ -311,24 +300,24 @@ def _choose(
     pre: PreSlice, k: int, green: frozenset[int], strategy: MergeStrategy, explored: UnionIndex
 ) -> IntervalPartition:
     n = len(pre)
+    if strategy.kind == "adaptive":
+        # The adaptive index is keyed by bitmasks (see _remember).
+        masks = tuple([to_mask(block) for block in pre.sets])
+        found = _reuse(masks, pre.ranks, k, _union(masks), explored, 1)
+        if found is not None:
+            return _partition_from_cuts(n, found[0])
     if strategy.kind == "ms":
-        positions = range(1, n + 1)
-        return tuple(zip(positions, positions))
-    if strategy.kind == "max":
-        return _partition_from_cuts(n, _forced_cuts(pre.ranks, k))
-    if strategy.kind == "safra":
+        cuts: Iterable[int] = range(1, n)
+    elif strategy.kind == "safra":
         shape = unflatten(pre.ranks)
         cuts = set(range(1, n))
         for pos, rank in enumerate(pre.ranks, start=1):
             if rank in green:
                 cuts.difference_update(range(shape.left_boundary_of[pos - 1] + 1, pos))
-        return _partition_from_cuts(n, cuts)
-    # The adaptive index is keyed by bitmasks (see _remember).
-    masks = tuple([to_mask(block) for block in pre.sets])
-    found = _reuse(masks, pre.ranks, k, _union(masks), explored, 1)
-    if found is not None:
-        return _partition_from_cuts(n, found[0])
-    return _choose(pre, k, green, STRATEGIES[strategy.fallback], explored)
+    else:
+        # ``max``, and an adaptive miss.
+        cuts = _forced_cuts(pre.ranks, k)
+    return _partition_from_cuts(n, cuts)
 
 
 def merge(pre: PreSlice, partition: IntervalPartition) -> PreSlice:
@@ -428,10 +417,9 @@ def _successor(
     ``max`` :func:`_runs` merges them.  ``adaptive`` first probes the ``max``
     runs, the permitted partition with the fewest sets, so an explored one is
     the first match in the order of :func:`_reuse` and is returned as it is.
-    Then :func:`_reuse` scans the finer set counts.  On a miss the fallback
-    merges as its plain strategy does, and ``max`` returns the probe's runs.
-    ``_induced_cuts`` accepts an explored macrostate only if merging and
-    normalizing give exactly it.
+    Then :func:`_reuse` scans the finer set counts, and on a miss the probe's
+    runs are the successor.  ``_induced_cuts`` accepts an explored macrostate
+    only if merging and normalizing give exactly it.
     """
     masks, ranks = source
     if not masks:
@@ -481,11 +469,7 @@ def _successor(
             if hit is not None:
                 return hit, priority
         found = _reuse(tuple(out_masks), tuple(out_ranks), k, claimed, explored, fewest + 1)
-        if found is not None:
-            return found[1], priority
-        kind = strategy.fallback
-        if kind == "max":
-            return coarsest, priority
+        return (coarsest if found is None else found[1]), priority
     if kind == "ms":
         return _compact(tuple(out_masks), out_ranks, surviving), priority
     return _runs(out_masks, out_ranks, k, green, kind == "safra"), priority

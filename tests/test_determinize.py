@@ -445,10 +445,6 @@ def test_exploration_builds_no_stage_records(medium_staged_nba, monkeypatch):
             determinize(medium_staged_nba, strategy, validate=True)
 
 
-# The adaptive strategy under each fallback, the built-in one (``max``) among them.
-ADAPTIVE_FALLBACKS = tuple(MergeStrategy("adaptive", fallback=f) for f in ("ms", "safra", "max"))
-
-
 @st.composite
 def successor_scenarios(draw):
     """A random NBA, a normalized macrostate over it, a symbol, a strategy and explored macrostates.
@@ -457,7 +453,7 @@ def successor_scenarios(draw):
     rank order that puts rank 1 last.  Under ``adaptive`` the explored
     macrostates are decoys with the same union and, when ``hit`` is drawn,
     the staged successor, which forces a hit; without it most lookups miss
-    and fall back.
+    and merge as ``max``.
     """
     num_states = draw(st.integers(1, 80))
     alphabet = ("a", "b")[: draw(st.integers(1, 2))]
@@ -469,7 +465,7 @@ def successor_scenarios(draw):
     masks = tuple(to_mask(states[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
     ranks = tuple(draw(st.permutations(range(2, len(masks) + 1))) + [1])
     symbol = draw(st.sampled_from(alphabet))
-    strategy = draw(st.sampled_from((MULLER_SCHUPP, SAFRA, MAX_COLLAPSE, *ADAPTIVE_FALLBACKS)))
+    strategy = draw(st.sampled_from((MULLER_SCHUPP, SAFRA, MAX_COLLAPSE, ADAPTIVE)))
     context = []
     adaptive = strategy.kind == "adaptive"
     hit = adaptive and draw(st.booleans())
@@ -521,12 +517,11 @@ def _nested_green_successor(strategy):
     return pipeline._key(transition(NESTED_GREEN_NBA, NESTED_GREEN_SLICE, "a", strategy).successor)
 
 
-def _probe_example(fallback):
-    # The max successor is explored next to the fallback's own successor, so
+def _probe_example(other):
+    # The max successor is explored next to another strategy's successor, so
     # the adaptive result must be the max successor, found by the probe.
-    context = [_nested_green_successor(fallback), _nested_green_successor("max")]
-    strategy = MergeStrategy("adaptive", fallback=fallback)
-    return NESTED_GREEN_NBA, pipeline._key(NESTED_GREEN_SLICE), "a", strategy, context, True
+    context = [_nested_green_successor(other), _nested_green_successor("max")]
+    return NESTED_GREEN_NBA, pipeline._key(NESTED_GREEN_SLICE), "a", ADAPTIVE, context, True
 
 
 # The pruned slice is ({4}:4,{5}:2,{6}:3,{7}:1) with green rank 3 only: the
@@ -541,7 +536,7 @@ CLOSED_SUBTREE_SOURCE = pipeline._key(parse_slice("({0}:4,{1}:2,{2}:3,{3}:1)"))
 @example(_probe_example("ms"))
 @example(_probe_example("safra"))
 @example((CLOSED_SUBTREE_NBA, CLOSED_SUBTREE_SOURCE, "a", SAFRA, [], False))
-@example((CLOSED_SUBTREE_NBA, CLOSED_SUBTREE_SOURCE, "a", ADAPTIVE_FALLBACKS[1], [], False))
+@example((CLOSED_SUBTREE_NBA, CLOSED_SUBTREE_SOURCE, "a", ADAPTIVE, [], False))
 def test_fused_successor_matches_the_staged_kernels(scenario):
     aut, source, symbol, strategy, context, hit = scenario
     index = {}
@@ -580,22 +575,12 @@ def test_validated_determinize_on_the_golden_grid(golden_automata, strategy):
         determinize(aut, strategy, validate=True)
 
 
-@pytest.mark.parametrize(
-    "strategy",
-    [
-        "ms",
-        "safra",
-        "max",
-        "adaptive",
-        pytest.param(ADAPTIVE_FALLBACKS[0], id="adaptive-ms"),
-        pytest.param(ADAPTIVE_FALLBACKS[1], id="adaptive-safra"),
-    ],
-)
+@pytest.mark.parametrize("strategy", ["ms", "safra", "max", "adaptive"])
 def test_exploration_neither_merges_nor_normalizes(golden_automata, monkeypatch, strategy):
     # Every strategy merges and compacts inside the fused kernel, adaptive
-    # hits and misses alike, under every fallback.  An adaptive edge that is
-    # not the sink is a probe hit (the max successor is explored, and no scan
-    # runs), a scan hit or a miss.
+    # hits and misses alike.  An adaptive edge that is not the sink is a probe
+    # hit (the max successor is explored, and no scan runs), a scan hit or a
+    # miss.
     lookups = {"probe": 0, "scan": 0, "miss": 0}
     scans = []
     remembered = {}
@@ -750,21 +735,20 @@ def test_reachable_states_bounded_by_slice_count():
 
 
 def test_strategy_validation():
-    with pytest.raises(ValueError):
+    # Each kind names one merge rule: an adaptive miss always merges as ``max``.
+    assert MergeStrategy("adaptive") == ADAPTIVE == as_strategy("adaptive")
+    with pytest.raises(TypeError):
+        MergeStrategy("adaptive", fallback="max")
+    with pytest.raises(ValueError, match="unknown strategy kind 'bogus'") as direct:
         MergeStrategy("bogus")
-    with pytest.raises(ValueError):
-        MergeStrategy("adaptive")
-    with pytest.raises(ValueError):
-        MergeStrategy("adaptive", fallback="adaptive")
-    with pytest.raises(ValueError):
-        MergeStrategy("ms", fallback="max")
+    with pytest.raises(ValueError) as coerced:
+        as_strategy("bogus")
+    assert str(coerced.value) == str(direct.value)
 
 
 # SHA-256 over the concatenated labelled .dpa bytes of each automaton set,
 # recorded with the frozenset-based pipeline that the bitmask kernels
-# replaced: the output must stay byte-identical.  The adaptive strategies with
-# an ``ms`` or ``safra`` fallback were recorded before the merge rules were
-# dispatched from one place in the fused kernel; an adaptive miss takes them.
+# replaced: the output must stay byte-identical.
 GOLDEN_DPA_SHA256 = {
     ("corpus", "ms"): "4a66402e76b99c46f215753a0e5b1dcb861815eb4badb8d87097a701ffa4c3aa",
     ("corpus", "safra"): "68cd4de9b865997252cf6a4243c4f534b2164cc4f43579749eeb934c03171d0c",
@@ -774,10 +758,6 @@ GOLDEN_DPA_SHA256 = {
     ("grid", "safra"): "41a8a7ff6af7c5e8250a6a7f32da6c0bb0670e792db3c11b9ecd9e8ee01304a9",
     ("grid", "max"): "6ed59599c855141e573084d878151f6c74305e16f364871c4b278c20ba7a0fb7",
     ("grid", "adaptive"): "8a2283fc5ccd8da01c2ec1cea3c9042758bb50cf99eeb641103d30937df13390",
-    ("corpus", ADAPTIVE_FALLBACKS[0]): "c6ee6e15261be0e5356c557835403af1f3ea28f6a5f74c57c5febd60cb5bca9a",
-    ("corpus", ADAPTIVE_FALLBACKS[1]): "384362d56162bb11df7913d5730373c93512cb6a71bf8b8c26ab19d74c24766d",
-    ("grid", ADAPTIVE_FALLBACKS[0]): "3eed282225a2bee3fa1593de49dea361dcf7729ad48a7050f1140a292b7e756d",
-    ("grid", ADAPTIVE_FALLBACKS[1]): "c056f473cb392f0ed70790d7f5592548652493aae8e8e42efaecd242c37aab77",
 }
 
 
@@ -788,7 +768,7 @@ def golden_automata():
     return {"corpus": build_corpus(), "grid": grid}
 
 
-@pytest.mark.parametrize("strategy", ["ms", "safra", "max", "adaptive", *ADAPTIVE_FALLBACKS[:2]], ids=str)
+@pytest.mark.parametrize("strategy", ["ms", "safra", "max", "adaptive"])
 def test_golden_dpa_bytes(golden_automata, strategy):
     for name, automata in golden_automata.items():
         digest = hashlib.sha256()
