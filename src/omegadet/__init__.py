@@ -18,7 +18,6 @@ from .determinize import (
     determinize,
     dominating_rank,
     initial_slice,
-    iter_valid_partitions,
     merge,
     normalize,
     prune,

@@ -42,7 +42,7 @@ the explored macrostate when that successor is explored; it has the fewest
 sets of any permitted merge.  Only then does it scan the finer set counts,
 stopping at the first with a match, and on a miss it returns the ``max``
 successor.  The staged ``_choose`` scans every count with no probe, so
-``validate=True`` checks the probe against an independent lookup.
+the tests' replay checks the probe against an independent lookup.
 
 The public stage functions ``step``, ``prune``, ``dominating_rank``,
 ``merge`` and ``normalize`` are the staged reference.  Each states its stage
@@ -51,22 +51,21 @@ with the slice and not with its largest state id or rank.  ``_choose``, which
 ``choose_partition`` wraps, picks the partition; only its adaptive branch
 encodes the pruned sets as bitmasks, for the lookup it shares with the fused
 kernel.  ``_stages`` runs them in turn into one :class:`TransitionTrace`, for
-``transition`` and so ``omegadet trace``.  ``determinize(validate=True)``
-runs ``_stages`` and the fused kernel on every edge and requires the same
-successor and priority, so the set arithmetic checks the mask arithmetic
-instead of sharing it, and ``dominating_rank`` is the one set-based
-statement of the priority rule.
+``transition`` and so ``omegadet trace``.  The tests replay every explored
+edge through ``_stages`` with the adaptive index that exploration held and
+require the fused kernel's successor and priority, so the set arithmetic
+checks the mask arithmetic instead of sharing it, and ``dominating_rank``
+is the one set-based statement of the priority rule.
 """
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
-from .nba import BuchiAutomaton, SuccessorMasks, check_symbols, from_mask, successors, to_mask
+from .nba import BuchiAutomaton, SuccessorMasks, check_symbols, successors, to_mask
 from .parity import ParityAutomaton
-from .slices import PreSlice, RankedSlice, format_entries, format_slice
+from .slices import PreSlice, RankedSlice, format_entries
 from .safra import unflatten
 
 
@@ -224,9 +223,9 @@ def _reuse(
     Merge keeps the state union, and a partition into ``m`` intervals gives
     ``m`` sets, so only explored macrostates keyed ``(union, m)`` can be
     reached, for ``m`` from ``fewest`` up to the number of pruned sets.  The
-    first match in the order of iter_valid_partitions wins: fewest cuts, so the
-    scan stops at the first count with a match, then the lexicographic order
-    of cuts within that count.
+    first match in the order of the permitted partitions wins: fewest cuts, so
+    the scan stops at the first count with a match, then the lexicographic
+    order of cuts within that count.
     """
     for count in range(fewest, len(masks) + 1):
         best: tuple[tuple[int, ...], Macrostate] | None = None
@@ -537,44 +536,6 @@ def _explored(strategy: MergeStrategy, context: Iterable[RankedSlice]) -> UnionI
     return index
 
 
-def _ranked(masks: tuple[int, ...], ranks: tuple[int, ...]) -> RankedSlice:
-    return RankedSlice(sets=tuple([from_mask(mask) for mask in masks]), ranks=ranks)
-
-
-def iter_valid_partitions(pre: PreSlice, k: int) -> Iterator[IntervalPartition]:
-    """All interval partitions permitted for the merge stage, coarsest first.
-
-    Partitions with equally many intervals come in lexicographic order of
-    their optional boundary positions; the all-singleton partition is always
-    last and always present.
-    """
-    n = len(pre)
-    forced = _forced_cuts(pre.ranks, k)
-    free = [c for c in range(1, n) if c not in forced]
-    for size in range(len(free) + 1):
-        for extra in itertools.combinations(free, size):
-            yield _partition_from_cuts(n, forced.union(extra))
-
-
-def is_valid_partition(pre: PreSlice, k: int, partition: IntervalPartition) -> bool:
-    """Check contiguity, coverage, and the two dominating-rank constraints."""
-    n = len(pre)
-    if n == 0:
-        return partition == ()
-    expected_lo = 1
-    for lo, hi in partition:
-        if lo != expected_lo or hi < lo or hi > n:
-            return False
-        expected_lo = hi + 1
-        for pos in range(lo, hi + 1):
-            rank = pre.ranks[pos - 1]
-            if rank < k and lo != hi:
-                return False
-            if rank == k and hi != pos:
-                return False
-    return expected_lo == n + 1
-
-
 def choose_partition(
     pre: PreSlice,
     k: int,
@@ -589,7 +550,8 @@ def choose_partition(
     green rank, and ``adaptive`` picks a permitted partition whose successor
     is already in ``context`` before falling back.  It looks the successor up
     among the context slices with the same state union; among several, the
-    first in the order of :func:`iter_valid_partitions` wins.
+    partition with the fewest intervals wins, then the one whose cuts come
+    first in lexicographic order.
     """
     strategy = as_strategy(strategy)
     return _choose(pre, k, green, strategy, _explored(strategy, context))
@@ -623,18 +585,16 @@ def determinize(
     strategy: MergeStrategy | str = MULLER_SCHUPP,
     *,
     cap: int = 1_000_000,
-    validate: bool = False,
     labels: bool = True,
 ) -> ParityAutomaton:
     """Breadth-first exploration of the macrostate graph into a parity automaton.
 
     Macrostates are deduplicated by structural slice equality and numbered in
     discovery order, so the output is a deterministic function of the input
-    automaton and strategy.  ``validate`` recomputes every generated
-    transition with the staged reference, requires its successor and priority
-    to equal the fused kernel's, and re-checks the pipeline invariants on
-    its stages.  ``labels`` annotates every state with its
-    canonical slice string.  Exceeding ``cap`` macrostates raises
+    automaton and strategy.  Each edge is one call of the fused kernel,
+    which checks nothing.  ``labels`` annotates every state with its
+    canonical slice string, from which :func:`transition` recomputes an edge
+    with the staged reference.  Exceeding ``cap`` macrostates raises
     :class:`CapacityError`; ``cap`` must be at least 1, for the initial
     macrostate, or :class:`ValueError` is raised.
     """
@@ -656,15 +616,6 @@ def determinize(
         src = ids[current]
         for symbol, post in posts:
             succ, priority = _successor(post, accepting, aut.num_states, current, strategy, index)
-            if validate:
-                trace = _stages(aut, _ranked(*current), symbol, strategy, index)
-                if (_key(trace.successor), trace.priority) != (succ, priority):
-                    raise InternalInvariantError(
-                        f"on {symbol!r} from {format_slice(trace.source)} the fused kernel gives "
-                        f"{format_slice(_ranked(*succ))} with priority {priority}, the staged kernels "
-                        f"{format_slice(trace.successor)} with priority {trace.priority}"
-                    )
-                check_transition_invariants(aut, trace)
             dst = ids.get(succ)
             if dst is None:
                 if len(ids) >= cap:
@@ -700,19 +651,3 @@ def _labels(ids: dict[Macrostate, int]) -> dict[int, str]:
         out[i] = format_entries([set_texts[mask] for mask in masks], ranks)
     return out
 
-
-def check_transition_invariants(aut: BuchiAutomaton, trace: TransitionTrace) -> None:
-    """Assert that every stage keeps the successor union and that the partition is permitted.
-
-    The priority is :func:`dominating_rank`'s, which ``validate=True``
-    compares with the fused kernel's; the slice constructors checked
-    disjointness.
-    """
-    expected = successors(aut, trace.source.state_set, trace.symbol)
-    for name, stage in (("step", trace.stepped), ("prune", trace.pruned), ("merge", trace.merged)):
-        if stage.state_set != expected:
-            raise InternalInvariantError(f"{name} changed the successor union")
-    if trace.successor.state_set != expected:
-        raise InternalInvariantError("normalize changed the successor union")
-    if not is_valid_partition(trace.pruned, trace.dominating, trace.partition):
-        raise InternalInvariantError(f"merge partition {trace.partition} violates the constraints")

@@ -1,13 +1,20 @@
+import importlib
 import random
 
 import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
-from omegadet.nba import BuchiAutomaton, parse_nba
+from omegadet.determinize import InternalInvariantError, MergeStrategy, TransitionTrace, as_strategy, determinize
+from omegadet.nba import BuchiAutomaton, parse_nba, successors
 from omegadet.oracle import random_nba
+from omegadet.parity import ParityAutomaton
+from omegadet.slices import format_slice, parse_slice
 
-from .reference import run_prefix
+from .reference import is_valid_partition, run_prefix
+
+# The package attribute omegadet.determinize is the function, so reach the module by name.
+pipeline = importlib.import_module("omegadet.determinize")
 
 settings.register_profile("repo", deadline=None, suppress_health_check=[HealthCheck.too_slow])
 settings.load_profile("repo")
@@ -146,3 +153,52 @@ def assert_valid_witness(aut, lasso, verdict) -> None:
     for i in range(len(run) - 1):
         assert (run[i], lasso.symbol_at(i), run[i + 1]) in aut.transitions
     assert any(q in aut.accepting for q in loop[:-1])
+
+
+def check_transition_invariants(aut: BuchiAutomaton, trace: TransitionTrace) -> None:
+    """Require that every stage keeps the successor union and that the partition is permitted.
+
+    The slice constructors checked disjointness, and ``replay`` compares the
+    priority of ``dominating_rank`` with the fused kernel's.
+    """
+    expected = successors(aut, trace.source.state_set, trace.symbol)
+    for name, stage in (("step", trace.stepped), ("prune", trace.pruned), ("merge", trace.merged)):
+        if stage.state_set != expected:
+            raise InternalInvariantError(f"{name} changed the successor union")
+    if trace.successor.state_set != expected:
+        raise InternalInvariantError("normalize changed the successor union")
+    if not is_valid_partition(trace.pruned, trace.dominating, trace.partition):
+        raise InternalInvariantError(f"merge partition {trace.partition} violates the constraints")
+
+
+def replay(aut: BuchiAutomaton, strategy: MergeStrategy | str) -> ParityAutomaton:
+    """The labelled DPA, after recomputing each of its edges with the staged reference.
+
+    Exploration numbers macrostates in discovery order and takes the edges of
+    each source in alphabet order, so walking the edges in that order and
+    remembering a target above every id seen so far after its edge gives each
+    edge the adaptive index that exploration held.  Raises
+    ``InternalInvariantError`` unless every edge has the staged successor and
+    priority and its stages pass ``check_transition_invariants``.
+    """
+    strategy = as_strategy(strategy)
+    dpa = determinize(aut, strategy, labels=True)
+    slices = [parse_slice(dpa.labels[state]) for state in range(dpa.num_states)]
+    index: pipeline.UnionIndex = {}
+    pipeline._remember(index, pipeline._key(slices[0]))
+    newest = 0
+    for source, slice_ in enumerate(slices):
+        for symbol in aut.alphabet:
+            target, priority = dpa.edges[source, symbol]
+            trace = pipeline._stages(aut, slice_, symbol, strategy, index)
+            if (trace.successor, trace.priority) != (slices[target], priority):
+                raise InternalInvariantError(
+                    f"on {symbol!r} from {format_slice(slice_)} the fused kernel gives "
+                    f"{format_slice(slices[target])} with priority {priority}, the staged kernels "
+                    f"{format_slice(trace.successor)} with priority {trace.priority}"
+                )
+            check_transition_invariants(aut, trace)
+            if target > newest:
+                newest = target
+                pipeline._remember(index, pipeline._key(slices[target]))
+    return dpa

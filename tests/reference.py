@@ -13,7 +13,8 @@ a smaller rank (0 when none exists).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from itertools import combinations
+from typing import Iterator, Union
 
 from omegadet.nba import BuchiAutomaton, successors
 from omegadet.oracle import LassoVerdict
@@ -27,6 +28,8 @@ class StateNotPresentError(LookupError):
 
 
 SliceLike = Union[RankedSlice, PreSlice]
+# Closed 1-based position intervals ``(lo, hi)`` that tile ``1..n``.
+Partition = tuple[tuple[int, int], ...]
 
 
 # --- The rank-tree relations and rank profiles -------------------------------
@@ -119,6 +122,47 @@ def compare_profiles_cut(a: tuple[int, ...], b: tuple[int, ...], k: int) -> int:
 def _check_position(slice_: SliceLike, i: int) -> None:
     if not 1 <= i <= len(slice_.sets):
         raise InvalidSliceError(f"position {i} out of range 1..{len(slice_.sets)}")
+
+
+# --- Permitted merge partitions ---------------------------------------------
+
+
+def is_valid_partition(pre: PreSlice, k: int, partition: Partition) -> bool:
+    """Check contiguity, coverage, and the two dominating-rank constraints."""
+    n = len(pre)
+    if n == 0:
+        return partition == ()
+    expected_lo = 1
+    for lo, hi in partition:
+        if lo != expected_lo or hi < lo or hi > n:
+            return False
+        expected_lo = hi + 1
+        for pos in range(lo, hi + 1):
+            rank = pre.ranks[pos - 1]
+            if rank < k and lo != hi:
+                return False
+            if rank == k and hi != pos:
+                return False
+    return expected_lo == n + 1
+
+
+def iter_valid_partitions(pre: PreSlice, k: int) -> Iterator[Partition]:
+    """All interval partitions permitted for the merge stage, coarsest first.
+
+    Every set of cuts in ``1..n-1`` is tried, by size and then in
+    lexicographic order, and kept when :func:`is_valid_partition` holds.  The
+    all-singleton partition is always last and always present.
+    """
+    n = len(pre)
+    if n == 0:
+        yield ()
+        return
+    for size in range(n):
+        for cuts in combinations(range(1, n), size):
+            bounds = (0, *cuts, n)
+            partition = tuple((lo + 1, hi) for lo, hi in zip(bounds, bounds[1:]))
+            if is_valid_partition(pre, k, partition):
+                yield partition
 
 
 # --- Split trees, restricted successors, witnesses and priorities -------------

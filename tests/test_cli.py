@@ -619,6 +619,13 @@ def test_roundtrip_malformed():
     assert run_cli("roundtrip", "({0}:1").returncode == 2
 
 
+def test_roundtrip_empty_slice():
+    # The sink slice parses, but a ranked tree needs a root.
+    result = run_cli("roundtrip", "()")
+    assert result.returncode == 1
+    assert result.stderr == "error: the empty slice has no tree form\n"
+
+
 def test_trace_medium(medium_staged_file):
     result = run_cli("trace", "-i", str(medium_staged_file), "--strategy", "safra", "b c | a")
     assert result.returncode == 0

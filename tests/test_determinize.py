@@ -1,5 +1,4 @@
 import hashlib
-import importlib
 import math
 import tracemalloc
 
@@ -16,29 +15,23 @@ from omegadet.determinize import (
     InternalInvariantError,
     MergeStrategy,
     as_strategy,
-    check_transition_invariants,
     choose_partition,
     determinize,
     dominating_rank,
     initial_slice,
-    is_valid_partition,
-    iter_valid_partitions,
     merge,
     normalize,
     prune,
     step,
     transition,
 )
-from omegadet.nba import BuchiAutomaton, InvalidAutomatonError, UnknownSymbolError, parse_nba, to_mask
+from omegadet.nba import BuchiAutomaton, InvalidAutomatonError, UnknownSymbolError, from_mask, parse_nba, to_mask
 from omegadet.oracle import random_nba
 from omegadet.parity import serialize_dpa
 from omegadet.slices import InvalidSliceError, PreSlice, RankedSlice, format_slice, parse_preslice, parse_slice
 
-from .conftest import build_corpus
-from .reference import restricted_successors
-
-# The package attribute omegadet.determinize is the function, so reach the module by name.
-pipeline = importlib.import_module("omegadet.determinize")
+from .conftest import build_corpus, check_transition_invariants, pipeline, replay
+from .reference import is_valid_partition, iter_valid_partitions, restricted_successors
 
 # The pruned six-set scenario used across the merge tests: distinct surviving
 # ranks with gaps, green ranks 2 and 6, dominating rank 2.
@@ -47,6 +40,10 @@ WIDE_PRUNED = PreSlice(
     ranks=(7, 3, 2, 6, 4, 1),
 )
 WIDE_GREEN = frozenset({2, 6})
+
+
+def ranked(masks, ranks):
+    return RankedSlice(sets=tuple(map(from_mask, masks)), ranks=ranks)
 
 
 def walk(aut, symbols, strategy="ms"):
@@ -250,6 +247,34 @@ def test_adaptive_reuse_beyond_the_old_candidate_cap():
     assert choose_partition(pre, 1, frozenset(), ADAPTIVE, ()) == ((1, 15),)
 
 
+@st.composite
+def merge_scenarios(draw):
+    """A pruned slice with rank minimum last, a dominating rank ``k`` and green ranks of at least ``k``."""
+    n = draw(st.integers(1, 8))
+    ranks = draw(st.lists(st.integers(1, 2 * n + 2), min_size=n, max_size=n, unique=True))
+    low = ranks.index(min(ranks))
+    ranks[low], ranks[-1] = ranks[-1], ranks[low]
+    pre = PreSlice(sets=tuple(frozenset({q}) for q in range(n)), ranks=tuple(ranks))
+    k = draw(st.sampled_from(sorted(ranks)[:2]) | st.integers(1, max(ranks) + 1))
+    above = [rank for rank in ranks if rank >= k]
+    green = draw(st.frozensets(st.sampled_from(above))) if above else frozenset()
+    return pre, k, green
+
+
+@settings(max_examples=300)
+@given(merge_scenarios())
+@example((WIDE_PRUNED, 2, WIDE_GREEN))
+def test_fixed_strategies_pick_from_the_reference_enumeration(scenario):
+    # The reference enumerates every cut set and keeps the permitted ones, so
+    # it shares no code with the forced cuts of max or the subtrees of safra.
+    pre, k, green = scenario
+    permitted = list(iter_valid_partitions(pre, k))
+    assert choose_partition(pre, k, green, MAX_COLLAPSE) == permitted[0]
+    singletons = tuple((i, i) for i in range(1, len(pre) + 1))
+    assert choose_partition(pre, k, green, MULLER_SCHUPP) == permitted[-1] == singletons
+    assert choose_partition(pre, k, green, SAFRA) in permitted
+
+
 def test_merge_wide_coarsest():
     merged = merge(WIDE_PRUNED, ((1, 3), (4, 5), (6, 6)))
     assert merged == parse_preslice("({1,2,3}:2,{4,5}:4,{0}:1)")
@@ -431,7 +456,7 @@ def test_validate_rejects_a_fused_result_the_staged_kernels_disagree_with(
     monkeypatch.setattr(pipeline, "_successor", off_by_two)
     determinize(medium_staged_nba, strategy)
     with pytest.raises(InternalInvariantError, match="the fused kernel gives"):
-        determinize(medium_staged_nba, strategy, validate=True)
+        replay(medium_staged_nba, strategy)
 
 
 def test_exploration_builds_no_stage_records(medium_staged_nba, monkeypatch):
@@ -439,10 +464,12 @@ def test_exploration_builds_no_stage_records(medium_staged_nba, monkeypatch):
         raise AssertionError("exploration ran the staged kernels")
 
     monkeypatch.setattr(pipeline, "_stages", no_stages)
+    with pytest.raises(TypeError):
+        determinize(medium_staged_nba, validate=True)
     for strategy in ("ms", "safra", "max", "adaptive"):
-        assert determinize(medium_staged_nba, strategy, validate=False).num_states > 1
+        assert determinize(medium_staged_nba, strategy).num_states > 1
         with pytest.raises(AssertionError, match="staged kernels"):
-            determinize(medium_staged_nba, strategy, validate=True)
+            replay(medium_staged_nba, strategy)
 
 
 @st.composite
@@ -470,7 +497,7 @@ def successor_scenarios(draw):
     adaptive = strategy.kind == "adaptive"
     hit = adaptive and draw(st.booleans())
     if adaptive:
-        stages = pipeline._stages(aut, pipeline._ranked(masks, ranks), symbol, strategy, {})
+        stages = pipeline._stages(aut, ranked(masks, ranks), symbol, strategy, {})
         hit = hit and bool(stages.pruned.sets)
         if hit:
             context.append(pipeline._key(stages.successor))
@@ -543,7 +570,7 @@ def test_fused_successor_matches_the_staged_kernels(scenario):
     for key in context:
         pipeline._remember(index, key)
     post = aut.post(symbol)
-    stages = pipeline._stages(aut, pipeline._ranked(*source), symbol, strategy, index)
+    stages = pipeline._stages(aut, ranked(*source), symbol, strategy, index)
     fused = pipeline._successor(post, aut.accepting_mask, aut.num_states, source, strategy, index)
     assert fused == (pipeline._key(stages.successor), stages.priority)
     if hit:
@@ -572,7 +599,7 @@ def test_fused_runs_on_a_green_subtree_with_nested_green_and_red_ranks(strategy,
 def test_validated_determinize_on_the_golden_grid(golden_automata, strategy):
     # Wider slices than the corpus, with the rank gaps that the fused kernel compacts.
     for aut in golden_automata["grid"]:
-        determinize(aut, strategy, validate=True)
+        replay(aut, strategy)
 
 
 @pytest.mark.parametrize("strategy", ["ms", "safra", "max", "adaptive"])
@@ -624,18 +651,18 @@ def test_exploration_neither_merges_nor_normalizes(golden_automata, monkeypatch,
     else:
         assert lookups == {"probe": 0, "scan": 0, "miss": 0}
     with pytest.raises(AssertionError, match="exploration ran"):
-        determinize(golden_automata["grid"][0], strategy, validate=True)
+        replay(golden_automata["grid"][0], strategy)
 
 
 def test_priority_parity_rule(small_nba, medium_nba, wide_staged_nba):
     for aut in (small_nba, medium_nba, wide_staged_nba):
-        dpa = determinize(aut, MULLER_SCHUPP, validate=True)
+        dpa = replay(aut, MULLER_SCHUPP)
         for _, priority in dpa.edges.values():
             assert priority >= 1
 
 
 def test_determinize_small(small_nba):
-    dpa = determinize(small_nba, MULLER_SCHUPP, validate=True)
+    dpa = replay(small_nba, MULLER_SCHUPP)
     assert dpa.num_states == 3
     assert dpa.labels == {0: "({0}:1)", 1: "({1}:2,{0}:1)", 2: "({1}:3,{2}:2,{0}:1)"}
     assert dpa.edges == {(0, "a"): (1, 7), (1, "a"): (2, 7), (2, "a"): (2, 4)}
@@ -643,14 +670,14 @@ def test_determinize_small(small_nba):
 
 def test_determinize_trivially_accepting():
     aut = parse_nba(b"nba\nstates 1\nalphabet a b\ninit 0\naccept 0\n0 a 0\n0 b 0\n")
-    dpa = determinize(aut, MULLER_SCHUPP, validate=True)
+    dpa = replay(aut, MULLER_SCHUPP)
     assert dpa.num_states == 1
     assert all(priority % 2 == 0 for _, priority in dpa.edges.values())
 
 
 def test_determinize_strategies_agree_until_merges(medium_nba):
-    by_ms = determinize(medium_nba, MULLER_SCHUPP, validate=True)
-    by_safra = determinize(medium_nba, SAFRA, validate=True)
+    by_ms = replay(medium_nba, MULLER_SCHUPP)
+    by_safra = replay(medium_nba, SAFRA)
     # This automaton only produces trivial green subtrees, so the reachable
     # macrostates coincide.
     assert set(by_ms.labels.values()) == set(by_safra.labels.values())
@@ -692,7 +719,7 @@ def test_validated_determinize_on_random_automata():
     for seed in range(40):
         aut = random_nba(1 + seed % 5, ("a", "b")[: 1 + seed % 2], 0.4, 0.4, 9000 + seed)
         for strategy in (MULLER_SCHUPP, SAFRA, MAX_COLLAPSE, ADAPTIVE):
-            determinize(aut, strategy, validate=True)
+            replay(aut, strategy)
 
 
 def test_language_equivalence_staged(medium_staged_nba, wide_staged_nba):
@@ -701,7 +728,7 @@ def test_language_equivalence_staged(medium_staged_nba, wide_staged_nba):
 
     for aut in (medium_staged_nba, wide_staged_nba):
         dpas = [
-            determinize(aut, strategy, validate=True)
+            replay(aut, strategy)
             for strategy in (MULLER_SCHUPP, SAFRA, MAX_COLLAPSE, ADAPTIVE)
         ]
         for lasso in enumerate_lassos(aut.alphabet, 2, 2):
