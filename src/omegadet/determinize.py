@@ -65,7 +65,7 @@ from typing import Iterable
 
 from .nba import BuchiAutomaton, SuccessorMasks, check_symbols, successors, to_mask
 from .parity import ParityAutomaton
-from .slices import PreSlice, RankedSlice, format_entries
+from .slices import PreSlice, RankedSlice
 from .safra import unflatten
 
 
@@ -635,7 +635,9 @@ def determinize(
 
 
 def _labels(ids: dict[Macrostate, int]) -> dict[int, str]:
-    """Canonical slice text of every macrostate, formatting each distinct set once."""
+    """Canonical slice text of every macrostate, formatting each distinct set, state id and rank once."""
+    id_texts: dict[int, str] = {}
+    rank_texts: dict[int, str] = {}
     set_texts: dict[int, str] = {}
     out: dict[int, str] = {}
     for (masks, ranks), i in ids.items():
@@ -645,9 +647,15 @@ def _labels(ids: dict[Macrostate, int]) -> dict[int, str]:
                 digits, rest = [], mask
                 while rest:
                     low = rest & -rest
-                    digits.append(str(low.bit_length() - 1))
+                    q = low.bit_length() - 1
+                    text = id_texts.get(q)
+                    if text is None:
+                        text = id_texts[q] = str(q)
+                    digits.append(text)
                     rest ^= low
-                set_texts[mask] = "{" + ",".join(digits) + "}"
-        out[i] = format_entries([set_texts[mask] for mask in masks], ranks)
+                set_texts[mask] = "{" + ",".join(digits) + "}:"
+        for rank in ranks:
+            if rank not in rank_texts:
+                rank_texts[rank] = str(rank)
+        out[i] = "(" + ",".join([set_texts[mask] + rank_texts[rank] for mask, rank in zip(masks, ranks)]) + ")"
     return out
-

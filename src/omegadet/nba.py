@@ -57,7 +57,11 @@ def _check_tokens(tokens: Collection[str], what: str, error: type[ValueError], *
     The tokens are joined, searched and split once, at C speed: the split
     gives them back unchanged exactly when each is non-empty and whitespace-free.
     """
-    text = " ".join(tokens)
+    try:
+        text = " ".join(tokens)
+    except TypeError:
+        bad = next(token for token in tokens if not isinstance(token, str))
+        raise error(f"bad {what} {bad!r}: not a str", *line) from None
     if _UNCARRIED.search(text) or text.split() != list(tokens):
         bad = next(token for token in tokens if _UNCARRIED.search(token) or token.split() != [token])
         raise error(f"bad {what} {bad!r}: {_TOKEN_RULE}", *line)

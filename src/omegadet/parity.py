@@ -135,13 +135,13 @@ def _walk_cycle(
 
 
 def serialize_dpa(dpa: ParityAutomaton) -> bytes:
-    """Canonical .dpa text: optional label lines, then edges sorted by (src, symbol index)."""
+    """Canonical .dpa text: optional label lines, then edges sorted by ``src * len(alphabet) + symbol index``."""
+    width = len(dpa.alphabet)
     index = {sym: i for i, sym in enumerate(dpa.alphabet)}
+    edges = sorted(dpa.edges.items(), key=lambda e: e[0][0] * width + index[e[0][1]])
     lines = [*_header_lines("dpa", dpa.num_states, dpa.alphabet), f"init {dpa.initial}"]
-    for state in sorted(dpa.labels):
-        lines.append(f"label {state} {dpa.labels[state]}")
-    for (src, sym), (dst, priority) in sorted(dpa.edges.items(), key=lambda e: (e[0][0], index[e[0][1]])):
-        lines.append(f"{src} {sym} {dst} {priority}")
+    lines += [f"label {state} {dpa.labels[state]}" for state in sorted(dpa.labels)]
+    lines += [f"{src} {sym} {dst} {priority}" for (src, sym), (dst, priority) in edges]
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 

@@ -98,14 +98,9 @@ def format_set(block: Iterable[int]) -> str:
     return "{" + ",".join(map(str, sorted(block))) + "}"
 
 
-def format_entries(set_texts: Iterable[str], ranks: Iterable[int]) -> str:
-    """Canonical slice text from already formatted sets (see :func:`format_set`) and their ranks."""
-    return "(" + ",".join([f"{text}:{rank}" for text, rank in zip(set_texts, ranks)]) + ")"
-
-
 def format_slice(slice_: _Slice) -> str:
     """Canonical text form ``({ids}:rank,...)`` with ascending ids inside each set."""
-    return format_entries(map(format_set, slice_.sets), slice_.ranks)
+    return "(" + ",".join([f"{format_set(block)}:{rank}" for block, rank in zip(slice_.sets, slice_.ranks)]) + ")"
 
 
 def parse_slice(text: str) -> RankedSlice:

@@ -785,6 +785,8 @@ GOLDEN_DPA_SHA256 = {
     ("grid", "safra"): "41a8a7ff6af7c5e8250a6a7f32da6c0bb0670e792db3c11b9ecd9e8ee01304a9",
     ("grid", "max"): "6ed59599c855141e573084d878151f6c74305e16f364871c4b278c20ba7a0fb7",
     ("grid", "adaptive"): "8a2283fc5ccd8da01c2ec1cea3c9042758bb50cf99eeb641103d30937df13390",
+    # The merge-adaptive benchmark workload: six n=24 automata, 3580 states.
+    ("wide", "adaptive"): "ab3c1865abd069ccaa9cb79e59685d819ecbeccf88a03f29a606db0a60bc91b3",
 }
 
 
@@ -802,4 +804,12 @@ def test_golden_dpa_bytes(golden_automata, strategy):
         for aut in automata:
             digest.update(serialize_dpa(determinize(aut, strategy)))
         assert digest.hexdigest() == GOLDEN_DPA_SHA256[(name, strategy)], name
+
+
+def test_golden_dpa_bytes_of_the_merge_adaptive_workload():
+    digest = hashlib.sha256()
+    for i in range(6):
+        aut = random_nba(24, ("a", "b"), 1.8 / 24, 0.5, seed=9100 * 24 + i)
+        digest.update(serialize_dpa(determinize(aut, ADAPTIVE, labels=True)))
+    assert digest.hexdigest() == GOLDEN_DPA_SHA256[("wide", "adaptive")]
 

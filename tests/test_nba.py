@@ -12,6 +12,7 @@ from omegadet.nba import (
     LassoFormatError,
     NbaFormatError,
     UnknownSymbolError,
+    _check_tokens,
     format_lasso,
     parse_lasso,
     parse_nba,
@@ -224,12 +225,29 @@ def test_round_trip_random_automata():
         assert parse_nba(serialize_nba(aut)) == aut
 
 
-@pytest.mark.parametrize("symbol", ["", "a b", "b\n", "a#b", "#", "a|b", "|", "\ud800", "a\udfffb"])
+@pytest.mark.parametrize("symbol", ["", "a b", "b\n", "a#b", "#", "a|b", "|", "\ud800", "a\udfffb", 1, None, b"a"])
 def test_automaton_rejects_a_symbol_the_text_cannot_carry(symbol):
     with pytest.raises(InvalidAutomatonError, match="bad symbol token"):
         BuchiAutomaton(1, ("a", symbol), frozenset({(0, symbol, 0)}), frozenset({0}), frozenset())
     with pytest.raises(LassoFormatError, match="bad lasso token"):
         Lasso(stem=("a",), cycle=(symbol,))
+
+
+def test_token_rule_on_every_code_point_of_the_bmp():
+    # A token is rejected exactly when it is empty or holds whitespace, '#',
+    # '|' or a lone surrogate.
+    def rejects(token):
+        try:
+            _check_tokens([token], "token", ValueError)
+        except ValueError:
+            return True
+        return False
+
+    assert rejects("")
+    bad = [code for code in range(0x10000) if rejects("a" + chr(code) + "b")]
+    assert bad == [
+        code for code in range(0x10000) if chr(code).isspace() or chr(code) in "#|" or 0xD800 <= code <= 0xDFFF
+    ]
 
 
 @pytest.mark.parametrize("symbol", ["a|b", "\ud800"])

@@ -127,6 +127,21 @@ def test_serialize_one_state_six_lines():
     assert len(data.splitlines()) == 6
 
 
+def test_serialize_dpa_writes_labels_by_state_and_edges_by_state_then_alphabet_position():
+    # The alphabet is not in text order, one edge is missing, and both
+    # mappings are filled in reverse of the canonical order.
+    dpa = ParityAutomaton(
+        num_states=2,
+        alphabet=("b", "a"),
+        initial=0,
+        edges={(1, "a"): (0, 3), (1, "b"): (1, 2), (0, "a"): (1, 1)},
+        labels={1: "({1}:1)", 0: "({0}:1)"},
+    )
+    assert serialize_dpa(dpa) == (
+        b"dpa\nstates 2\nalphabet b a\ninit 0\nlabel 0 ({0}:1)\nlabel 1 ({1}:1)\n0 a 1 1\n1 b 1 2\n1 a 0 3\n"
+    )
+
+
 def test_parse_serialize_round_trip_random():
     for seed in range(60):
         aut = random_nba(1 + seed % 5, ("a", "b")[: 1 + seed % 2], 0.4, 0.4, 500 + seed)
@@ -174,6 +189,9 @@ def test_parity_automaton_keeps_no_alphabet_of_the_caller():
         (("a|b",), {}),
         (("\ud800",), {}),
         (("a",), {0: "({0}:1)|"}),
+        (("a",), {0: 5}),
+        (("a",), {0: b"x"}),
+        ((1,), {}),
     ],
 )
 def test_parity_automaton_rejects_text_it_could_not_read_back(alphabet, labels):
