@@ -36,7 +36,7 @@ from .nba import (
     parse_nba,
     to_mask,
 )
-from .oracle import _lasso_words, nba_accepts_lasso, sample_lassos
+from .oracle import _accepts_after, _lasso_words, nba_accepts_lasso, sample_lassos
 from .parity import (
     DpaFormatError,
     MissingEdgeError,
@@ -204,10 +204,12 @@ def _first_disagreement(aut: BuchiAutomaton, dpa: ParityAutomaton, words) -> tup
     DPA verdict only on the DPA state after the stem and ``v``, and since
     ``u·v^ω = (u·v)·v^ω`` each verdict holds along the key's orbit under ``v``:
 
-    * NBA side: one oracle call decides an undecided state set, and its
-      verdict goes to the sets after ``v``, ``v²``, ..., stopping at a decided
-      set or after ``dpa.num_states + 1`` cycle iterations (the bound of
-      :func:`run_lasso`).  A repeated set is a decided one.
+    * NBA side: one decision from the post-stem mask, with no witness built,
+      decides an undecided state set, and its verdict goes to the sets after
+      ``v``, ``v²``, ..., stopping at a decided set or after
+      ``dpa.num_states + 1`` cycle iterations (the bound of
+      :func:`run_lasso`).  A repeated set is a decided one.  Only the
+      reported disagreement runs :func:`nba_accepts_lasso` for its witness.
     * DPA side: ``_walk_cycle`` walks ``v`` from the state up to a decided or
       a repeated state, as a prefix of :func:`run_lasso`'s walk, and the
       verdict goes to every boundary state on its trail.
@@ -247,7 +249,7 @@ def _first_disagreement(aut: BuchiAutomaton, dpa: ParityAutomaton, words) -> tup
         nba_known, dpa_known = known
         nba_accepts = nba_known.get(layer)
         if nba_accepts is None:
-            nba_accepts = nba_known[layer] = nba_accepts_lasso(aut, Lasso(stem, cycle)).accepted
+            nba_accepts = nba_known[layer] = _accepts_after(aut, layer, cycle)
             cycle_posts = [posts[symbol] for symbol in cycle]
             for _ in range(orbit_bound):
                 for post in cycle_posts:

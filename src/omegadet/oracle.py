@@ -6,11 +6,15 @@ accepting state lies on a cycle reachable after the stem.  It reads the
 automaton's successor masks, with state sets as bitmasks, and visits
 successors in ascending order.  One breadth-first search, :func:`_search`,
 finds the nodes reachable after the stem and then, for each accepting
-candidate in sorted order, a shortest cycle back to it.  The witness is
-rebuilt in time linear in the stem and the product path: parent pointers
-and the stem run are followed by appending, then reversed once.  The tests
-compare it with an independently coded decision procedure based on
-boundary-relation powers.
+candidate in sorted order, a shortest cycle back to it; :func:`_anchor`
+runs both.  :func:`nba_accepts_lasso` walks the stem, runs :func:`_anchor`
+and rebuilds the witness in time linear in the stem and the product path:
+parent pointers and the stem run are followed by appending, then reversed
+once.  ``omegadet check`` already holds the post-stem set as a mask, so it
+decides from that mask with :func:`_accepts_after`, which builds no
+witness, and runs :func:`nba_accepts_lasso` only for the disagreement it
+reports.  The tests compare both with an independently coded decision
+procedure based on boundary-relation powers.
 """
 from __future__ import annotations
 
@@ -52,13 +56,10 @@ def nba_accepts_lasso(aut: BuchiAutomaton, lasso: Lasso) -> LassoVerdict:
         for q in mask_states(layers[-1]):
             layer |= table.get(q, 0)
         layers.append(layer)
-    parents, _ = _search(tables, lasso.cycle, [(q, 0) for q in mask_states(layers[-1])])
-    for anchor in sorted(node for node in parents if node[0] in aut.accepting):
-        loop_parents, last = _search(tables, lasso.cycle, [anchor], goal=anchor)
-        if last is not None:
-            break
-    else:
+    found = _anchor(aut, layers[-1], lasso.cycle)
+    if found is None:
         return LassoVerdict(accepted=False)
+    parents, anchor, loop_parents, last = found
 
     # Product path from a post-stem node to the anchor, then a stem run into
     # its first state, picked backwards through the stem layers.
@@ -71,6 +72,31 @@ def nba_accepts_lasso(aut: BuchiAutomaton, lasso: Lasso) -> LassoVerdict:
     prefix = tuple(run) + tuple(q for q, _ in path[1:])
     loop = tuple(q for q, _ in _path(loop_parents, last)) + (anchor[0],)
     return LassoVerdict(accepted=True, prefix_states=prefix, loop_states=loop)
+
+
+def _accepts_after(aut: BuchiAutomaton, layer: int, cycle: tuple[str, ...]) -> bool:
+    """Whether ``cycle^ω`` is accepted from some state of the mask ``layer``.
+
+    This is :func:`nba_accepts_lasso`'s decision for a stem that leads to
+    ``layer``, with no witness built; the cycle's symbols are not checked.
+    """
+    return _anchor(aut, layer, cycle) is not None
+
+
+def _anchor(aut: BuchiAutomaton, layer: int, cycle: tuple[str, ...]):
+    """The first accepting product node, in sorted order, that lies on a cycle.
+
+    Searches from the nodes ``(q, 0)`` for ``q`` in ``layer`` and returns the
+    search's parents, that anchor, and the parents and last node of the
+    cycle search back to it; None when no accepting node lies on a cycle.
+    """
+    tables = aut._tables  # type: ignore[attr-defined]
+    parents, _ = _search(tables, cycle, [(q, 0) for q in mask_states(layer)])
+    for anchor in sorted(node for node in parents if node[0] in aut.accepting):
+        loop_parents, last = _search(tables, cycle, [anchor], goal=anchor)
+        if last is not None:
+            return parents, anchor, loop_parents, last
+    return None
 
 
 def _search(

@@ -14,7 +14,15 @@ from hypothesis import strategies as st
 from omegadet import cli
 from omegadet.cli import cmd_check
 from omegadet.determinize import ADAPTIVE, STRATEGIES, as_strategy, determinize
-from omegadet.nba import BuchiAutomaton, format_lasso, parse_lasso, parse_nba, serialize_nba, successors
+from omegadet.nba import (
+    BuchiAutomaton,
+    format_lasso,
+    from_mask,
+    parse_lasso,
+    parse_nba,
+    serialize_nba,
+    successors,
+)
 from omegadet.oracle import enumerate_lassos, nba_accepts_lasso, sample_lassos
 from omegadet.parity import ParityAutomaton, _run_lasso, parse_dpa, run_lasso, serialize_dpa
 from omegadet.safra import slice_to_safra
@@ -316,18 +324,26 @@ def test_check_matches_the_unmemoised_loop_on_mutated_dpas(corpus_files, corpus_
     assert min(outcomes.values()) >= 30, outcomes
 
 
-def test_check_calls_the_oracle_once_per_nba_orbit(corpus_files, monkeypatch, capsys):
+def test_check_calls_the_oracle_once_per_nba_orbit(corpus_files, monkeypatch, capsys, tmp_path):
     paths = [p for p in corpus_files if len(parse_nba(p.read_bytes()).alphabet) == 2][:5]
-    calls = []
+    decisions = []
+    witnesses = []
+    accepts_after = cli._accepts_after
 
-    def counted(aut, lasso):
-        calls.append(lasso)
+    def counted(aut, layer, cycle):
+        decisions.append((from_mask(layer), cycle))
+        return accepts_after(aut, layer, cycle)
+
+    def witnessed(aut, lasso):
+        witnesses.append(lasso)
         return nba_accepts_lasso(aut, lasso)
 
-    monkeypatch.setattr(cli, "nba_accepts_lasso", counted)
+    monkeypatch.setattr(cli, "_accepts_after", counted)
+    monkeypatch.setattr(cli, "nba_accepts_lasso", witnessed)
     for path in paths:
         aut = parse_nba(path.read_bytes())
-        bound = determinize(aut, "ms").num_states + 1
+        dpa = determinize(aut, "ms")
+        bound = dpa.num_states + 1
         lassos = list(enumerate_lassos(aut.alphabet, 3, 3))
 
         def after(layer, word):
@@ -336,7 +352,7 @@ def test_check_calls_the_oracle_once_per_nba_orbit(corpus_files, monkeypatch, ca
             return layer
 
         keys = {(after(aut.initial, lasso.stem), lasso.cycle) for lasso in lassos}
-        # Since u·v^ω = (u·v)·v^ω, a call decides its state set and the sets
+        # Since u·v^ω = (u·v)·v^ω, a decision covers its state set and the sets
         # after v, v², ..., up to a decided set or the DPA size plus one.
         decided = set()
         expected = []
@@ -344,18 +360,30 @@ def test_check_calls_the_oracle_once_per_nba_orbit(corpus_files, monkeypatch, ca
             layer = after(aut.initial, lasso.stem)
             if (layer, lasso.cycle) in decided:
                 continue
-            expected.append(lasso)
+            expected.append((layer, lasso.cycle))
             decided.add((layer, lasso.cycle))
             for _ in range(bound):
                 layer = after(layer, lasso.cycle)
                 if (layer, lasso.cycle) in decided:
                     break
                 decided.add((layer, lasso.cycle))
-        calls.clear()
+        decisions.clear()
+        witnesses.clear()
         assert cli.main(["check", "-i", str(path), "--max-u", "3", "--max-v", "3"]) == 0
         assert capsys.readouterr().out == f"checked {len(lassos)} lassos: agreement\n"
-        assert calls == expected
-        assert len(calls) < len(keys) < len(lassos)
+        assert decisions == expected
+        assert len(decisions) < len(keys) < len(lassos)
+        assert witnesses == []
+
+        # Every priority raised by one flips every DPA verdict, so the first lasso disagrees.
+        flipped = {key: (target, priority + 1) for key, (target, priority) in dpa.edges.items()}
+        dpa_path = tmp_path / "flipped.dpa"
+        dpa_path.write_bytes(serialize_dpa(ParityAutomaton(dpa.num_states, dpa.alphabet, dpa.initial, flipped)))
+        decisions.clear()
+        assert cli.main(["check", "-i", str(path), "--dpa", str(dpa_path), "--max-u", "3", "--max-v", "3"]) == 1
+        assert capsys.readouterr().out.startswith(f"disagreement on lasso: {format_lasso(lassos[0])}\n")
+        assert decisions == expected[:1]
+        assert witnesses == [lassos[0]]
 
 
 def test_check_follows_each_edge_of_a_chain_dpa_a_bounded_number_of_times(tmp_path, monkeypatch, capsys):

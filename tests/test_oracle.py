@@ -1,10 +1,12 @@
 import hashlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from omegadet.determinize import MULLER_SCHUPP, initial_slice, transition
-from omegadet.nba import BuchiAutomaton, Lasso, UnknownSymbolError, parse_nba
-from omegadet.oracle import enumerate_lassos, nba_accepts_lasso, random_nba, sample_lassos
+from omegadet.nba import BuchiAutomaton, Lasso, UnknownSymbolError, parse_nba, successors, to_mask
+from omegadet.oracle import _accepts_after, enumerate_lassos, nba_accepts_lasso, random_nba, sample_lassos
 
 from .conftest import assert_valid_witness, build_corpus
 from .reference import split_tree_levels
@@ -146,6 +148,59 @@ def test_implementations_agree():
         aut = random_nba(1 + seed % 5, ("a", "b")[: 1 + seed % 2], 0.4, 0.4, 3100 + seed)
         for lasso in enumerate_lassos(aut.alphabet, 2, 2):
             assert nba_accepts_lasso(aut, lasso).accepted == nba_accepts_lasso_by_powers(aut, lasso)
+
+
+def test_decision_on_the_post_stem_mask_matches_the_oracle_on_the_corpus():
+    # What check decides from the mask it holds, against the witness-building oracle.
+    count = 0
+    for aut in build_corpus():
+        layers = {(): aut.initial}
+        for lasso in enumerate_lassos(aut.alphabet, 3, 3):
+            stem = lasso.stem
+            if stem not in layers:
+                layers[stem] = successors(aut, layers[stem[:-1]], stem[-1])
+            decision = _accepts_after(aut, to_mask(layers[stem]), lasso.cycle)
+            assert decision == nba_accepts_lasso(aut, lasso).accepted, lasso
+            count += 1
+    assert count == 33300
+
+
+@st.composite
+def sparse_nbas(draw):
+    """Automata of 1 to 70 states with one or two edges per active state and symbol, so masks cross 64 bits.
+
+    Only the last ``size`` states have edges or are initial or accepting,
+    so a small automaton can still sit above bit 63.
+    """
+    num_states = draw(st.integers(1, 70) | st.integers(65, 70))
+    size = draw(st.integers(1, min(num_states, 8)) | st.integers(1, num_states))
+    offset = num_states - size
+    state = st.integers(offset, num_states - 1)
+    alphabet = ("a", "b")
+    transitions = {
+        (src, symbol, dst)
+        for src in range(offset, num_states)
+        for symbol in alphabet
+        for dst in draw(st.lists(state, min_size=1, max_size=2))
+    }
+    initial = draw(st.frozensets(state, min_size=1, max_size=3))
+    flags = draw(st.lists(st.booleans(), min_size=size, max_size=size))
+    accepting = frozenset(q for q, flag in zip(range(offset, num_states), flags) if flag)
+    return BuchiAutomaton(num_states, alphabet, frozenset(transitions), initial, accepting)
+
+
+@settings(max_examples=100)
+@given(
+    aut=sparse_nbas(),
+    stem=st.lists(st.sampled_from("ab"), max_size=3).map(tuple),
+    cycle=st.lists(st.sampled_from("ab"), min_size=1, max_size=3).map(tuple),
+)
+def test_decision_on_the_post_stem_mask_matches_boundary_powers(aut, stem, cycle):
+    layer = aut.initial
+    for symbol in stem:
+        layer = successors(aut, layer, symbol)
+    lasso = Lasso(stem, cycle)
+    assert _accepts_after(aut, to_mask(layer), cycle) == nba_accepts_lasso_by_powers(aut, lasso)
 
 
 def test_enumerate_lassos_tiny():
