@@ -47,14 +47,13 @@ from .parity import (
     run_lasso,
     serialize_dpa,
 )
-from .safra import InvalidTreeError, TreeFormatError, format_tree, safra_to_slice, slice_to_safra
+from .safra import InvalidTreeError, format_tree, safra_to_slice, slice_to_safra
 from .slices import InvalidSliceError, SliceFormatError, format_set, format_slice, parse_slice
 
 _USAGE_ERRORS = (
     NbaFormatError,
     DpaFormatError,
     SliceFormatError,
-    TreeFormatError,
     LassoFormatError,
     UnknownSymbolError,
 )
@@ -111,7 +110,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="compare DPA decisions against the membership oracle")
     add_common(p)
-    p.add_argument("--dpa", help="check this .dpa file instead of determinizing")
+    p.add_argument(
+        "--dpa", help="check this .dpa file instead of determinizing (--strategy and --cap then have no effect)"
+    )
     p.add_argument("--max-u", type=_int_at_least(0), default=3, help="maximum stem length (>= 0)")
     p.add_argument("--max-v", type=_int_at_least(1), default=3, help="maximum cycle length (>= 1)")
     p.add_argument(

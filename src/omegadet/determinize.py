@@ -22,8 +22,9 @@ slice, entered and left with priority 1.
 
 Exploration keeps a macrostate as a pair ``(masks, ranks)`` of int tuples:
 one state-set bitmask (see :mod:`omegadet.nba`) and one rank per position,
-and :func:`determinize` interns the pairs directly.  Only the fused kernel
-and the adaptive index read that bit layout.
+and :func:`determinize` interns the pairs directly.  The fused kernel and
+the adaptive index work on that bit layout; ``_key`` encodes a slice into
+it and ``_labels`` decodes it into label text.
 
 Exploration runs one fused kernel per edge, ``_successor``: a single loop
 steps and prunes without building the stepped macrostate, and only the

@@ -10,8 +10,7 @@ A state set is an ``int`` bitmask with bit ``q`` standing for state ``q``.
 This module owns that encoding: ``to_mask``, ``from_mask`` and ``mask_states``
 convert.  An automaton keeps one transition table, the successor mask of each
 state per symbol; :meth:`BuchiAutomaton.post` maps set masks to successor masks
-through it, and :meth:`BuchiAutomaton.successors_of` and :func:`successors`
-read it too.
+through it, and :func:`successors` reads it too.
 """
 from __future__ import annotations
 
@@ -129,10 +128,6 @@ class BuchiAutomaton:
             return self._tables[symbol]  # type: ignore[attr-defined]
         except KeyError:
             raise UnknownSymbolError(f"symbol {symbol!r} not in alphabet") from None
-
-    def successors_of(self, state: int, symbol: str) -> frozenset[int]:
-        """Successor states of a single state on one symbol."""
-        return from_mask(self._table(symbol).get(state, 0))
 
     def post(self, symbol: str) -> "SuccessorMasks":
         """Fresh memo mapping a state-set mask to its successor mask on ``symbol``."""

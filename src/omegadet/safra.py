@@ -6,13 +6,15 @@ sibling ranks increase left to right; the root always holds rank 1.  Listing
 the node labels in depth-first post-order recovers a ranked slice, and the
 inverse direction rebuilds the tree from the parent relation induced by the
 ranks.  ``unflatten`` computes that relation in linear time with a stack.
+A tree is valid exactly when its post-order listing is a ranked slice that
+rebuilds to the tree itself, which is how :func:`safra_to_slice` checks it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Sequence
 
-from .slices import RankedSlice, _parse_entry, format_set
+from .slices import InvalidSliceError, RankedSlice, _parse_entry, format_set
 
 
 class InvalidTreeError(ValueError):
@@ -111,47 +113,20 @@ def unflatten(ranks: Sequence[int]) -> TreeShape:
 
 
 def validate_tree(root: SafraNode) -> int:
-    """Check all ranked Safra tree invariants; returns the node count.
-
-    State ids must be non-negative ``int`` and ranks ``int`` (``bool`` is
-    neither), so :func:`format_tree` writes text that :func:`parse_tree` reads.
-    """
-    labels_seen: set[int] = set()
-    ranks: list[int] = []
-    # Depth-first pre-order; each entry carries its parent's and left sibling's rank.
-    stack: list[tuple[SafraNode, int | None, int | None]] = [(root, None, None)]
-    while stack:
-        node, parent_rank, previous_rank = stack.pop()
-        if type(node.rank) is not int:
-            raise InvalidTreeError(f"rank {node.rank!r} is not an int")
-        if parent_rank is not None:
-            if node.rank <= parent_rank:
-                raise InvalidTreeError("children must outrank their parent")
-            if previous_rank is not None and node.rank <= previous_rank:
-                raise InvalidTreeError("sibling ranks must increase left to right")
-        if not node.label:
-            raise InvalidTreeError("node labels must be non-empty")
-        for q in node.label:
-            if type(q) is not int or q < 0:
-                raise InvalidTreeError(f"state id {q!r} is not a non-negative int")
-        if node.label & labels_seen:
-            raise InvalidTreeError(f"labels are not disjoint: {sorted(node.label & labels_seen)} repeated")
-        labels_seen.update(node.label)
-        ranks.append(node.rank)
-        children = node.children
-        for i in range(len(children) - 1, -1, -1):
-            stack.append((children[i], node.rank, children[i - 1].rank if i else None))
-    n = len(ranks)
-    if sorted(ranks) != list(range(1, n + 1)):
-        raise InvalidTreeError(f"ranks {sorted(ranks)} are not a bijection onto 1..{n}")
-    if root.rank != 1:
-        raise InvalidTreeError("the root must hold rank 1")
-    return n
+    """Check all ranked Safra tree invariants (see :func:`safra_to_slice`); returns the node count."""
+    return len(safra_to_slice(root))
 
 
 def safra_to_slice(root: SafraNode) -> RankedSlice:
-    """List node labels and ranks in depth-first post-order."""
-    validate_tree(root)
+    """List node labels and ranks in depth-first post-order.
+
+    The tree is valid exactly when that listing is a ranked slice and the
+    tree rebuilt from it is the tree itself.  The slice checks the labels,
+    state ids and ranks, and puts rank 1 at the root, the last position.
+    The rebuild is always a valid tree, so comparing it with the tree
+    checks the rest: children outrank their parent and sibling ranks
+    increase left to right.
+    """
     # Node before children, children right to left: the reverse is post-order.
     order: list[SafraNode] = []
     stack = [root]
@@ -160,7 +135,13 @@ def safra_to_slice(root: SafraNode) -> RankedSlice:
         order.append(node)
         stack.extend(node.children)
     order.reverse()
-    return RankedSlice(sets=tuple([node.label for node in order]), ranks=tuple([node.rank for node in order]))
+    try:
+        slice_ = RankedSlice(sets=tuple([node.label for node in order]), ranks=tuple([node.rank for node in order]))
+    except InvalidSliceError as exc:
+        raise InvalidTreeError(f"the post-order listing is not a ranked slice: {exc}") from None
+    if slice_to_safra(slice_) != root:
+        raise InvalidTreeError("children must outrank their parent and sibling ranks must increase left to right")
+    return slice_
 
 
 def slice_to_safra(slice_: RankedSlice) -> SafraNode:
@@ -170,21 +151,12 @@ def slice_to_safra(slice_: RankedSlice) -> SafraNode:
         raise InvalidTreeError("the empty slice has no tree form")
     shape = unflatten(slice_.ranks)
     children: list[list[SafraNode]] = [[] for _ in range(n + 1)]
-    nodes: list[SafraNode | None] = [None] * (n + 1)
-    # Children occupy lower positions than their parent, so one ascending pass suffices.
-    for i in range(1, n + 1):
-        node = SafraNode(
-            label=slice_.sets[i - 1],
-            rank=slice_.ranks[i - 1],
-            children=children[i],
-        )
-        nodes[i] = node
-        p = shape.parent_of[i - 1]
-        if p is not None:
-            children[p].append(node)
-    root = nodes[n]
-    assert root is not None
-    return root
+    # Children occupy lower positions than their parent, so one ascending pass
+    # suffices.  Every position has a parent except the root, which is last.
+    for i in range(1, n):
+        node = SafraNode(label=slice_.sets[i - 1], rank=slice_.ranks[i - 1], children=children[i])
+        children[shape.parent_of[i - 1]].append(node)  # type: ignore[index]
+    return SafraNode(label=slice_.sets[-1], rank=slice_.ranks[-1], children=children[n])
 
 
 def format_tree(root: SafraNode) -> str:

@@ -203,7 +203,7 @@ def restricted_successors(aut: BuchiAutomaton, slice_: RankedSlice, q: int, symb
     stolen: set[int] = set()
     for block in slice_.sets[: pos - 1]:
         stolen |= successors(aut, block, symbol)
-    return aut.successors_of(q, symbol) - stolen
+    return successors(aut, {q}, symbol) - stolen
 
 
 def run_prefix(verdict: LassoVerdict, n: int) -> tuple[int, ...]:

@@ -74,7 +74,7 @@ def test_successor_table_matches_the_transitions(aut):
         post = aut.post(symbol)
         for q in range(aut.num_states):
             expected = frozenset(dst for src, sym, dst in aut.transitions if (src, sym) == (q, symbol))
-            assert aut.successors_of(q, symbol) == expected
+            assert successors(aut, {q}, symbol) == expected
             assert post[1 << q] == to_mask(expected)
         sources = {src for src, _, _ in aut.transitions}
         assert successors(aut, sources, symbol) == {dst for src, sym, dst in aut.transitions if sym == symbol}
@@ -90,7 +90,7 @@ def test_automaton_and_lasso_keep_no_container_of_the_caller():
     same = BuchiAutomaton(2, ("a",), frozenset({(0, "a", 1)}), frozenset({0}), frozenset({1}))
     assert aut == same and hash(aut) == hash(same)
     assert aut.accepting == frozenset({1}) and aut.accepting_mask == 2
-    assert aut.successors_of(1, "a") == frozenset() and isinstance(aut.alphabet, tuple)
+    assert successors(aut, {1}, "a") == frozenset() and isinstance(aut.alphabet, tuple)
     stem, cycle = ["a"], ["a", "a"]
     lasso = Lasso(stem, cycle)  # type: ignore[arg-type]
     stem.clear()
@@ -99,14 +99,14 @@ def test_automaton_and_lasso_keep_no_container_of_the_caller():
 
 
 def test_successor_memo_exposes_no_table_of_the_automaton(small_nba):
-    before = [small_nba.successors_of(q, "a") for q in range(small_nba.num_states)]
+    before = [successors(small_nba, {q}, "a") for q in range(small_nba.num_states)]
     memo = small_nba.post("a")
     assert not hasattr(memo, "table")
     with pytest.raises(AttributeError):
         memo.table = {}  # type: ignore[attr-defined]
     assert memo[0b111] == to_mask({0, 1, 2})
     memo[0b1] = 0
-    assert [small_nba.successors_of(q, "a") for q in range(small_nba.num_states)] == before
+    assert [successors(small_nba, {q}, "a") for q in range(small_nba.num_states)] == before
     assert small_nba.post("a")[0b1] == to_mask(before[0])
 
 
