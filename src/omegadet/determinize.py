@@ -28,14 +28,19 @@ it and ``_labels`` decodes it into label text.
 
 Exploration runs one fused kernel per edge, ``_successor``: a single loop
 steps and prunes without building the stepped macrostate, and only the
-normalized successor and the priority are returned.  Under ``ms`` (whose
-merge is the identity) the kernel builds no partition.  Under ``safra``,
-``max`` and ``adaptive``, one right-to-left pass over the pruned sets
-merges them into runs, and the two strategies differ only in when a set
-stops the run to its left: ``safra`` runs each green rank's complete subtree,
-``max`` the coarsest permitted intervals.  Either way the kernel compacts the
-ranks itself, one popcount over their bitmask per rank.  It checks nothing:
-its source is always normalized, so every invariant holds by construction.
+normalized successor and the priority are returned.  The loop keeps the
+states that no earlier position claimed as one complement mask.  A position
+whose image is already claimed dies in one branch, which marks its rank and
+relocates it onto the last survivor when lower, and an all-accepting image
+is appended once, with the source rank that its empty sibling hands it.
+Under ``ms`` (whose merge is the identity) the kernel builds no partition.
+Under ``safra``, ``max`` and ``adaptive``, one right-to-left pass over the
+pruned sets merges them into runs, and the two strategies differ only in
+when a set stops the run to its left: ``safra`` runs each green rank's
+complete subtree, ``max`` the coarsest permitted intervals.  Either way the
+kernel compacts the ranks itself, one popcount over their bitmask per rank.
+It checks nothing: its source is always normalized, so every invariant holds
+by construction.
 
 ``adaptive`` keeps the explored macrostates in an index keyed by their state
 union and number of sets.  It builds the ``max`` successor first and returns
@@ -60,7 +65,6 @@ is the one set-based statement of the priority rule.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -391,12 +395,6 @@ def _stages(
 _SINK: Macrostate = ((), ())
 
 
-def _dominating(green: int, red: int, num_states: int) -> tuple[int, int]:
-    active = green | red
-    k = (active & -active).bit_length() - 1 if active else num_states + 1
-    return k, 2 * k if green >> k & 1 else 2 * k - 1
-
-
 def _successor(
     post: SuccessorMasks,
     accepting: int,
@@ -408,9 +406,11 @@ def _successor(
     """The successor and priority of :func:`_stages`, with step and prune in one loop.
 
     ``source`` must be normalized, as every explored macrostate is: with ranks
-    ``1..n`` the fresh ranks ``n+1..2n`` exceed every rank before them, so an
-    empty accepting child never relocates a rank, and the stepped ranks are
-    exactly ``1..2n``.
+    ``1..n`` the fresh ranks ``n+1..2n`` exceed every rank before them, and
+    the stepped ranks are exactly ``1..2n``.  Hence an empty accepting child
+    never relocates a rank and its fresh rank dies red, never green, so only
+    source ranks need marking; and an accepting child whose sibling is empty
+    always takes the source rank.
 
     The successor comes out normalized, and each merge rule runs in one place:
     under ``ms`` the pruned sets are the merged ones, under ``safra`` and
@@ -424,36 +424,48 @@ def _successor(
     masks, ranks = source
     if not masks:
         return _SINK, 1
-    claimed = 0
+    # ``free`` holds the states no earlier position claimed, as a complement
+    # mask, and ``last`` the rank of the last surviving set (0 before it).
+    free = -1
     out_masks: list[int] = []
     out_ranks: list[int] = []
     surviving = 0
     marks = 0
+    last = 0
     fresh = len(masks) + 1
     for mask, rank in zip(masks, ranks):
-        image = post[mask]
-        restricted = image & ~claimed
-        claimed |= image
-        left = restricted & accepting
-        if left:
-            out_masks.append(left)
-            out_ranks.append(fresh)
-            surviving |= 1 << fresh
+        restricted = post[mask] & free
+        if not restricted:
+            # Both children are empty: the source rank marks, and relocates
+            # onto the last survivor if it is below its rank.
+            marks |= 1 << rank
+            if rank < last:
+                surviving ^= 1 << last | 1 << rank
+                out_ranks[-1] = last = rank
         else:
-            marks |= 1 << fresh
-        right = restricted ^ left
-        if right:
-            out_masks.append(right)
+            free ^= restricted
+            left = restricted & accepting
+            if left == restricted:
+                # Only the accepting child survives, and it takes the source
+                # rank, which the empty right child marks.
+                marks |= 1 << rank
+            elif left:
+                out_masks.append(left)
+                out_ranks.append(fresh)
+                surviving |= 1 << fresh
+                restricted ^= left
+            out_masks.append(restricted)
             out_ranks.append(rank)
             surviving |= 1 << rank
-        else:
-            marks |= 1 << rank
-            if out_ranks and rank < out_ranks[-1]:
-                surviving ^= 1 << out_ranks[-1] | 1 << rank
-                out_ranks[-1] = rank
+            last = rank
         fresh += 1
     green = surviving & marks
-    k, priority = _dominating(green, ((1 << fresh) - 2) & ~surviving, num_states)
+    # The dominating rank is the least green or red rank; the red ones are
+    # the stepped ranks ``1..2n`` that did not survive.
+    red = ((1 << fresh) - 2) & ~surviving
+    active = green | red
+    k = (active & -active).bit_length() - 1 if active else num_states + 1
+    priority = 2 * k if green >> k & 1 else 2 * k - 1
     if not out_masks:
         return _SINK, priority
     kind = strategy.kind
@@ -461,6 +473,7 @@ def _successor(
         # The max successor has the fewest sets of any permitted merge, so if it
         # is explored the scan would pick it first.  Every claimed state lands in
         # exactly one pruned set, so ``claimed`` is their union.
+        claimed = ~free
         coarsest = _runs(out_masks, out_ranks, k, green, False)
         fewest = len(coarsest[0])
         same = explored.get((claimed, fewest))
@@ -592,7 +605,9 @@ def determinize(
 
     Macrostates are deduplicated by structural slice equality and numbered in
     discovery order, so the output is a deterministic function of the input
-    automaton and strategy.  Each edge is one call of the fused kernel,
+    automaton and strategy.  The loop walks the list of macrostates in that
+    order, so the position of a source is its id, and interns each successor
+    with one dict lookup.  Each edge is one call of the fused kernel,
     which checks nothing.  ``labels`` annotates every state with its
     canonical slice string, from which :func:`transition` recomputes an edge
     with the staged reference.  Exceeding ``cap`` macrostates raises
@@ -606,42 +621,44 @@ def determinize(
     accepting: int = aut.accepting_mask  # type: ignore[attr-defined]
     start: Macrostate = ((to_mask(aut.initial),), (1,))
     ids: dict[Macrostate, int] = {start: 0}
+    # The macrostates in discovery order, and their ids as the very int
+    # objects that ``ids`` holds, so that the edges share one per state.
+    order: list[Macrostate] = [start]
+    numbers: list[int] = [0]
     adaptive = strategy.kind == "adaptive"
     index: UnionIndex = {}
     if adaptive:
         _remember(index, start)
     edges: dict[tuple[int, str], tuple[int, int]] = {}
-    queue: deque[Macrostate] = deque([start])
-    while queue:
-        current = queue.popleft()
-        src = ids[current]
+    for current, src in zip(order, numbers):
         for symbol, post in posts:
             succ, priority = _successor(post, accepting, aut.num_states, current, strategy, index)
-            dst = ids.get(succ)
-            if dst is None:
-                if len(ids) >= cap:
+            n = len(ids)
+            dst = ids.setdefault(succ, n)
+            if dst == n:
+                if n >= cap:
                     raise CapacityError(f"macrostate cap of {cap} exceeded")
-                dst = ids[succ] = len(ids)
-                queue.append(succ)
+                order.append(succ)
+                numbers.append(n)
                 if adaptive:
                     _remember(index, succ)
             edges[(src, symbol)] = (dst, priority)
     return ParityAutomaton(
-        num_states=len(ids),
+        num_states=len(order),
         alphabet=aut.alphabet,
         initial=0,
         edges=edges,
-        labels=_labels(ids) if labels else {},
+        labels=_labels(order) if labels else {},
     )
 
 
-def _labels(ids: dict[Macrostate, int]) -> dict[int, str]:
-    """Canonical slice text of every macrostate, formatting each distinct set, state id and rank once."""
+def _labels(order: list[Macrostate]) -> dict[int, str]:
+    """Canonical slice text of every macrostate by id, formatting each distinct set, state id and rank once."""
     id_texts: dict[int, str] = {}
     rank_texts: dict[int, str] = {}
     set_texts: dict[int, str] = {}
     out: dict[int, str] = {}
-    for (masks, ranks), i in ids.items():
+    for i, (masks, ranks) in enumerate(order):
         for mask in masks:
             if mask not in set_texts:
                 # Ids in ascending order, as format_set sorts them.

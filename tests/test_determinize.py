@@ -632,6 +632,73 @@ def test_fused_runs_on_a_green_subtree_with_nested_green_and_red_ranks(strategy,
     assert fused == (pipeline._key(trace.successor), trace.priority)
 
 
+@pytest.mark.parametrize(
+    "nba_text, source, expected, green, priority",
+    [
+        # The dead position ranked 2 relocates its rank onto the survivor
+        # ranked 3 before it, so rank 2 survives green: without the relocation
+        # the priority would be 3.
+        (
+            b"nba\nstates 5\nalphabet a\ninit 0\naccept\n0 a 3\n1 a 3\n2 a 4\n",
+            "({0}:3,{1}:2,{2}:1)",
+            "({3}:2,{4}:1)",
+            {2},
+            4,
+        ),
+        # An all-accepting image keeps the source rank, which its empty
+        # non-accepting child marks green; the fresh rank 2 dies red.
+        (b"nba\nstates 2\nalphabet a\ninit 0\naccept 1\n0 a 1\n", "({0}:1)", "({1}:1)", {1}, 2),
+        # Ids beyond 64 bits, so the mask of unclaimed states is a negative
+        # int of more than one digit; state 150 is claimed by the first
+        # position, so the second dies.
+        (
+            b"nba\nstates 200\nalphabet a\ninit 0\naccept 150\n0 a 150\n0 a 70\n199 a 150\n5 a 199\n",
+            "({0}:2,{199}:3,{5}:1)",
+            "({150}:3,{70}:2,{199}:1)",
+            set(),
+            5,
+        ),
+        # Two dead positions in a row relocate twice onto the survivor ranked
+        # 4, which ends ranked 2; a rank left over from the first relocation
+        # would lift the fresh rank 5 of {6} above 3 in the compaction.
+        (
+            b"nba\nstates 7\nalphabet a\ninit 0\naccept 6\n0 a 4\n0 a 6\n1 a 4\n2 a 4\n3 a 5\n",
+            "({0}:4,{1}:3,{2}:2,{3}:1)",
+            "({6}:3,{4}:2,{5}:1)",
+            {2},
+            4,
+        ),
+    ],
+    ids=["relocation", "all-accepting", "wide-ids", "double-relocation"],
+)
+def test_fused_successor_on_hand_built_ms_edges(nba_text, source, expected, green, priority):
+    aut = parse_nba(nba_text)
+    trace = transition(aut, parse_slice(source), "a", MULLER_SCHUPP)
+    assert (format_slice(trace.successor), trace.green, trace.priority) == (expected, green, priority)
+    key = pipeline._key(parse_slice(source))
+    fused = pipeline._successor(aut.post("a"), aut.accepting_mask, aut.num_states, key, MULLER_SCHUPP, {})
+    assert fused == (pipeline._key(trace.successor), priority)
+
+
+@pytest.mark.parametrize("strategy", ["ms", "safra", "max", "adaptive"])
+def test_cap_boundary_and_discovery_order(golden_automata, strategy):
+    aut = golden_automata["grid"][0]
+    dpa = determinize(aut, strategy, labels=False)
+    assert dpa.num_states > 1
+    assert determinize(aut, strategy, cap=dpa.num_states, labels=False) == dpa
+    with pytest.raises(CapacityError, match=f"macrostate cap of {dpa.num_states - 1} exceeded"):
+        determinize(aut, strategy, cap=dpa.num_states - 1, labels=False)
+    # Ids are discovery order: walking the edges by source, then symbol, each
+    # target is an id already seen or the next one, as ``replay`` assumes.
+    newest = 0
+    for source in range(dpa.num_states):
+        for symbol in aut.alphabet:
+            target = dpa.edges[source, symbol][0]
+            assert target <= newest + 1, (source, symbol, target, newest)
+            newest = max(newest, target)
+    assert newest == dpa.num_states - 1
+
+
 @pytest.mark.parametrize("strategy", ["ms", "safra", "max", "adaptive"])
 def test_validated_determinize_on_the_golden_grid(golden_automata, strategy):
     # Wider slices than the corpus, with the rank gaps that the fused kernel compacts.
@@ -824,6 +891,8 @@ GOLDEN_DPA_SHA256 = {
     ("grid", "adaptive"): "8a2283fc5ccd8da01c2ec1cea3c9042758bb50cf99eeb641103d30937df13390",
     # The merge-adaptive benchmark workload: six n=24 automata, 3580 states.
     ("wide", "adaptive"): "ab3c1865abd069ccaa9cb79e59685d819ecbeccf88a03f29a606db0a60bc91b3",
+    # The explore-ms benchmark workload, unlabelled: 24 automata at n=12..18, 17307 states.
+    ("explore", "ms"): "01c9a85aa7fff0990e08ffcb63d375ebcf18045ce69d48b86fb3e4163d6e10a7",
 }
 
 
@@ -849,4 +918,13 @@ def test_golden_dpa_bytes_of_the_merge_adaptive_workload():
         aut = random_nba(24, ("a", "b"), 1.8 / 24, 0.5, seed=9100 * 24 + i)
         digest.update(serialize_dpa(determinize(aut, ADAPTIVE, labels=True)))
     assert digest.hexdigest() == GOLDEN_DPA_SHA256[("wide", "adaptive")]
+
+
+def test_golden_dpa_bytes_of_the_explore_ms_workload():
+    digest = hashlib.sha256()
+    for n in (12, 14, 16, 18):
+        for i in range(6):
+            aut = random_nba(n, ("a", "b"), 1.8 / n, 0.5, seed=9100 * n + i)
+            digest.update(serialize_dpa(determinize(aut, MULLER_SCHUPP, labels=False)))
+    assert digest.hexdigest() == GOLDEN_DPA_SHA256[("explore", "ms")]
 
