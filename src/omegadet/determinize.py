@@ -22,7 +22,8 @@ slice, entered and left with priority 1.
 
 Exploration keeps a macrostate as a pair ``(masks, ranks)`` of int tuples:
 one state-set bitmask (see :mod:`omegadet.nba`) and one rank per position,
-and :func:`determinize` interns the pairs directly.  The fused kernel and
+and :func:`determinize` interns the pairs directly, sharing one int object
+per distinct mask among the explored macrostates.  The fused kernel and
 the adaptive index work on that bit layout; ``_key`` encodes a slice into
 it and ``_labels`` decodes it into label text.
 
@@ -69,7 +70,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .nba import BuchiAutomaton, SuccessorMasks, check_symbols, successors, to_mask
-from .parity import ParityAutomaton
+from .parity import ParityAutomaton, _built
 from .slices import PreSlice, RankedSlice
 from .safra import unflatten
 
@@ -606,50 +607,52 @@ def determinize(
     Macrostates are deduplicated by structural slice equality and numbered in
     discovery order, so the output is a deterministic function of the input
     automaton and strategy.  The loop walks the list of macrostates in that
-    order, so the position of a source is its id, and interns each successor
-    with one dict lookup.  Each edge is one call of the fused kernel,
-    which checks nothing.  ``labels`` annotates every state with its
-    canonical slice string, from which :func:`transition` recomputes an edge
-    with the staged reference.  Exceeding ``cap`` macrostates raises
-    :class:`CapacityError`; ``cap`` must be at least 1, for the initial
-    macrostate, or :class:`ValueError` is raised.
+    order, so the position of a source is its id, and looks each successor
+    up with one dict lookup.  A new successor's masks are first replaced by
+    the int objects of equal masks already explored, so each distinct mask
+    is kept once.  Each edge is one call of the fused kernel, which checks
+    nothing, and appends its target and priority to its symbol's rows; the
+    rows and the labels become the automaton's without a copy or a check.
+    ``labels`` annotates every state with its canonical slice string, from
+    which :func:`transition` recomputes an edge with the staged reference.
+    Exceeding ``cap`` macrostates raises :class:`CapacityError`; ``cap`` must
+    be at least 1, for the initial macrostate, or :class:`ValueError` is
+    raised.
     """
     if cap < 1:
         raise ValueError(f"cap must be at least 1, got {cap}")
     strategy = as_strategy(strategy)
-    posts = [(symbol, aut.post(symbol)) for symbol in aut.alphabet]
+    # Each symbol's rows of targets and priorities, indexed by source id.
+    rows = {symbol: ([], []) for symbol in aut.alphabet}
+    posts = [(aut.post(symbol), *rows[symbol]) for symbol in aut.alphabet]
     accepting: int = aut.accepting_mask  # type: ignore[attr-defined]
     start: Macrostate = ((to_mask(aut.initial),), (1,))
     ids: dict[Macrostate, int] = {start: 0}
-    # The macrostates in discovery order, and their ids as the very int
-    # objects that ``ids`` holds, so that the edges share one per state.
+    # The macrostates in discovery order, which is id order.
     order: list[Macrostate] = [start]
-    numbers: list[int] = [0]
+    # One int object per distinct mask value, shared by every macrostate that holds it.
+    canon: dict[int, int] = {}
     adaptive = strategy.kind == "adaptive"
     index: UnionIndex = {}
     if adaptive:
         _remember(index, start)
-    edges: dict[tuple[int, str], tuple[int, int]] = {}
-    for current, src in zip(order, numbers):
-        for symbol, post in posts:
+    for current in order:
+        for post, targets, priorities in posts:
             succ, priority = _successor(post, accepting, aut.num_states, current, strategy, index)
-            n = len(ids)
-            dst = ids.setdefault(succ, n)
-            if dst == n:
-                if n >= cap:
+            dst = ids.get(succ)
+            if dst is None:
+                dst = len(ids)
+                if dst >= cap:
                     raise CapacityError(f"macrostate cap of {cap} exceeded")
+                succ = tuple([canon.setdefault(mask, mask) for mask in succ[0]]), succ[1]
+                ids[succ] = dst
                 order.append(succ)
-                numbers.append(n)
                 if adaptive:
                     _remember(index, succ)
-            edges[(src, symbol)] = (dst, priority)
-    return ParityAutomaton(
-        num_states=len(order),
-        alphabet=aut.alphabet,
-        initial=0,
-        edges=edges,
-        labels=_labels(order) if labels else {},
-    )
+            targets.append(dst)
+            priorities.append(priority)
+    # Every state has one edge per symbol, so the rows are complete lists.
+    return _built(len(order), aut.alphabet, 0, rows, _labels(order) if labels else {})
 
 
 def _labels(order: list[Macrostate]) -> dict[int, str]:

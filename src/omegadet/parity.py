@@ -2,6 +2,10 @@
 
 Acceptance is min-even over edge priorities: a run is accepting when the
 smallest priority occurring infinitely often along its edges is even.
+A :class:`ParityAutomaton` keeps its edges as one row of targets and one of
+priorities per symbol, indexed by state, and ``edges`` is a read-only view of
+them; :func:`determinize` and :func:`parse_dpa` fill the rows themselves and
+hand them over without a copy.
 :func:`_walk_cycle` is the one loop that iterates a lasso's cycle over a DPA;
 :func:`run_lasso`, ``omegadet trace`` and ``omegadet check`` all run it.
 """
@@ -9,7 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Any, Callable, Container, Hashable, Mapping
+from collections.abc import Callable, Container, Hashable, Iterable, Iterator, Mapping
+from typing import Any
 
 from .nba import Lasso, UnknownSymbolError, _check_alphabet, _check_tokens, _header_lines, _LineError, _read_header
 from .nba import _read_int, _read_lines, _take
@@ -23,16 +28,89 @@ class MissingEdgeError(LookupError):
     """A reachable (state, symbol) pair has no outgoing edge."""
 
 
+# A row of targets or priorities, indexed by state, and the rows of each symbol.
+Row = list[int] | dict[int, int]
+Rows = dict[str, tuple[Row, Row]]
+DictRows = dict[str, tuple[dict[int, int], dict[int, int]]]
+
+
+class _Edges(Mapping):
+    """Read-only view of per-symbol edge rows as a mapping ``(state, symbol) -> (target, priority)``.
+
+    ``rows`` maps each symbol, in alphabet order, to a row of targets and a row
+    of priorities indexed by state.  A symbol's rows are lists when every state
+    has an edge on it, as in every automaton :func:`determinize` builds, and
+    dicts keyed by state otherwise, so an automaton that declares many states
+    and has few edges stays small.  Iteration is by state and then alphabet
+    position, the order of :func:`serialize_dpa`.
+    """
+
+    __slots__ = ("_num_states", "_rows")
+
+    def __init__(self, num_states: int, rows: Rows):
+        self._num_states = num_states
+        self._rows = rows
+
+    def _walk(self) -> tuple[Iterable[int], list[tuple[str, Row, Row]]]:
+        """The states with an edge, ascending, and each symbol's rows, in alphabet order.
+
+        ``(src, symbol)`` is an edge when the symbol's rows are lists or hold ``src``.
+        """
+        columns = [(symbol, targets, priorities) for symbol, (targets, priorities) in self._rows.items()]
+        if any(type(targets) is list for _, targets, _ in columns):
+            # A list row has one edge per state, so walking the states costs no more than the edges.
+            return range(self._num_states), columns
+        return sorted(set().union(*[targets for _, targets, _ in columns])), columns
+
+    def __getitem__(self, key: tuple[int, str]) -> tuple[int, int]:
+        try:
+            state, symbol = key
+            targets, priorities = self._rows[symbol]
+            # A list row must not read a negative state from its end.
+            if state >= 0:
+                return targets[state], priorities[state]
+        except (LookupError, TypeError, ValueError):
+            pass
+        raise KeyError(key)
+
+    def __iter__(self) -> Iterator[tuple[int, str]]:
+        states, columns = self._walk()
+        for src in states:
+            for symbol, targets, _ in columns:
+                if type(targets) is list or src in targets:
+                    yield src, symbol
+
+    def __len__(self) -> int:
+        return sum(len(targets) for targets, _ in self._rows.values())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({dict(self.items())!r})"
+
+
+def _complete_as_lists(num_states: int, rows: DictRows) -> Rows:
+    """``rows`` with the rows of each symbol that every state has an edge on turned into lists."""
+    return {
+        symbol: (
+            ([targets[q] for q in range(num_states)], [priorities[q] for q in range(num_states)])
+            if len(targets) == num_states
+            else (targets, priorities)
+        )
+        for symbol, (targets, priorities) in rows.items()
+    }
+
+
 @dataclass(frozen=True)
 class ParityAutomaton:
     """Deterministic automaton with per-edge priorities and one initial state.
 
     ``edges`` maps ``(state, symbol)`` to ``(target, priority)``.  ``labels``
-    optionally annotate states with their canonical slice string.  Both are
-    stored as read-only copies of the mappings passed in, and the alphabet as
-    a tuple.  Alphabet tokens are pairwise distinct, and they and the labels
-    are non-empty UTF-8 and hold no whitespace, ``#`` or ``|``.  State ids,
-    the state count and priorities must be ``int`` (``bool`` is not one).  So
+    optionally annotate states with their canonical slice string.  The edges
+    are stored as one row of targets and one of priorities per symbol, behind
+    a read-only ``Mapping`` view (see :class:`_Edges`); the labels as a
+    read-only copy of the mapping passed in, and the alphabet as a tuple.
+    Alphabet tokens are pairwise distinct, and they and the labels are
+    non-empty UTF-8 and hold no whitespace, ``#`` or ``|``.  State ids, the
+    state count and priorities must be ``int`` (``bool`` is not one).  So
     :func:`parse_dpa` reads the serialized text back.
     """
 
@@ -45,7 +123,6 @@ class ParityAutomaton:
 
     def __post_init__(self):
         object.__setattr__(self, "alphabet", tuple(self.alphabet))
-        object.__setattr__(self, "edges", MappingProxyType(dict(self.edges)))
         object.__setattr__(self, "labels", MappingProxyType(dict(self.labels)))
         n = self.num_states
         if type(n) is not int:
@@ -53,28 +130,54 @@ class ParityAutomaton:
         if type(self.initial) is not int or not 0 <= self.initial < n:
             raise DpaFormatError(f"initial state {self.initial!r} out of range")
         _check_alphabet(self.alphabet, DpaFormatError)
-        symbols = set(self.alphabet)
         _check_tokens(self.labels.values(), "label", DpaFormatError)
+        rows: DictRows = {symbol: ({}, {}) for symbol in self.alphabet}
         for (src, sym), (dst, priority) in self.edges.items():
             if not (type(src) is int and type(dst) is int and 0 <= src < n and 0 <= dst < n):
                 raise DpaFormatError(f"edge ({src!r},{sym}) -> {dst!r} references an invalid state")
-            if sym not in symbols:
+            row = rows.get(sym)
+            if row is None:
                 raise DpaFormatError(f"edge ({src},{sym}) uses an unknown symbol")
             if type(priority) is not int or priority < 1:
                 raise DpaFormatError(f"priority {priority!r} on ({src},{sym}) is not an int >= 1")
+            row[0][src] = dst
+            row[1][src] = priority
         for state in self.labels:
             if type(state) is not int or not 0 <= state < n:
                 raise DpaFormatError(f"label for invalid state {state!r}")
+        object.__setattr__(self, "edges", _Edges(n, _complete_as_lists(n, rows)))
 
     def follow(self, state: int, symbol: str) -> tuple[int, int]:
         """Target state and priority of the unique outgoing edge."""
+        # The lookup of ``edges[state, symbol]``, inlined on this hot path.
         try:
-            return self.edges[(state, symbol)]
-        except KeyError:
-            # No edge uses a foreign symbol, so only a miss reads the alphabet.
-            if symbol not in self.alphabet:
-                raise UnknownSymbolError(f"symbol {symbol!r} not in alphabet") from None
-            raise MissingEdgeError(f"no edge from state {state} on {symbol!r}") from None
+            targets, priorities = self.edges._rows[symbol]  # type: ignore[attr-defined]
+            if state >= 0:
+                return targets[state], priorities[state]
+        except (LookupError, TypeError):
+            pass
+        # No edge uses a foreign symbol, so only a miss reads the alphabet.
+        if symbol not in self.alphabet:
+            raise UnknownSymbolError(f"symbol {symbol!r} not in alphabet")
+        raise MissingEdgeError(f"no edge from state {state} on {symbol!r}")
+
+
+def _built(
+    num_states: int, alphabet: tuple[str, ...], initial: int, rows: Rows, labels: dict[int, str]
+) -> ParityAutomaton:
+    """A :class:`ParityAutomaton` over ``rows`` and ``labels`` that hold every invariant by construction.
+
+    Keeps both without a copy and checks nothing, for :func:`parse_dpa` and
+    :func:`determinize`, which have checked or built every value.  A row
+    that is a list must hold every state.
+    """
+    dpa = object.__new__(ParityAutomaton)
+    object.__setattr__(dpa, "num_states", num_states)
+    object.__setattr__(dpa, "alphabet", alphabet)
+    object.__setattr__(dpa, "initial", initial)
+    object.__setattr__(dpa, "edges", _Edges(num_states, rows))
+    object.__setattr__(dpa, "labels", MappingProxyType(labels))
+    return dpa
 
 
 @dataclass(frozen=True)
@@ -135,13 +238,16 @@ def _walk_cycle(
 
 
 def serialize_dpa(dpa: ParityAutomaton) -> bytes:
-    """Canonical .dpa text: optional label lines, then edges sorted by ``src * len(alphabet) + symbol index``."""
-    width = len(dpa.alphabet)
-    index = {sym: i for i, sym in enumerate(dpa.alphabet)}
-    edges = sorted(dpa.edges.items(), key=lambda e: e[0][0] * width + index[e[0][1]])
+    """Canonical .dpa text: optional label lines, then edges by source state and then alphabet position."""
     lines = [*_header_lines("dpa", dpa.num_states, dpa.alphabet), f"init {dpa.initial}"]
     lines += [f"label {state} {dpa.labels[state]}" for state in sorted(dpa.labels)]
-    lines += [f"{src} {sym} {dst} {priority}" for (src, sym), (dst, priority) in edges]
+    states, columns = dpa.edges._walk()  # type: ignore[attr-defined]
+    lines += [
+        f"{src} {sym} {targets[src]} {priorities[src]}"
+        for src in states
+        for sym, targets, priorities in columns
+        if type(targets) is list or src in targets
+    ]
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
@@ -167,27 +273,22 @@ def parse_dpa(data: bytes | str) -> ParityAutomaton:
         _check_tokens((tokens[2],), "label", DpaFormatError, lineno)
         labels[state] = tokens[2]
 
-    symbols = set(alphabet)
-    edges: dict[tuple[int, str], tuple[int, int]] = {}
+    rows: DictRows = {symbol: ({}, {}) for symbol in alphabet}
     for lineno, tokens in items:
         if len(tokens) != 4:
             raise DpaFormatError("edge line must be '<src> <symbol> <dst> <priority>'", lineno)
         src = _read_int(tokens[0], lineno, DpaFormatError, num_states)
-        if tokens[1] not in symbols:
+        row = rows.get(tokens[1])
+        if row is None:
             raise DpaFormatError(f"unknown symbol {tokens[1]!r}", lineno)
         dst = _read_int(tokens[2], lineno, DpaFormatError, num_states)
         priority = _read_int(tokens[3], lineno, DpaFormatError)
         if priority < 1:
             raise DpaFormatError(f"priority must be >= 1, found {priority}", lineno)
-        if (src, tokens[1]) in edges:
+        targets, priorities = row
+        if src in targets:
             raise DpaFormatError(f"duplicate edge from {src} on {tokens[1]!r}", lineno)
-        edges[(src, tokens[1])] = (dst, priority)
-
-    return ParityAutomaton(
-        num_states=num_states,
-        alphabet=alphabet,
-        initial=initial,
-        edges=edges,
-        labels=labels,
-    )
-
+        targets[src] = dst
+        priorities[src] = priority
+    # Every value was checked above, as the constructor would check it.
+    return _built(num_states, alphabet, initial, _complete_as_lists(num_states, rows), labels)

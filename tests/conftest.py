@@ -1,5 +1,7 @@
 import importlib
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -104,6 +106,24 @@ WIDE_STAGED_NBA = WIDE_NBA.replace(b"alphabet a", b"alphabet a b c d e") + b"""0
 5 e 4
 0 e 0
 """
+
+
+# Code run first by run_fresh: caps the address space at 1 GiB, so a table
+# sized by a declared count fails there instead of exhausting the machine, and
+# defines hwm_kb(), the process's own peak RSS in kB (VmHWM).  ru_maxrss
+# would also hold the peak of the test process the child was forked from,
+# which exec carries over on Linux.
+_FRESH_PRELUDE = """\
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+def hwm_kb():
+    return int(next(line.split()[1] for line in open("/proc/self/status") if line.startswith("VmHWM:")))
+"""
+
+
+def run_fresh(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter after :data:`_FRESH_PRELUDE`; text output is captured."""
+    return subprocess.run([sys.executable, "-c", _FRESH_PRELUDE + code], capture_output=True, text=True)
 
 
 @pytest.fixture

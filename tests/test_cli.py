@@ -28,7 +28,7 @@ from omegadet.parity import ParityAutomaton, _run_lasso, parse_dpa, run_lasso, s
 from omegadet.safra import slice_to_safra
 from omegadet.slices import parse_slice
 
-from .conftest import MEDIUM_STAGED_NBA, SMALL_NBA, WIDE_STAGED_NBA, build_corpus
+from .conftest import MEDIUM_STAGED_NBA, SMALL_NBA, WIDE_STAGED_NBA, build_corpus, run_fresh
 
 
 def run_cli(*args: str, cwd=None):
@@ -435,6 +435,26 @@ def test_check_bounds_the_nba_orbit_by_the_dpa_size(tmp_path, monkeypatch, capsy
     # Walking the whole orbit would take tens of seconds; the bound stops it after two cycles.
     assert time.perf_counter() - began < 5
     assert outcome == (0, "checked 1 lassos: agreement\n", "")
+
+
+def test_check_reads_a_dpa_with_many_states_and_few_edges(tmp_path):
+    # 10**9 declared states, of which only state 0 has edges: the rows of such
+    # an automaton are keyed by state, so the run fits the child's 1 GiB limit.
+    nba_file = tmp_path / "one.nba"
+    nba_file.write_text("nba\nstates 1\nalphabet a b\ninit 0\naccept 0\n0 a 0\n")
+    dpa_file = tmp_path / "sparse.dpa"
+    dpa_file.write_text("dpa\nstates 1000000000\nalphabet a b\ninit 0\n0 a 0 2\n0 b 0 1\n")
+    result = run_fresh(
+        "from omegadet.cli import main\n"
+        f"raise SystemExit(main(['check', '-i', {str(nba_file)!r}, '--dpa', {str(dpa_file)!r}]))\n"
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (
+        1,
+        "disagreement on lasso: b | a\n"
+        "  nba rejects (no accepting run)\n"
+        "  dpa accepts, recurring states (0,), min priority 2\n",
+        "",
+    )
 
 
 @st.composite

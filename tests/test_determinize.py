@@ -30,7 +30,7 @@ from omegadet.oracle import random_nba
 from omegadet.parity import serialize_dpa
 from omegadet.slices import InvalidSliceError, PreSlice, RankedSlice, format_slice, parse_preslice, parse_slice
 
-from .conftest import build_corpus, check_transition_invariants, pipeline, replay
+from .conftest import build_corpus, check_transition_invariants, pipeline, replay, run_fresh
 from .reference import is_valid_partition, iter_valid_partitions, restricted_successors
 
 # The pruned six-set scenario used across the merge tests: distinct surviving
@@ -433,6 +433,25 @@ def test_stage_functions_use_memory_by_slice_size_not_by_the_largest_id_or_rank(
             assert tracemalloc.get_traced_memory()[1] < 2**20, name
     finally:
         tracemalloc.stop()
+
+
+def test_determinize_memory_per_macrostate():
+    # 22878 macrostates and 45756 edges: about 1.4 KB per macrostate when each
+    # edge was a dict entry of two tuples and each macrostate held its own mask
+    # ints (31 MB over the child's base), about 0.5 KB with per-symbol rows and
+    # shared masks (12 MB).
+    result = run_fresh(
+        "from omegadet.determinize import determinize\n"
+        "from omegadet.oracle import random_nba\n"
+        "aut = random_nba(40, ('a', 'b'), 1.8 / 40, 0.5, seed=9100 * 40)\n"
+        "before = hwm_kb()\n"
+        "dpa = determinize(aut, 'ms', labels=False)\n"
+        "print(dpa.num_states, hwm_kb() - before)\n"
+    )
+    assert result.returncode == 0, result.stderr
+    states, growth_kb = map(int, result.stdout.split())
+    assert states == 22878
+    assert growth_kb < 20 * 1024, growth_kb
 
 
 # SHA-256 over every field of the staged traces of the replayed corpus edges

@@ -1,6 +1,3 @@
-import subprocess
-import sys
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -22,7 +19,7 @@ from omegadet.nba import (
 )
 from omegadet.oracle import random_nba
 
-from .conftest import SMALL_NBA, TOKEN_TEXT
+from .conftest import SMALL_NBA, TOKEN_TEXT, run_fresh
 
 
 def test_successors_small(small_nba):
@@ -180,21 +177,16 @@ def test_parse_rejects_repeated_states_and_transitions(text, line, message):
 
 
 def peak_rss_kb_of_parse(num_states: int) -> int:
-    """Peak RSS of a child process that parses a one-transition NBA with ``num_states`` states.
+    """Peak RSS of a fresh process that parses a one-transition NBA with ``num_states`` states.
 
-    The child reads its own high-water mark, ``VmHWM``.  Its ``ru_maxrss``
-    would also hold the peak of the test process it was forked from, which
-    exec carries over on Linux.
+    A table sized by ``num_states`` would fail there, under :func:`run_fresh`'s
+    address-space cap, instead of exhausting memory.
     """
-    code = (
-        "import resource\n"
+    result = run_fresh(
         "from omegadet.nba import parse_nba\n"
-        # A table sized by num_states would fail here instead of exhausting memory.
-        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
         f"parse_nba(b'nba\\nstates {num_states}\\nalphabet a\\ninit 0\\naccept\\n0 a 0\\n')\n"
-        "print(next(line.split()[1] for line in open('/proc/self/status') if line.startswith('VmHWM:')))\n"
+        "print(hwm_kb())\n"
     )
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     return int(result.stdout)
 

@@ -16,7 +16,7 @@ from omegadet.parity import (
     serialize_dpa,
 )
 
-from .conftest import TOKEN_TEXT
+from .conftest import TOKEN_TEXT, run_fresh
 from .reference import compact_priorities
 
 GOLDEN_SMALL_DPA = b"""dpa
@@ -299,3 +299,113 @@ def test_compact_priorities_preserves_decisions():
             assert new_dst == dst and new_priority % 2 == priority % 2
         for lasso in sample_lassos(aut.alphabet, 30, 3, 3, rng.randrange(2**16)):
             assert run_lasso(dpa, lasso).accepted == run_lasso(compacted, lasso).accepted
+
+
+# --- The edge view over per-symbol rows --------------------------------------
+
+
+# One edge, on "a" from the last of 10**9 states.
+SPARSE_DPA = b"dpa\nstates 1000000000\nalphabet a b\ninit 0\n999999999 a 0 1\n"
+
+
+def partial_dpa() -> ParityAutomaton:
+    # Every state has an edge on "a", so its rows are lists; state 1 has none on "b".
+    return ParityAutomaton(
+        num_states=2,
+        alphabet=("a", "b"),
+        initial=0,
+        edges={(1, "a"): (0, 3), (0, "b"): (1, 2), (0, "a"): (1, 1)},
+    )
+
+
+def view_cases(small_nba) -> list[ParityAutomaton]:
+    return [determinize(small_nba, MULLER_SCHUPP), sink_only_dpa(), partial_dpa(), parse_dpa(SPARSE_DPA)]
+
+
+def test_edges_equal_a_plain_dict_both_ways(small_nba):
+    for dpa in view_cases(small_nba):
+        plain = dict(dpa.edges.items())
+        assert dpa.edges == plain and plain == dpa.edges
+        assert not (dpa.edges != plain or plain != dpa.edges)
+        key = next(iter(plain))
+        for other in ({**plain, key: (0, 99)}, {k: v for k, v in plain.items() if k != key}, {**plain, (0, "c"): (0, 1)}):
+            assert dpa.edges != other and other != dpa.edges
+
+
+def test_edges_of_automata_that_differ_elsewhere_compare_as_mappings():
+    # The same edges over more states or a larger alphabet: the automata differ, their edges do not.
+    edges = {(0, "a"): (1, 2), (1, "a"): (0, 2)}
+    complete = ParityAutomaton(2, ("a",), 0, edges)
+    for wider in (ParityAutomaton(3, ("a",), 0, edges), ParityAutomaton(2, ("a", "b"), 0, edges)):
+        assert wider != complete
+        assert wider.edges == complete.edges and complete.edges == wider.edges
+    assert complete.edges != ParityAutomaton(2, ("a",), 0, {**edges, (1, "a"): (1, 2)}).edges
+
+
+def test_determinized_and_reparsed_automata_are_equal_and_hash_equal():
+    for seed in range(20):
+        aut = random_nba(1 + seed % 5, ("a", "b")[: 1 + seed % 2], 0.4, 0.4, 700 + seed)
+        for labels in (True, False):
+            dpa = determinize(aut, MULLER_SCHUPP, labels=labels)
+            back = parse_dpa(serialize_dpa(dpa))
+            assert back == dpa and dpa == back and hash(back) == hash(dpa)
+            assert len({dpa, back}) == 1
+
+
+def test_edges_iterate_in_serialize_order(small_nba):
+    assert list(partial_dpa().edges) == [(0, "a"), (0, "b"), (1, "a")]
+    for dpa in view_cases(small_nba):
+        lines = serialize_dpa(dpa).decode().splitlines()[4 + len(dpa.labels) :]
+        assert [f"{src} {sym} {dst} {p}" for (src, sym), (dst, p) in dpa.edges.items()] == lines
+        assert len(dpa.edges) == len(lines) == len(list(dpa.edges)) == len(set(dpa.edges))
+
+
+def test_a_missing_edge_is_a_key_error_and_a_missing_edge_error():
+    dpa = partial_dpa()
+    with pytest.raises(KeyError):
+        dpa.edges[(1, "b")]
+    assert (1, "b") not in dpa.edges and dpa.edges.get((1, "b")) is None
+    with pytest.raises(MissingEdgeError, match="^no edge from state 1 on 'b'$"):
+        dpa.follow(1, "b")
+    for key in ((0,), (0, "a", 1), "0a", 0, (None, "a"), ("0", "a")):
+        assert key not in dpa.edges
+
+
+def test_states_outside_the_automaton_have_no_edges(small_nba):
+    # A list row indexed naively would give state -1 the last state's edge.
+    for dpa in view_cases(small_nba):
+        for state in (-1, dpa.num_states, 2 * dpa.num_states):
+            for symbol in dpa.alphabet:
+                with pytest.raises(MissingEdgeError):
+                    dpa.follow(state, symbol)
+                with pytest.raises(KeyError):
+                    dpa.edges[state, symbol]
+
+
+def test_an_unknown_symbol_is_reported_from_every_state(small_nba):
+    for dpa in view_cases(small_nba):
+        for state in (-1, 0, dpa.num_states - 1, dpa.num_states):
+            with pytest.raises(UnknownSymbolError, match="^symbol 'c' not in alphabet$"):
+                dpa.follow(state, "c")
+            assert (state, "c") not in dpa.edges
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        f"parse_dpa({SPARSE_DPA!r})",
+        "ParityAutomaton(num_states=10**9, alphabet=('a', 'b'), initial=0, edges={(999999999, 'a'): (0, 1)})",
+    ],
+)
+def test_an_automaton_with_many_states_and_few_edges_stays_small(build):
+    # Rows sized by the state count would take gigabytes, over the child's 1 GiB limit.
+    result = run_fresh(
+        "from omegadet.parity import ParityAutomaton, parse_dpa, serialize_dpa\n"
+        "before = hwm_kb()\n"
+        f"dpa = {build}\n"
+        "assert dpa.follow(999999999, 'a') == (0, 1) and dict(dpa.edges) == {(999999999, 'a'): (0, 1)}\n"
+        f"assert serialize_dpa(dpa) == {SPARSE_DPA!r}\n"
+        "print(hwm_kb() - before)\n"
+    )
+    assert result.returncode == 0, result.stderr
+    assert int(result.stdout) < 10 * 1024
