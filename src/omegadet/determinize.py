@@ -43,13 +43,13 @@ kernel compacts the ranks itself, one popcount over their bitmask per rank.
 It checks nothing: its source is always normalized, so every invariant holds
 by construction.
 
-``adaptive`` keeps the explored macrostates in an index keyed by their state
+``adaptive`` keeps the explored macrostates in sets keyed by their state
 union and number of sets.  It builds the ``max`` successor first and returns
-the explored macrostate when that successor is explored; it has the fewest
-sets of any permitted merge.  Only then does it scan the finer set counts,
-stopping at the first with a match, and on a miss it returns the ``max``
-successor.  The staged ``_choose`` scans every count with no probe, so
-the tests' replay checks the probe against an independent lookup.
+it when its key's set holds it, since it has the fewest sets of any permitted
+merge; :func:`determinize` then finds its id.  Only then does it scan the
+finer set counts, stopping at the first with a match, and on a miss it
+returns the ``max`` successor.  The staged ``_choose`` scans every count with
+no probe, so the tests' replay checks the probe against an independent lookup.
 
 The public stage functions ``step``, ``prune``, ``dominating_rank``,
 ``merge`` and ``normalize`` are the staged reference.  Each states its stage
@@ -115,10 +115,9 @@ def as_strategy(value: MergeStrategy | str) -> MergeStrategy:
 Interval = tuple[int, int]
 IntervalPartition = tuple[Interval, ...]
 Macrostate = tuple[tuple[int, ...], tuple[int, ...]]
-# Explored macrostates grouped by the union of their state sets and their
-# number of sets, each mapped to itself so that a lookup returns the explored
-# object.  Fill it through _remember only.
-UnionIndex = dict[tuple[int, int], dict[Macrostate, Macrostate]]
+# The set of explored macrostates with each state union and number of sets.
+# Fill it through _remember only.
+UnionIndex = dict[tuple[int, int], set[Macrostate]]
 
 
 @dataclass(frozen=True)
@@ -179,6 +178,9 @@ def _induced_cuts(
 ) -> tuple[int, ...] | None:
     """Cuts of the permitted partition whose merge normalizes to ``target``, or None.
 
+    ``target`` must have between one and ``len(masks)`` sets and the union of
+    ``masks`` as its state union, as every target that :func:`_reuse` hands
+    over does, so the pruned sets never run out before a target set is covered.
     One pass checks that every target set is a run of consecutive pruned sets,
     that the runs keep the forced cuts (a rank below ``k`` only alone, rank
     ``k`` only at the end of its run), and that the run minima are ordered as
@@ -187,7 +189,7 @@ def _induced_cuts(
     target_masks, target_ranks = target
     n = len(masks)
     # The first and last runs start and end the pruned slice: a cheap rejection first.
-    if not target_masks or len(target_masks) > n or masks[0] & ~target_masks[0] or masks[-1] & ~target_masks[-1]:
+    if masks[0] & ~target_masks[0] or masks[-1] & ~target_masks[-1]:
         return None
     minima = [0] * (len(target_masks) + 1)
     cuts: list[int] = []
@@ -197,7 +199,7 @@ def _induced_cuts(
         covered = 0
         low = 0
         while covered != block:
-            if pos == n or masks[pos] & ~block or (pos > start and low <= k):
+            if masks[pos] & ~block or (pos > start and low <= k):
                 return None
             covered |= masks[pos]
             if pos == start or ranks[pos] < low:
@@ -218,7 +220,7 @@ def _induced_cuts(
 def _remember(explored: UnionIndex, macrostate: Macrostate) -> None:
     """Add an explored macrostate to the adaptive lookup index."""
     masks = macrostate[0]
-    explored.setdefault((_union(masks), len(masks)), {})[macrostate] = macrostate
+    explored.setdefault((_union(masks), len(masks)), set()).add(macrostate)
 
 
 def _reuse(
@@ -231,7 +233,8 @@ def _reuse(
     reached, for ``m`` from ``fewest`` up to the number of pruned sets.  The
     first match in the order of the permitted partitions wins: fewest cuts, so
     the scan stops at the first count with a match, then the lexicographic
-    order of cuts within that count.
+    order of cuts within that count.  Equal cuts reach equal targets, so the
+    pick does not depend on the order in which a set yields them.
     """
     for count in range(fewest, len(masks) + 1):
         best: tuple[tuple[int, ...], Macrostate] | None = None
@@ -416,11 +419,11 @@ def _successor(
     The successor comes out normalized, and each merge rule runs in one place:
     under ``ms`` the pruned sets are the merged ones, under ``safra`` and
     ``max`` :func:`_runs` merges them.  ``adaptive`` first probes the ``max``
-    runs, the permitted partition with the fewest sets, so an explored one is
-    the first match in the order of :func:`_reuse` and is returned as it is.
-    Then :func:`_reuse` scans the finer set counts, and on a miss the probe's
-    runs are the successor.  ``_induced_cuts`` accepts an explored macrostate
-    only if merging and normalizing give exactly it.
+    runs, the permitted partition with the fewest sets, so when the index
+    holds them they are the first match in the order of :func:`_reuse` and
+    the successor.  Then :func:`_reuse` scans the finer set counts, and on a
+    miss the probe's runs are the successor.  ``_induced_cuts`` accepts an
+    explored macrostate only if merging and normalizing give exactly it.
     """
     masks, ranks = source
     if not masks:
@@ -477,11 +480,8 @@ def _successor(
         claimed = ~free
         coarsest = _runs(out_masks, out_ranks, k, green, False)
         fewest = len(coarsest[0])
-        same = explored.get((claimed, fewest))
-        if same is not None:
-            hit = same.get(coarsest)
-            if hit is not None:
-                return hit, priority
+        if coarsest in explored.get((claimed, fewest), ()):
+            return coarsest, priority
         found = _reuse(tuple(out_masks), tuple(out_ranks), k, claimed, explored, fewest + 1)
         return (coarsest if found is None else found[1]), priority
     if kind == "ms":

@@ -7,10 +7,11 @@ automaton's successor masks, with state sets as bitmasks, and visits
 successors in ascending order.  One breadth-first search, :func:`_search`,
 finds the nodes reachable after the stem and then, for each accepting
 candidate in sorted order, a shortest cycle back to it; :func:`_anchor`
-runs both.  :func:`nba_accepts_lasso` walks the stem, runs :func:`_anchor`
-and rebuilds the witness in time linear in the stem and the product path:
-parent pointers and the stem run are followed by appending, then reversed
-once.  ``omegadet check`` already holds the post-stem set as a mask, so it
+runs both.  :func:`nba_accepts_lasso` walks the stem one mask per symbol
+through :meth:`BuchiAutomaton.post`, runs :func:`_anchor` and rebuilds the
+witness in time linear in the stem and the product path: parent pointers
+and the stem run are followed by appending, then reversed once.
+``omegadet check`` already holds the post-stem set as a mask, so it
 decides from that mask with :func:`_accepts_after`, which builds no
 witness, and runs :func:`nba_accepts_lasso` only for the disagreement it
 reports.  The tests compare both with an independently coded decision
@@ -48,14 +49,9 @@ def nba_accepts_lasso(aut: BuchiAutomaton, lasso: Lasso) -> LassoVerdict:
     alphabet, also when the stem leaves no state to read it.
     """
     check_symbols(aut, lasso.stem + lasso.cycle)
-    tables = aut._tables  # type: ignore[attr-defined]
     layers = [to_mask(aut.initial)]
     for symbol in lasso.stem:
-        table = tables[symbol]
-        layer = 0
-        for q in mask_states(layers[-1]):
-            layer |= table.get(q, 0)
-        layers.append(layer)
+        layers.append(aut.post(symbol)[layers[-1]])
     found = _anchor(aut, layers[-1], lasso.cycle)
     if found is None:
         return LassoVerdict(accepted=False)
@@ -65,6 +61,7 @@ def nba_accepts_lasso(aut: BuchiAutomaton, lasso: Lasso) -> LassoVerdict:
     # its first state, picked backwards through the stem layers.
     path = _path(parents, anchor)
     run = [path[0][0]]
+    tables = aut._tables  # type: ignore[attr-defined]
     for i in range(len(lasso.stem), 0, -1):
         table = tables[lasso.stem[i - 1]]
         run.append(next(q for q in mask_states(layers[i - 1]) if table.get(q, 0) >> run[-1] & 1))

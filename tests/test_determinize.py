@@ -173,6 +173,14 @@ def test_choose_partition_adaptive_falls_back():
     assert partition == choose_partition(WIDE_PRUNED, 2, WIDE_GREEN, MAX_COLLAPSE)
 
 
+def test_choose_partition_adaptive_rejects_a_target_that_leaves_a_set_uncovered():
+    # The context slice covers the first set alone; merging the trailing empty
+    # set into it would give ((1, 2),), but the rank-1 set must end its interval.
+    pre = parse_preslice("({0}:1,{}:2)")
+    partition = choose_partition(pre, 1, frozenset(), ADAPTIVE, [parse_slice("({0}:1)")])
+    assert partition == ((1, 1), (2, 2))
+
+
 def _ranked_with_order(sets, order):
     # Ranks follow ``order`` (distinct values, minimum last), compacted onto 1..n.
     dense = {rank: i for i, rank in enumerate(sorted(order), start=1)}
@@ -330,6 +338,13 @@ def test_merge_single_interval():
 def test_merge_rejects_bad_partition():
     with pytest.raises(InternalInvariantError):
         merge(WIDE_PRUNED, ((1, 2),))
+
+
+@pytest.mark.parametrize("partition", [((1, 1), (3, 3)), ((1, 1), (2, 1), (2, 3)), ((1, 4),)])
+def test_merge_rejects_a_partition_that_does_not_tile(partition):
+    pre = parse_preslice("({0}:1,{1}:2,{2}:3)")
+    with pytest.raises(InternalInvariantError, match=r"^partition .* does not tile 1\.\.3$"):
+        merge(pre, partition)
 
 
 def test_normalize():
@@ -630,8 +645,8 @@ def test_fused_successor_matches_the_staged_kernels(scenario):
     fused = pipeline._successor(post, aut.accepting_mask, aut.num_states, source, strategy, index)
     assert fused == (pipeline._key(stages.successor), stages.priority)
     if hit:
-        # The lookup found an explored macrostate and returned that very object.
-        assert any(fused[0] is key for key in context)
+        # The lookup found an explored macrostate: the successor is one of them.
+        assert fused[0] in context
 
 
 @pytest.mark.parametrize(
@@ -733,7 +748,7 @@ def test_exploration_neither_merges_nor_normalizes(golden_automata, monkeypatch,
     # miss.
     lookups = {"probe": 0, "scan": 0, "miss": 0}
     scans = []
-    remembered = {}
+    remembered = set()
     real_reuse, real_remember, real_successor = pipeline._reuse, pipeline._remember, pipeline._successor
 
     def reuse(*args):
@@ -742,7 +757,7 @@ def test_exploration_neither_merges_nor_normalizes(golden_automata, monkeypatch,
         return found
 
     def remember(index, macrostate):
-        remembered[id(macrostate)] = macrostate
+        remembered.add(macrostate)
         real_remember(index, macrostate)
 
     def successor(*args):
@@ -752,7 +767,7 @@ def test_exploration_neither_merges_nor_normalizes(golden_automata, monkeypatch,
             assert len(scans) == 1
             lookups["miss" if scans[0] is None else "scan"] += 1
         elif succ[0] and args[4].kind == "adaptive":
-            assert remembered.get(id(succ)) is succ
+            assert succ in remembered
             lookups["probe"] += 1
         return succ, priority
 

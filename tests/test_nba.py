@@ -305,3 +305,29 @@ def test_every_constructible_lasso_reads_back(stem, cycle):
 def test_lasso_symbol_at():
     lasso = Lasso(stem=("a",), cycle=("b", "c"))
     assert [lasso.symbol_at(i) for i in range(6)] == ["a", "b", "c", "b", "c", "b"]
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (
+            lambda: BuchiAutomaton(1, ("a",), {(0, "b", 0)}, {0}, set()),
+            InvalidAutomatonError,
+            r"^transition \(0,b,0\) uses an unknown symbol$",
+        ),
+        (lambda: to_mask([0, -1]), ValueError, r"^state id -1 is negative$"),
+        (
+            lambda: parse_nba("nba\nstates -1\nalphabet a\ninit 0\n"),
+            NbaFormatError,
+            r"^line 2: 'states' takes one non-negative count$",
+        ),
+        (
+            lambda: parse_nba("nba\nstates 1 2\nalphabet a\ninit 0\n"),
+            NbaFormatError,
+            r"^line 2: 'states' takes one non-negative count$",
+        ),
+    ],
+)
+def test_boundary_errors(build, error, message):
+    with pytest.raises(error, match=message):
+        build()

@@ -280,3 +280,15 @@ def test_random_nba_reproducible():
     first = random_nba(5, ("a", "b"), 0.4, 0.4, 99)
     second = random_nba(5, ("a", "b"), 0.4, 0.4, 99)
     assert first == second
+
+
+@pytest.mark.parametrize(
+    "lassos",
+    [
+        lambda: enumerate_lassos(("a",), 1, 0),
+        lambda: sample_lassos(("a",), 1, 1, 0, seed=0),
+    ],
+)
+def test_boundary_errors(lassos):
+    with pytest.raises(ValueError, match=r"^max_cycle must be at least 1$"):
+        next(lassos())

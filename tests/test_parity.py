@@ -409,3 +409,29 @@ def test_an_automaton_with_many_states_and_few_edges_stays_small(build):
     )
     assert result.returncode == 0, result.stderr
     assert int(result.stdout) < 10 * 1024
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (
+            lambda: ParityAutomaton(num_states=1, alphabet=("a",), initial=0, edges={(0, "b"): (0, 1)}),
+            r"^edge \(0,b\) uses an unknown symbol$",
+        ),
+        (
+            lambda: ParityAutomaton(num_states=1, alphabet=("a",), initial=0, edges={}, labels={1: "x"}),
+            r"^label for invalid state 1$",
+        ),
+        (
+            lambda: parse_dpa("dpa\nstates 0\nalphabet a\ninit 0\n"),
+            r"^line 2: a parity automaton needs at least one state$",
+        ),
+        (
+            lambda: parse_dpa("dpa\nstates 1\nalphabet a\ninit 0\nlabel 0 x\nlabel 0 y\n0 a 0 1\n"),
+            r"^line 6: duplicate label for state 0$",
+        ),
+    ],
+)
+def test_boundary_errors(build, message):
+    with pytest.raises(DpaFormatError, match=message):
+        build()

@@ -237,3 +237,12 @@ def test_parse_tree_errors():
     for text in ("", "{0}:1(", "{0}:x", "0:1", "{0}:1({1}:2", "{1,1}:1"):
         with pytest.raises(TreeFormatError):
             parse_tree(text)
+
+
+@pytest.mark.parametrize(
+    "text, offset",
+    [("{0}:1({1}:2))", 13), ("{0}:1({1}:2){2}:1", 13)],
+)
+def test_boundary_errors(text, offset):
+    with pytest.raises(TreeFormatError, match=rf"^trailing input at offset {offset}$"):
+        parse_tree(text)

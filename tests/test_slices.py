@@ -239,3 +239,15 @@ def test_parse_slice_errors():
             parse_slice(text)
     with pytest.raises(InvalidSliceError):
         parse_slice("({0}:1,{1}:2)")
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: PreSlice(sets=(frozenset({0}),), ranks=(1, 2)), r"^sets and ranks must have equal length$"),
+        (lambda: PreSlice(sets=(frozenset({0}), frozenset()), ranks=(1, 0)), r"^ranks must be positive$"),
+    ],
+)
+def test_boundary_errors(build, message):
+    with pytest.raises(InvalidSliceError, match=message):
+        build()
