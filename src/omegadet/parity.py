@@ -4,8 +4,9 @@ Acceptance is min-even over edge priorities: a run is accepting when the
 smallest priority occurring infinitely often along its edges is even.
 A :class:`ParityAutomaton` keeps its edges as one row of targets and one of
 priorities per symbol, indexed by state, and ``edges`` is a read-only view of
-them; :func:`determinize` and :func:`parse_dpa` fill the rows themselves and
-hand them over without a copy.
+them.  :func:`determinize` fills lists, and :func:`parse_dpa` and the
+constructor fill dicts keyed by state; the two functions hand their rows over
+without a copy.
 :func:`_walk_cycle` is the one loop that iterates a lasso's cycle over a DPA;
 :func:`run_lasso`, ``omegadet trace`` and ``omegadet check`` all run it.
 """
@@ -31,18 +32,18 @@ class MissingEdgeError(LookupError):
 # A row of targets or priorities, indexed by state, and the rows of each symbol.
 Row = list[int] | dict[int, int]
 Rows = dict[str, tuple[Row, Row]]
-DictRows = dict[str, tuple[dict[int, int], dict[int, int]]]
 
 
 class _Edges(Mapping):
     """Read-only view of per-symbol edge rows as a mapping ``(state, symbol) -> (target, priority)``.
 
     ``rows`` maps each symbol, in alphabet order, to a row of targets and a row
-    of priorities indexed by state.  A symbol's rows are lists when every state
-    has an edge on it, as in every automaton :func:`determinize` builds, and
-    dicts keyed by state otherwise, so an automaton that declares many states
-    and has few edges stays small.  Iteration is by state and then alphabet
-    position, the order of :func:`serialize_dpa`.
+    of priorities indexed by state.  The rows are lists in an automaton
+    :func:`determinize` builds, where every state has an edge on every symbol,
+    and dicts keyed by state in one that :func:`parse_dpa` or the constructor
+    fills, so an automaton that declares many states and has few edges stays
+    small.  Iteration is by state and then alphabet position, the order of
+    :func:`serialize_dpa`.
     """
 
     __slots__ = ("_num_states", "_rows")
@@ -87,31 +88,19 @@ class _Edges(Mapping):
         return f"{type(self).__name__}({dict(self.items())!r})"
 
 
-def _complete_as_lists(num_states: int, rows: DictRows) -> Rows:
-    """``rows`` with the rows of each symbol that every state has an edge on turned into lists."""
-    return {
-        symbol: (
-            ([targets[q] for q in range(num_states)], [priorities[q] for q in range(num_states)])
-            if len(targets) == num_states
-            else (targets, priorities)
-        )
-        for symbol, (targets, priorities) in rows.items()
-    }
-
-
 @dataclass(frozen=True)
 class ParityAutomaton:
     """Deterministic automaton with per-edge priorities and one initial state.
 
     ``edges`` maps ``(state, symbol)`` to ``(target, priority)``.  ``labels``
     optionally annotate states with their canonical slice string.  The edges
-    are stored as one row of targets and one of priorities per symbol, behind
-    a read-only ``Mapping`` view (see :class:`_Edges`); the labels as a
-    read-only copy of the mapping passed in, and the alphabet as a tuple.
-    Alphabet tokens are pairwise distinct, and they and the labels are
-    non-empty UTF-8 and hold no whitespace, ``#`` or ``|``.  State ids, the
-    state count and priorities must be ``int`` (``bool`` is not one).  So
-    :func:`parse_dpa` reads the serialized text back.
+    are stored as one dict row of targets and one of priorities per symbol,
+    keyed by state, behind a read-only ``Mapping`` view (see :class:`_Edges`);
+    the labels as a read-only copy of the mapping passed in, and the alphabet
+    as a tuple.  Alphabet tokens are pairwise distinct, and they and the
+    labels are non-empty UTF-8 and hold no whitespace, ``#`` or ``|``.  State
+    ids, the state count and priorities must be ``int`` (``bool`` is not
+    one).  So :func:`parse_dpa` reads the serialized text back.
     """
 
     num_states: int
@@ -131,7 +120,7 @@ class ParityAutomaton:
             raise DpaFormatError(f"initial state {self.initial!r} out of range")
         _check_alphabet(self.alphabet, DpaFormatError)
         _check_tokens(self.labels.values(), "label", DpaFormatError)
-        rows: DictRows = {symbol: ({}, {}) for symbol in self.alphabet}
+        rows: Rows = {symbol: ({}, {}) for symbol in self.alphabet}
         for (src, sym), (dst, priority) in self.edges.items():
             if not (type(src) is int and type(dst) is int and 0 <= src < n and 0 <= dst < n):
                 raise DpaFormatError(f"edge ({src!r},{sym}) -> {dst!r} references an invalid state")
@@ -145,7 +134,7 @@ class ParityAutomaton:
         for state in self.labels:
             if type(state) is not int or not 0 <= state < n:
                 raise DpaFormatError(f"label for invalid state {state!r}")
-        object.__setattr__(self, "edges", _Edges(n, _complete_as_lists(n, rows)))
+        object.__setattr__(self, "edges", _Edges(n, rows))
 
     def follow(self, state: int, symbol: str) -> tuple[int, int]:
         """Target state and priority of the unique outgoing edge."""
@@ -263,18 +252,20 @@ def parse_dpa(data: bytes | str) -> ParityAutomaton:
     initial = _read_int(args[0], lineno, DpaFormatError, num_states)
 
     labels: dict[int, str] = {}
-    while items and items[0][1][0] == "label":
-        lineno, tokens = items.popleft()
-        if len(tokens) != 3:
-            raise DpaFormatError("label line must be 'label <id> <slice>'", lineno)
-        state = _read_int(tokens[1], lineno, DpaFormatError, num_states)
-        if state in labels:
-            raise DpaFormatError(f"duplicate label for state {state}", lineno)
-        _check_tokens((tokens[2],), "label", DpaFormatError, lineno)
-        labels[state] = tokens[2]
-
-    rows: DictRows = {symbol: ({}, {}) for symbol in alphabet}
+    rows: Rows = {symbol: ({}, {}) for symbol in alphabet}
+    # A ``label`` line is a label until the first edge line, and an edge line after it.
+    edges_begun = False
     for lineno, tokens in items:
+        if not edges_begun and tokens[0] == "label":
+            if len(tokens) != 3:
+                raise DpaFormatError("label line must be 'label <id> <slice>'", lineno)
+            state = _read_int(tokens[1], lineno, DpaFormatError, num_states)
+            if state in labels:
+                raise DpaFormatError(f"duplicate label for state {state}", lineno)
+            _check_tokens((tokens[2],), "label", DpaFormatError, lineno)
+            labels[state] = tokens[2]
+            continue
+        edges_begun = True
         if len(tokens) != 4:
             raise DpaFormatError("edge line must be '<src> <symbol> <dst> <priority>'", lineno)
         src = _read_int(tokens[0], lineno, DpaFormatError, num_states)
@@ -291,4 +282,4 @@ def parse_dpa(data: bytes | str) -> ParityAutomaton:
         targets[src] = dst
         priorities[src] = priority
     # Every value was checked above, as the constructor would check it.
-    return _built(num_states, alphabet, initial, _complete_as_lists(num_states, rows), labels)
+    return _built(num_states, alphabet, initial, rows, labels)

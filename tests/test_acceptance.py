@@ -432,3 +432,12 @@ def test_reference_is_independent():
     for module, level in imports:
         assert level == 0, f"relative import of {module!r}"
         assert module != "omegadet" and not module.startswith("omegadet.determinize"), module
+
+
+def test_readme_quick_start_runs():
+    # The README's Python example, run as written; it asserts its own result.
+    readme = Path(__file__).parents[1].joinpath("README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library quick start", 1)[1]
+    block = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    assert "determinize(" in block and "assert " in block
+    exec(compile(block, "README.md", "exec"), {})

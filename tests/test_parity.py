@@ -256,6 +256,10 @@ def test_parse_dpa_errors():
     with pytest.raises(DpaFormatError) as err:
         parse_dpa(b"dpa\nstates 1\nalphabet a\ninit 0\nlabel 0 caf\xe9\n")
     assert err.value.line == 5
+    # After the first edge line, a label line is a malformed edge line.
+    with pytest.raises(DpaFormatError, match="edge line must be") as err:
+        parse_dpa("dpa\nstates 1\nalphabet a\ninit 0\n0 a 0 1\nlabel 0 ({0}:1)\n")
+    assert err.value.line == 6
 
 
 @pytest.mark.parametrize(
@@ -309,7 +313,7 @@ SPARSE_DPA = b"dpa\nstates 1000000000\nalphabet a b\ninit 0\n999999999 a 0 1\n"
 
 
 def partial_dpa() -> ParityAutomaton:
-    # Every state has an edge on "a", so its rows are lists; state 1 has none on "b".
+    # Every state has an edge on "a"; state 1 has none on "b".
     return ParityAutomaton(
         num_states=2,
         alphabet=("a", "b"),
@@ -319,7 +323,9 @@ def partial_dpa() -> ParityAutomaton:
 
 
 def view_cases(small_nba) -> list[ParityAutomaton]:
-    return [determinize(small_nba, MULLER_SCHUPP), sink_only_dpa(), partial_dpa(), parse_dpa(SPARSE_DPA)]
+    # A complete automaton with list rows, and the same one read back with dict rows.
+    built = determinize(small_nba, MULLER_SCHUPP)
+    return [built, parse_dpa(serialize_dpa(built)), sink_only_dpa(), partial_dpa(), parse_dpa(SPARSE_DPA)]
 
 
 def test_edges_equal_a_plain_dict_both_ways(small_nba):
@@ -409,6 +415,29 @@ def test_an_automaton_with_many_states_and_few_edges_stays_small(build):
     )
     assert result.returncode == 0, result.stderr
     assert int(result.stdout) < 10 * 1024
+
+
+def test_parsing_a_large_dpa_holds_no_copy_of_its_lines_or_rows(tmp_path):
+    # The n=40 ms DPA without labels: 22878 states, 0.7 MB of text.  Splitting
+    # every line before reading the first, and copying every complete row into
+    # a list, grew the peak by 26 MB; splitting as lines are read and keeping
+    # the rows parse_dpa filled, by 12 MB.  The text is read before the first
+    # reading of the peak, so only parsing counts.
+    aut = random_nba(40, ("a", "b"), 1.8 / 40, 0.5, seed=9100 * 40)
+    path = tmp_path / "n40.dpa"
+    path.write_bytes(serialize_dpa(determinize(aut, MULLER_SCHUPP, labels=False)))
+    result = run_fresh(
+        "from pathlib import Path\n"
+        "from omegadet.parity import parse_dpa\n"
+        f"data = Path({str(path)!r}).read_bytes()\n"
+        "before = hwm_kb()\n"
+        "dpa = parse_dpa(data)\n"
+        "print(dpa.num_states, hwm_kb() - before)\n"
+    )
+    assert result.returncode == 0, result.stderr
+    states, growth_kb = map(int, result.stdout.split())
+    assert states == 22878
+    assert growth_kb < 18 * 1024, growth_kb
 
 
 @pytest.mark.parametrize(
