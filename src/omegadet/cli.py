@@ -21,6 +21,8 @@ from .determinize import (
     STRATEGIES,
     CapacityError,
     InternalInvariantError,
+    _explore,
+    _slice,
     determinize,
     transition,
 )
@@ -299,22 +301,21 @@ def cmd_trace(args) -> int:
     aut = _load_nba(args.input)
     lasso = parse_lasso(args.lasso)
     check_symbols(aut, lasso.stem + lasso.cycle)
-    # Under adaptive a successor depends on what was explored before it, so the
-    # trace replays the DPA's edges and recomputes each one's stages with the
-    # edge target as the only context, which fixes the partition that reaches it.
-    dpa = determinize(aut, args.strategy, cap=args.cap, labels=True)
-    print(f"initial: {dpa.labels[dpa.initial]}")
+    # Each step's target is its only context: under adaptive it fixes the partition that reaches it.
+    order, rows = _explore(aut, args.strategy, args.cap)
+    print(f"initial: {format_slice(_slice(order[0]))}")
     step_numbers = itertools.count(1)
 
     def advance(state: int, symbol: str) -> tuple[int, int]:
-        target, priority = dpa.follow(state, symbol)
-        expected = parse_slice(dpa.labels[target])
-        trace = transition(aut, parse_slice(dpa.labels[state]), symbol, args.strategy, (expected,))
+        targets, priorities = rows[symbol]
+        target, priority = targets[state], priorities[state]
+        expected = _slice(order[target])
+        trace = transition(aut, _slice(order[state]), symbol, args.strategy, (expected,))
         number = next(step_numbers)
         if trace.successor != expected or trace.priority != priority:
             raise InternalInvariantError(
                 f"step {number} on {symbol!r} gives {format_slice(trace.successor)} with priority "
-                f"{trace.priority}, but the DPA edge from state {state} is {dpa.labels[target]} "
+                f"{trace.priority}, but the DPA edge from state {state} is {format_slice(expected)} "
                 f"with priority {priority}"
             )
         print(f"step {number}: symbol {symbol}")
@@ -331,7 +332,7 @@ def cmd_trace(args) -> int:
             print("  note:      sink (all runs died)")
         return target, priority
 
-    run = _run_lasso(dpa.initial, advance, lasso)
+    run = _run_lasso(0, advance, lasso)
     verdict = "accept" if run.accepted else "reject"
     print(f"verdict: {verdict} (min recurring priority {run.min_priority})")
     return 0

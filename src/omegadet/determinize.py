@@ -21,11 +21,11 @@ or red rank) is green and ``2k - 1`` otherwise; when no rank is active it is
 slice, entered and left with priority 1.
 
 Exploration keeps a macrostate as a pair ``(masks, ranks)`` of int tuples:
-one state-set bitmask (see :mod:`omegadet.nba`) and one rank per position,
-and :func:`determinize` interns the pairs directly, sharing one int object
-per distinct mask among the explored macrostates.  The fused kernel and
-the adaptive index work on that bit layout; ``_key`` encodes a slice into
-it and ``_labels`` decodes it into label text.
+one state-set bitmask (see :mod:`omegadet.nba`) and one rank per position.
+``_explore`` interns the pairs, sharing one int per distinct mask, and hands
+them in id order to :func:`determinize` and ``omegadet trace``.  The fused
+kernel and the adaptive index work on that bit layout; ``_key`` encodes a
+slice into it, ``_slice`` decodes it back and ``_labels`` into label text.
 
 Exploration runs one fused kernel per edge, ``_successor``: a single loop
 steps and prunes without building the stepped macrostate, and only the
@@ -69,8 +69,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .nba import BuchiAutomaton, SuccessorMasks, check_symbols, successors, to_mask
-from .parity import ParityAutomaton, _built
+from .nba import BuchiAutomaton, SuccessorMasks, check_symbols, from_mask, successors, to_mask
+from .parity import ParityAutomaton, Rows, _built
 from .slices import PreSlice, RankedSlice
 from .safra import unflatten
 
@@ -543,6 +543,11 @@ def _key(slice_: RankedSlice) -> Macrostate:
     return tuple([to_mask(block) for block in slice_.sets]), slice_.ranks
 
 
+def _slice(macrostate: Macrostate) -> RankedSlice:
+    """The ranked slice of a macrostate, the inverse of :func:`_key`."""
+    return RankedSlice(tuple([from_mask(mask) for mask in macrostate[0]]), macrostate[1])
+
+
 def _explored(strategy: MergeStrategy, context: Iterable[RankedSlice]) -> UnionIndex:
     index: UnionIndex = {}
     if strategy.kind == "adaptive":
@@ -605,28 +610,35 @@ def determinize(
     """Breadth-first exploration of the macrostate graph into a parity automaton.
 
     Macrostates are deduplicated by structural slice equality and numbered in
-    discovery order, so the output is a deterministic function of the input
-    automaton and strategy.  The loop walks the list of macrostates in that
-    order, so the position of a source is its id, and looks each successor
-    up with one dict lookup.  A new successor's masks are first replaced by
-    the int objects of equal masks already explored, so each distinct mask
-    is kept once.  Each edge is one call of the fused kernel, which checks
-    nothing, and appends its target and priority to its symbol's rows; the
-    rows and the labels become the automaton's without a copy or a check.
-    ``labels`` annotates every state with its canonical slice string, from
-    which :func:`transition` recomputes an edge with the staged reference.
-    Exceeding ``cap`` macrostates raises :class:`CapacityError`; ``cap`` must
-    be at least 1, for the initial macrostate, or :class:`ValueError` is
-    raised.
+    discovery order by :func:`_explore`, so the output is a deterministic
+    function of the input automaton and strategy, and the explored rows
+    become the automaton's without a copy or a check.  ``labels`` annotates
+    every state with its canonical slice string, from which :func:`transition`
+    recomputes an edge with the staged reference.  Exceeding ``cap``
+    macrostates raises :class:`CapacityError`; ``cap`` must be at least 1,
+    for the initial macrostate, or :class:`ValueError` is raised.
     """
     if cap < 1:
         raise ValueError(f"cap must be at least 1, got {cap}")
+    order, rows = _explore(aut, strategy, cap)
+    # Every state has one edge per symbol, so the rows are complete lists.
+    return _built(len(order), aut.alphabet, 0, rows, _labels(order) if labels else {})
+
+
+def _explore(aut: BuchiAutomaton, strategy: MergeStrategy | str, cap: int) -> tuple[list[Macrostate], Rows]:
+    """The explored macrostates in id order and each symbol's rows of targets and priorities.
+
+    The initial macrostate has id 0, and a source's position in the walked
+    list is its id.  Each successor is one call of the fused kernel, which
+    checks nothing, and one dict lookup; a new one first takes the int
+    objects of equal masks already explored.
+    """
     strategy = as_strategy(strategy)
     # Each symbol's rows of targets and priorities, indexed by source id.
     rows = {symbol: ([], []) for symbol in aut.alphabet}
     posts = [(aut.post(symbol), *rows[symbol]) for symbol in aut.alphabet]
     accepting: int = aut.accepting_mask  # type: ignore[attr-defined]
-    start: Macrostate = ((to_mask(aut.initial),), (1,))
+    start = _key(initial_slice(aut))
     ids: dict[Macrostate, int] = {start: 0}
     # The macrostates in discovery order, which is id order.
     order: list[Macrostate] = [start]
@@ -651,8 +663,7 @@ def determinize(
                     _remember(index, succ)
             targets.append(dst)
             priorities.append(priority)
-    # Every state has one edge per symbol, so the rows are complete lists.
-    return _built(len(order), aut.alphabet, 0, rows, _labels(order) if labels else {})
+    return order, rows
 
 
 def _labels(order: list[Macrostate]) -> dict[int, str]:

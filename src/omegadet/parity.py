@@ -253,6 +253,8 @@ def parse_dpa(data: bytes | str) -> ParityAutomaton:
 
     labels: dict[int, str] = {}
     rows: Rows = {symbol: ({}, {}) for symbol in alphabet}
+    # One int object per state id, shared by every row that holds it.
+    interned: dict[int, int] = {}
     # A ``label`` line is a label until the first edge line, and an edge line after it.
     edges_begun = False
     for lineno, tokens in items:
@@ -269,6 +271,7 @@ def parse_dpa(data: bytes | str) -> ParityAutomaton:
         if len(tokens) != 4:
             raise DpaFormatError("edge line must be '<src> <symbol> <dst> <priority>'", lineno)
         src = _read_int(tokens[0], lineno, DpaFormatError, num_states)
+        src = interned.setdefault(src, src)
         row = rows.get(tokens[1])
         if row is None:
             raise DpaFormatError(f"unknown symbol {tokens[1]!r}", lineno)
@@ -279,7 +282,7 @@ def parse_dpa(data: bytes | str) -> ParityAutomaton:
         targets, priorities = row
         if src in targets:
             raise DpaFormatError(f"duplicate edge from {src} on {tokens[1]!r}", lineno)
-        targets[src] = dst
+        targets[src] = interned.setdefault(dst, dst)
         priorities[src] = priority
     # Every value was checked above, as the constructor would check it.
     return _built(num_states, alphabet, initial, rows, labels)

@@ -28,7 +28,7 @@ from omegadet.parity import ParityAutomaton, _run_lasso, parse_dpa, run_lasso, s
 from omegadet.safra import slice_to_safra
 from omegadet.slices import parse_slice
 
-from .conftest import MEDIUM_STAGED_NBA, SMALL_NBA, WIDE_STAGED_NBA, build_corpus, run_fresh
+from .conftest import MEDIUM_STAGED_NBA, SMALL_NBA, WIDE_STAGED_NBA, build_corpus, pipeline, run_fresh
 
 
 def run_cli(*args: str, cwd=None):
@@ -699,6 +699,14 @@ def test_trace_sink_notice(tmp_path):
 
 
 @pytest.fixture
+def dead_file(tmp_path):
+    # Every run dies on the first symbol.
+    path = tmp_path / "dead.nba"
+    path.write_text("nba\nstates 1\nalphabet a\ninit 0\naccept 0\n")
+    return path
+
+
+@pytest.fixture
 def corpus170_file(tmp_path):
     path = tmp_path / "corpus170.nba"
     path.write_bytes(serialize_nba(build_corpus(171)[170]))
@@ -738,15 +746,42 @@ def test_trace_fails_on_a_step_that_leaves_the_dpa(corpus170_file, monkeypatch, 
 
 
 def test_trace_rejects_a_foreign_symbol_before_any_output(small_file, monkeypatch, capsys):
-    def no_determinize(*args, **kwargs):
-        raise AssertionError("trace determinized before checking the lasso")
+    def no_explore(*args, **kwargs):
+        raise AssertionError("trace explored before checking the lasso")
 
-    monkeypatch.setattr(cli, "determinize", no_determinize)
+    monkeypatch.setattr(cli, "_explore", no_explore)
     for lasso in ("a | c", "c | a"):
         assert cli.main(["trace", "-i", str(small_file), lasso]) == 2
         out, err = capsys.readouterr()
         assert out == ""
         assert err == "error: symbol 'c' not in alphabet\n"
+
+
+@pytest.mark.parametrize(
+    "nba, strategy, lasso",
+    [
+        ("wide_staged_file", "ms", "b c d e | a"),
+        ("medium_staged_file", "safra", "b c | a"),
+        ("dead_file", "ms", "| a"),
+        ("corpus170_file", "adaptive", "| b a"),
+    ],
+)
+def test_trace_formats_no_labels_and_parses_no_slices(nba, strategy, lasso, request, monkeypatch, capsys):
+    # trace reads the macrostates that exploration holds: it neither formats a
+    # label for every explored state nor parses one back per step.
+    path = request.getfixturevalue(nba)
+    argv = ["trace", "-i", str(path), "--strategy", strategy, lasso]
+    assert cli.main(argv) == 0
+    expected = capsys.readouterr()
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("trace went through label text")
+
+    monkeypatch.setattr(pipeline, "_labels", forbidden)
+    monkeypatch.setattr(cli, "parse_slice", forbidden)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr() == expected
+    assert expected.out.startswith("initial: (") and "verdict: " in expected.out
 
 
 def test_trace_cap_bounds_the_whole_exploration(medium_staged_file):

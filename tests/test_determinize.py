@@ -962,3 +962,18 @@ def test_golden_dpa_bytes_of_the_explore_ms_workload():
             digest.update(serialize_dpa(determinize(aut, MULLER_SCHUPP, labels=False)))
     assert digest.hexdigest() == GOLDEN_DPA_SHA256[("explore", "ms")]
 
+
+@pytest.mark.parametrize("strategy", ["ms", "safra", "max", "adaptive"])
+def test_explored_macrostates_decode_to_their_labels(strategy):
+    # On the explore-ms grid, _slice inverts _key on every explored macrostate,
+    # and the cached label formatter writes what format_slice writes for it.
+    for n in (12, 14, 16, 18):
+        for i in range(6):
+            aut = random_nba(n, ("a", "b"), 1.8 / n, 0.5, seed=9100 * n + i)
+            order, _ = pipeline._explore(aut, strategy, 1_000_000)
+            labels = pipeline._labels(order)
+            assert len(labels) == len(order) > 1
+            for state, macrostate in enumerate(order):
+                slice_ = pipeline._slice(macrostate)
+                assert pipeline._key(slice_) == macrostate
+                assert format_slice(slice_) == labels[state]

@@ -440,6 +440,21 @@ def test_parsing_a_large_dpa_holds_no_copy_of_its_lines_or_rows(tmp_path):
     assert growth_kb < 18 * 1024, growth_kb
 
 
+def test_parsed_rows_keep_one_int_object_per_state_id():
+    # Each edge line reads its source and target ids as fresh ints, so a state
+    # id above 256 (the ints Python caches) existed once per symbol as a source
+    # key and once per incoming edge as a target: 17377 objects for these 4609
+    # states.  Interning them per parse keeps one per state.
+    aut = random_nba(24, ("a", "b"), 1.8 / 24, 0.5, seed=9100 * 24)
+    dpa = parse_dpa(serialize_dpa(determinize(aut, MULLER_SCHUPP, labels=False)))
+    ids = set()
+    for targets, priorities in dpa.edges._rows.values():
+        for row in (targets.keys(), targets.values(), priorities.keys()):
+            ids.update(id(state) for state in row if state > 256)
+    assert dpa.num_states == 4609
+    assert 0 < len(ids) <= dpa.num_states
+
+
 @pytest.mark.parametrize(
     "build, message",
     [
