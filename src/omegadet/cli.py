@@ -38,7 +38,7 @@ from .nba import (
     parse_nba,
     to_mask,
 )
-from .oracle import _accepts_after, _lasso_words, nba_accepts_lasso, sample_lassos
+from .oracle import _CycleDecision, _lasso_words, nba_accepts_lasso, sample_lassos
 from .parity import (
     DpaFormatError,
     MissingEdgeError,
@@ -203,19 +203,21 @@ def _first_disagreement(aut: BuchiAutomaton, dpa: ParityAutomaton, words) -> tup
     """Count the ``(stem, cycle)`` words up to the first on which the NBA and DPA disagree.
 
     Returns the count and that lasso, or None if all agree.  The NBA verdict
-    depends only on the NBA state set after the stem and the cycle ``v``, the
-    DPA verdict only on the DPA state after the stem and ``v``, and since
-    ``u·v^ω = (u·v)·v^ω`` each verdict holds along the key's orbit under ``v``:
+    depends only on the NBA state set after the stem and the cycle ``v``, and
+    the DPA verdict only on the DPA state after the stem and ``v``, so each
+    side keeps what it learns per cycle:
 
-    * NBA side: one decision from the post-stem mask, with no witness built,
-      decides an undecided state set, and its verdict goes to the sets after
-      ``v``, ``v²``, ..., stopping at a decided set or after
-      ``dpa.num_states + 1`` cycle iterations (the bound of
-      :func:`run_lasso`).  A repeated set is a decided one.  Only the
-      reported disagreement runs :func:`nba_accepts_lasso` for its witness.
-    * DPA side: ``_walk_cycle`` walks ``v`` from the state up to a decided or
-      a repeated state, as a prefix of :func:`run_lasso`'s walk, and the
-      verdict goes to every boundary state on its trail.
+    * NBA side: one :class:`~omegadet.oracle._CycleDecision` per cycle marks
+      the states ``q`` from which ``v^ω`` is accepted, with one SCC pass over
+      the product nodes reachable from the state sets asked about, so the
+      verdict for a state set ``layer`` is ``layer & good != 0``.  No witness
+      is built: only the reported disagreement runs
+      :func:`nba_accepts_lasso` for its witness.
+    * DPA side: since ``u·v^ω = (u·v)·v^ω``, a verdict holds along the
+      state's orbit under ``v``.  ``_walk_cycle`` walks ``v`` from the state
+      up to a decided or a repeated state, as a prefix of
+      :func:`run_lasso`'s walk, and the verdict goes to every boundary state
+      on its trail.
 
     Only the path of the last stem walked is kept: ``path[k]`` holds the state
     set and state after its first ``k`` symbols, and a new stem is walked on
@@ -225,11 +227,10 @@ def _first_disagreement(aut: BuchiAutomaton, dpa: ParityAutomaton, words) -> tup
     would.
     """
     posts = {symbol: aut.post(symbol) for symbol in aut.alphabet}
-    orbit_bound = dpa.num_states + 1
     walked: tuple[str, ...] = ()
     path = [(to_mask(aut.initial), dpa.initial)]
-    # Per cycle: the verdicts by NBA state-set mask and by DPA state.
-    verdicts: dict[tuple[str, ...], tuple[dict[int, bool], dict[int, bool]]] = {}
+    # Per cycle: the NBA decision and the verdicts by DPA state.
+    verdicts: dict[tuple[str, ...], tuple[_CycleDecision, dict[int, bool]]] = {}
     checked = 0
     for stem, cycle in words:
         if stem is not walked:
@@ -248,18 +249,9 @@ def _first_disagreement(aut: BuchiAutomaton, dpa: ParityAutomaton, words) -> tup
         layer, state = path[-1]
         known = verdicts.get(cycle)
         if known is None:
-            known = verdicts[cycle] = ({}, {})
-        nba_known, dpa_known = known
-        nba_accepts = nba_known.get(layer)
-        if nba_accepts is None:
-            nba_accepts = nba_known[layer] = _accepts_after(aut, layer, cycle)
-            cycle_posts = [posts[symbol] for symbol in cycle]
-            for _ in range(orbit_bound):
-                for post in cycle_posts:
-                    layer = post[layer]
-                if layer in nba_known:
-                    break
-                nba_known[layer] = nba_accepts
+            known = verdicts[cycle] = (_CycleDecision(aut, cycle), {})
+        decision, dpa_known = known
+        nba_accepts = decision.accepts(layer)
         dpa_accepts = dpa_known.get(state)
         if dpa_accepts is None:
             trail, minimums, state = _walk_cycle(state, dpa.follow, cycle, dpa_known)

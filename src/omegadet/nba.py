@@ -227,8 +227,9 @@ def successors(aut: BuchiAutomaton, source_set: frozenset[int] | set[int], symbo
 def _read_lines(data: bytes | str, header: str, error: type[_LineError]) -> Iterator[tuple[int, list[str]]]:
     """Tokens of each line of .nba/.dpa text after the ``header`` line, with its 1-based number.
 
-    The header is checked at once; each later line is split only when a reader
-    takes it, so the whole text is never held as tokens.  Bytes must be UTF-8.
+    The header is checked at once; each later line is split only when a
+    reader takes it, so the text is never held as a list of lines or tokens.
+    Lines end where ``str.splitlines`` ends them.  Bytes must be UTF-8.
     ``#`` starts a comment, and lines left blank are skipped.  Faults raise
     ``error(message, line)``.
     """
@@ -238,19 +239,34 @@ def _read_lines(data: bytes | str, header: str, error: type[_LineError]) -> Iter
         except UnicodeDecodeError as exc:
             line = len((data[: exc.start] + b".").decode("utf-8").splitlines())
             raise error(f"input is not UTF-8: {exc.reason}", line) from None
-    items = _split_lines(data.splitlines())
+    items = _split_lines(data)
     first = next(items, None)
     if first is None or first[1] != [header]:
         raise error(f"expected {header!r} header", first[0] if first else 1)
     return items
 
 
-def _split_lines(lines: list[str]) -> Iterator[tuple[int, list[str]]]:
-    """The 1-based number and tokens of each of ``lines`` that holds more than a comment."""
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line.split()
+# The least length of a chunk of text whose lines are cut at once.
+_CHUNK = 1 << 16
+
+
+def _split_lines(text: str) -> Iterator[tuple[int, list[str]]]:
+    """The 1-based number and tokens of each line of ``text`` that holds more than a comment.
+
+    Lines are ``str.splitlines``' lines, cut from one chunk of text at a
+    time.  A chunk ends just after a line feed, which always ends a line
+    (a carriage return before it belongs to the same break), or at the end
+    of the text, so the chunks' lines are the text's lines.
+    """
+    lineno = start = 0
+    while start < len(text):
+        end = text.find("\n", start + _CHUNK) + 1 or len(text)
+        for raw in text[start:end].splitlines():
+            lineno += 1
+            line = raw.split("#", 1)[0].strip()
+            if line:
+                yield lineno, line.split()
+        start = end
 
 
 def _take(

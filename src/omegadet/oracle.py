@@ -4,18 +4,25 @@ The membership decision works on the product of automaton states with cycle
 positions: a lasso is accepted exactly when some product node holding an
 accepting state lies on a cycle reachable after the stem.  It reads the
 automaton's successor masks, with state sets as bitmasks, and visits
-successors in ascending order.  One breadth-first search, :func:`_search`,
-finds the nodes reachable after the stem and then, for each accepting
-candidate in sorted order, a shortest cycle back to it; :func:`_anchor`
-runs both.  :func:`nba_accepts_lasso` walks the stem one mask per symbol
-through :meth:`BuchiAutomaton.post`, runs :func:`_anchor` and rebuilds the
-witness in time linear in the stem and the product path: parent pointers
-and the stem run are followed by appending, then reversed once.
-``omegadet check`` already holds the post-stem set as a mask, so it
-decides from that mask with :func:`_accepts_after`, which builds no
-witness, and runs :func:`nba_accepts_lasso` only for the disagreement it
-reports.  The tests compare both with an independently coded decision
-procedure based on boundary-relation powers.
+successors in ascending order.  The product's components come from one
+iterative Tarjan pass (:mod:`omegadet.scc`), so every decision is linear in
+the product reachable from its roots.
+
+:func:`nba_accepts_lasso` walks the stem one mask per symbol through
+:meth:`BuchiAutomaton.post` and runs :func:`_anchor`: one breadth-first
+search, :func:`_search`, for the nodes reachable after the stem, one SCC
+pass over them, and one more search for a shortest cycle through the least
+accepting node of a cyclic component.  The witness is rebuilt in time
+linear in the stem and the product path: parent pointers and the stem run
+are followed by appending, then reversed once.
+
+``omegadet check`` decides many lassos per cycle and builds no witness, so
+it keeps one :class:`_CycleDecision` per cycle, which marks the product
+nodes that start an accepting run and extends its pass as new post-stem
+state sets are asked about; :func:`_accepts_after` is its one-shot form.
+Only the disagreement ``check`` reports runs :func:`nba_accepts_lasso`.
+The tests compare both with an independently coded decision procedure
+based on boundary-relation powers.
 """
 from __future__ import annotations
 
@@ -23,8 +30,13 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from itertools import product
+from typing import Callable
 
 from .nba import BuchiAutomaton, Lasso, check_symbols, mask_states, to_mask
+from .scc import components
+
+# The successor function of a product of automaton states with cycle positions.
+_Successors = Callable[[tuple[int, int]], list[tuple[int, int]]]
 
 
 @dataclass(frozen=True)
@@ -77,28 +89,105 @@ def _accepts_after(aut: BuchiAutomaton, layer: int, cycle: tuple[str, ...]) -> b
     This is :func:`nba_accepts_lasso`'s decision for a stem that leads to
     ``layer``, with no witness built; the cycle's symbols are not checked.
     """
-    return _anchor(aut, layer, cycle) is not None
+    return _CycleDecision(aut, cycle).accepts(layer)
+
+
+class _CycleDecision:
+    """From which states ``cycle^ω`` is accepted, decided for the roots asked about so far.
+
+    A product node ``(q, j)`` is good when some run on the cycle's word from
+    position ``j`` in state ``q`` is accepting: its component is cyclic and
+    holds an accepting state, or it has an edge into a good node.  Components
+    are emitted sinks first, so every edge out of a component leads to a node
+    already decided.  ``good[j]`` is the mask of the states ``q`` with
+    ``(q, j)`` good among the nodes visited, and only nodes reachable from the
+    roots ``(q, 0)`` of the layers passed to :meth:`accepts` are visited.
+    """
+
+    def __init__(self, aut: BuchiAutomaton, cycle: tuple[str, ...]):
+        tables = aut._tables  # type: ignore[attr-defined]
+        self._rows = [tables[symbol] for symbol in cycle]
+        self._successors = _product(self._rows)
+        self._accepting = aut.accepting_mask  # type: ignore[attr-defined]
+        self.good = [0] * len(cycle)
+        self._index: dict[tuple[int, int], int] = {}
+        self._roots = 0
+
+    def accepts(self, layer: int) -> bool:
+        """Whether ``cycle^ω`` is accepted from some state of the mask ``layer``."""
+        new = layer & ~self._roots
+        if new:
+            self._roots |= new
+            self._visit([(q, 0) for q in mask_states(new)])
+        return layer & self.good[0] != 0
+
+    def _visit(self, roots: list[tuple[int, int]]) -> None:
+        rows, good, accepting, successors = self._rows, self.good, self._accepting, self._successors
+        last = len(rows) - 1
+        for component in components(successors, roots, self._index):
+            on_accepting_cycle = _cyclic(component, rows) and any(accepting >> q & 1 for q, _ in component)
+            if on_accepting_cycle or any(rows[j].get(q, 0) & good[j + 1 if j < last else 0] for q, j in component):
+                for q, j in component:
+                    good[j] |= 1 << q
 
 
 def _anchor(aut: BuchiAutomaton, layer: int, cycle: tuple[str, ...]):
     """The first accepting product node, in sorted order, that lies on a cycle.
 
-    Searches from the nodes ``(q, 0)`` for ``q`` in ``layer`` and returns the
+    Searches from the nodes ``(q, 0)`` for ``q`` in ``layer``, takes the least
+    accepting node of a cyclic component among those reached, and returns the
     search's parents, that anchor, and the parents and last node of the
     cycle search back to it; None when no accepting node lies on a cycle.
     """
     tables = aut._tables  # type: ignore[attr-defined]
-    parents, _ = _search(tables, cycle, [(q, 0) for q in mask_states(layer)])
-    for anchor in sorted(node for node in parents if node[0] in aut.accepting):
-        loop_parents, last = _search(tables, cycle, [anchor], goal=anchor)
-        if last is not None:
-            return parents, anchor, loop_parents, last
-    return None
+    rows = [tables[symbol] for symbol in cycle]
+    successors = _product(rows)
+    starts = [(q, 0) for q in mask_states(layer)]
+    parents, _ = _search(successors, starts)
+    accepting = aut.accepting_mask  # type: ignore[attr-defined]
+    anchors = [
+        node
+        for component in components(successors, starts, {})
+        if _cyclic(component, rows)
+        for node in component
+        if accepting >> node[0] & 1
+    ]
+    if not anchors:
+        return None
+    anchor = min(anchors)
+    loop_parents, last = _search(successors, [anchor], goal=anchor)
+    return parents, anchor, loop_parents, last
+
+
+def _product(rows: list[dict[int, int]]) -> _Successors:
+    """Successors of a node ``(q, j)`` of the product of states with cycle positions, in ascending order.
+
+    ``rows[j]`` is the transition table of the cycle's symbol at position ``j``.
+    """
+    positions = [*range(1, len(rows)), 0]
+
+    def successors(node: tuple[int, int]) -> list[tuple[int, int]]:
+        q, j = node
+        position = positions[j]
+        return [(target, position) for target in mask_states(rows[j].get(q, 0))]
+
+    return successors
+
+
+def _cyclic(component: list[tuple[int, int]], rows: list[dict[int, int]]) -> bool:
+    """Whether a product component lies on a cycle: it has two nodes, or its node an edge to itself.
+
+    A node ``(q, j)`` has an edge to itself only when the cycle has one
+    symbol, on which ``q`` is its own successor.
+    """
+    if len(component) > 1:
+        return True
+    q, _ = component[0]
+    return len(rows) == 1 and rows[0].get(q, 0) >> q & 1 == 1
 
 
 def _search(
-    tables: dict[str, dict[int, int]],
-    cycle: tuple[str, ...],
+    successors: _Successors,
     starts: list[tuple[int, int]],
     goal: tuple[int, int] | None = None,
 ) -> tuple[dict[tuple[int, int], tuple[int, int] | None], tuple[int, int] | None]:
@@ -112,10 +201,7 @@ def _search(
     frontier = deque(starts)
     while frontier:
         node = frontier.popleft()
-        q, j = node
-        position = (j + 1) % len(cycle)
-        for target in mask_states(tables[cycle[j]].get(q, 0)):
-            succ = (target, position)
+        for succ in successors(node):
             if succ == goal:
                 return parents, node
             if succ not in parents:

@@ -17,11 +17,9 @@ from omegadet.determinize import ADAPTIVE, STRATEGIES, as_strategy, determinize
 from omegadet.nba import (
     BuchiAutomaton,
     format_lasso,
-    from_mask,
     parse_lasso,
     parse_nba,
     serialize_nba,
-    successors,
 )
 from omegadet.oracle import enumerate_lassos, nba_accepts_lasso, sample_lassos
 from omegadet.parity import ParityAutomaton, _run_lasso, parse_dpa, run_lasso, serialize_dpa
@@ -324,55 +322,34 @@ def test_check_matches_the_unmemoised_loop_on_mutated_dpas(corpus_files, corpus_
     assert min(outcomes.values()) >= 30, outcomes
 
 
-def test_check_calls_the_oracle_once_per_nba_orbit(corpus_files, monkeypatch, capsys, tmp_path):
+def test_check_builds_one_nba_decision_per_cycle(corpus_files, monkeypatch, capsys, tmp_path):
     paths = [p for p in corpus_files if len(parse_nba(p.read_bytes()).alphabet) == 2][:5]
     decisions = []
     witnesses = []
-    accepts_after = cli._accepts_after
 
-    def counted(aut, layer, cycle):
-        decisions.append((from_mask(layer), cycle))
-        return accepts_after(aut, layer, cycle)
+    class Counted(cli._CycleDecision):
+        def __init__(self, aut, cycle):
+            decisions.append(cycle)
+            super().__init__(aut, cycle)
 
     def witnessed(aut, lasso):
         witnesses.append(lasso)
         return nba_accepts_lasso(aut, lasso)
 
-    monkeypatch.setattr(cli, "_accepts_after", counted)
+    monkeypatch.setattr(cli, "_CycleDecision", Counted)
     monkeypatch.setattr(cli, "nba_accepts_lasso", witnessed)
     for path in paths:
         aut = parse_nba(path.read_bytes())
         dpa = determinize(aut, "ms")
-        bound = dpa.num_states + 1
         lassos = list(enumerate_lassos(aut.alphabet, 3, 3))
-
-        def after(layer, word):
-            for symbol in word:
-                layer = successors(aut, layer, symbol)
-            return layer
-
-        keys = {(after(aut.initial, lasso.stem), lasso.cycle) for lasso in lassos}
-        # Since u·v^ω = (u·v)·v^ω, a decision covers its state set and the sets
-        # after v, v², ..., up to a decided set or the DPA size plus one.
-        decided = set()
-        expected = []
-        for lasso in lassos:
-            layer = after(aut.initial, lasso.stem)
-            if (layer, lasso.cycle) in decided:
-                continue
-            expected.append((layer, lasso.cycle))
-            decided.add((layer, lasso.cycle))
-            for _ in range(bound):
-                layer = after(layer, lasso.cycle)
-                if (layer, lasso.cycle) in decided:
-                    break
-                decided.add((layer, lasso.cycle))
+        cycles = list(dict.fromkeys(lasso.cycle for lasso in lassos))
         decisions.clear()
         witnesses.clear()
         assert cli.main(["check", "-i", str(path), "--max-u", "3", "--max-v", "3"]) == 0
         assert capsys.readouterr().out == f"checked {len(lassos)} lassos: agreement\n"
-        assert decisions == expected
-        assert len(decisions) < len(keys) < len(lassos)
+        # One decision per cycle, made when the cycle first occurs, however many stems end in it.
+        assert decisions == cycles
+        assert len(cycles) < len(lassos)
         assert witnesses == []
 
         # Every priority raised by one flips every DPA verdict, so the first lasso disagrees.
@@ -382,7 +359,7 @@ def test_check_calls_the_oracle_once_per_nba_orbit(corpus_files, monkeypatch, ca
         decisions.clear()
         assert cli.main(["check", "-i", str(path), "--dpa", str(dpa_path), "--max-u", "3", "--max-v", "3"]) == 1
         assert capsys.readouterr().out.startswith(f"disagreement on lasso: {format_lasso(lassos[0])}\n")
-        assert decisions == expected[:1]
+        assert decisions == [lassos[0].cycle]
         assert witnesses == [lassos[0]]
 
 

@@ -1,7 +1,10 @@
+from unittest.mock import patch
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from omegadet import nba
 from omegadet.nba import (
     BuchiAutomaton,
     InvalidAutomatonError,
@@ -174,6 +177,33 @@ def test_parse_rejects_repeated_states_and_transitions(text, line, message):
     with pytest.raises(NbaFormatError, match=message) as err:
         parse_nba(text)
     assert err.value.line == line
+
+
+# Every line break of str.splitlines; "\r\n" is one break, and "\n\r" two.
+LINE_BREAKS = ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("chunk", [nba._CHUNK, 1])
+@pytest.mark.parametrize("brk, line", [*((brk, 6) for brk in LINE_BREAKS), ("\n\r", 11)])
+def test_parse_errors_count_every_line_break(brk, line, chunk, monkeypatch):
+    # Read as whitespace, the break would join "0 a 9" to the accept line.
+    # A chunk of one character makes every line feed end a chunk.
+    monkeypatch.setattr(nba, "_CHUNK", chunk)
+    text = brk.join(["nba", "states 2", "alphabet a", "init 0", "accept", "0 a 9", ""])
+    with pytest.raises(NbaFormatError, match="state 9 out of range") as err:
+        parse_nba(text.encode("utf-8"))
+    assert err.value.line == line
+
+
+@given(st.text(st.sampled_from("ab #\t\n\r\v\f\x1c\x1d\x1e\x1f\x85\u2028\u2029"), max_size=40), st.integers(0, 4))
+def test_lines_are_numbered_as_splitlines_numbers_them(text, chunk):
+    expected = [
+        (lineno, line.split("#", 1)[0].split())
+        for lineno, line in enumerate(text.splitlines(), start=1)
+        if line.split("#", 1)[0].strip()
+    ]
+    with patch.object(nba, "_CHUNK", chunk):
+        assert list(nba._split_lines(text)) == expected
 
 
 def peak_rss_kb_of_parse(num_states: int) -> int:

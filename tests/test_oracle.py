@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from omegadet.determinize import MULLER_SCHUPP, initial_slice, transition
 from omegadet.nba import BuchiAutomaton, Lasso, UnknownSymbolError, parse_nba, successors, to_mask
+from omegadet import oracle
 from omegadet.oracle import _accepts_after, enumerate_lassos, nba_accepts_lasso, random_nba, sample_lassos
 
 from .conftest import assert_valid_witness, build_corpus
@@ -66,6 +67,57 @@ def test_long_witnesses_are_valid_runs():
     verdict = nba_accepts_lasso(ring, lasso)
     assert len(verdict.prefix_states) == 2000 and len(verdict.loop_states) == 2001
     assert_valid_witness(ring, lasso, verdict)
+
+
+def test_a_long_accepting_chain_off_every_cycle_takes_two_searches(monkeypatch):
+    # States 0 .. n-1 are accepting and lie on no cycle; the chain ends in the
+    # non-accepting a-loop n.  One cycle search per accepting node would be
+    # quadratic in n.
+    n = 2000
+    transitions = {(q, "a", q + 1) for q in range(n)} | {(n, "a", n)}
+    chain = BuchiAutomaton(n + 1, ("a",), transitions, {0}, set(range(n)))
+    searches = []
+    search = oracle._search
+
+    def counted(*args, **kwargs):
+        searches.append(args[1])
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "_search", counted)
+    assert not nba_accepts_lasso(chain, Lasso((), ("a",))).accepted
+    assert len(searches) <= 2
+
+    # Accepted once the loop state accepts too: the reachability search and one cycle search.
+    searches.clear()
+    looping = BuchiAutomaton(n + 1, ("a",), transitions, {0}, set(range(n + 1)))
+    verdict = nba_accepts_lasso(looping, Lasso((), ("a",)))
+    assert verdict.loop_states == (n, n) and len(verdict.prefix_states) == n + 1
+    assert len(searches) == 2
+
+
+def test_a_product_of_over_100000_nodes_is_decided_without_recursion():
+    # A 1000-state ring read with a cycle of 101 symbols: since 1000 and 101 are
+    # coprime, all 101000 product nodes form one component, and a depth-first
+    # search goes 101000 nodes deep.
+    ring = BuchiAutomaton(1000, ("a",), {(q, "a", (q + 1) % 1000) for q in range(1000)}, {0}, {999})
+    cycle = ("a",) * 101
+    decision = oracle._CycleDecision(ring, cycle)
+    assert decision.accepts(to_mask({0}))
+    assert len(decision._index) == 101000
+    assert nba_accepts_lasso(ring, Lasso((), cycle)).accepted
+
+
+def test_a_decision_visits_only_the_nodes_reachable_from_its_roots():
+    # One million states, two of them with a transition: nothing may walk them all.
+    aut = BuchiAutomaton(10**6, ("a", "b"), {(0, "a", 1), (1, "a", 0)}, {0}, {1, 999_999})
+    for cycle in [("a",), ("a", "a", "a"), ("a", "b")]:
+        decision = oracle._CycleDecision(aut, cycle)
+        assert decision.accepts(to_mask({0})) == ("b" not in cycle)
+        assert len(decision._index) <= 2 * len(cycle)
+        # New roots continue the same pass; decided roots cost nothing.
+        assert not decision.accepts(to_mask({999_999}))
+        assert decision.accepts(to_mask({0, 999_999})) == ("b" not in cycle)
+        assert len(decision._index) <= 2 * len(cycle) + 1
 
 
 def nba_accepts_lasso_by_powers(aut: BuchiAutomaton, lasso: Lasso) -> bool:
