@@ -8,21 +8,20 @@ successors in ascending order.  The product's components come from one
 iterative Tarjan pass (:mod:`omegadet.scc`), so every decision is linear in
 the product reachable from its roots.
 
-:func:`nba_accepts_lasso` walks the stem one mask per symbol through
-:meth:`BuchiAutomaton.post` and runs :func:`_anchor`: one breadth-first
-search, :func:`_search`, for the nodes reachable after the stem, one SCC
-pass over them, and one more search for a shortest cycle through the least
-accepting node of a cyclic component.  The witness is rebuilt in time
-linear in the stem and the product path: parent pointers and the stem run
-are followed by appending, then reversed once.
-
-``omegadet check`` decides many lassos per cycle and builds no witness, so
-it keeps one :class:`_CycleDecision` per cycle, which marks the product
-nodes that start an accepting run and extends its pass as new post-stem
-state sets are asked about; :func:`_accepts_after` is its one-shot form.
-Only the disagreement ``check`` reports runs :func:`nba_accepts_lasso`.
-The tests compare both with an independently coded decision procedure
-based on boundary-relation powers.
+One decision, :class:`_CycleDecision`, marks the product nodes that start
+an accepting run; it extends its pass as new post-stem state sets are asked
+about.  ``omegadet check`` decides many lassos per cycle and builds no
+witness, so it keeps one decision per cycle.  :func:`nba_accepts_lasso`
+walks the stem one mask per symbol through :meth:`BuchiAutomaton.post` and
+asks a fresh decision about the post-stem set.  Only an accepted lasso runs
+two breadth-first searches, :func:`_search`: one for the nodes reachable
+after the stem, and one for a shortest cycle through the anchor, the least
+accepting node of a cyclic component that the decision's pass reached.
+The witness is rebuilt in time linear in the stem and the product path:
+parent pointers and the stem run are followed by appending, then reversed
+once.  Only the disagreement ``check`` reports runs
+:func:`nba_accepts_lasso`.  The tests compare the decision with an
+independently coded decision procedure based on boundary-relation powers.
 """
 from __future__ import annotations
 
@@ -64,10 +63,15 @@ def nba_accepts_lasso(aut: BuchiAutomaton, lasso: Lasso) -> LassoVerdict:
     layers = [to_mask(aut.initial)]
     for symbol in lasso.stem:
         layers.append(aut.post(symbol)[layers[-1]])
-    found = _anchor(aut, layers[-1], lasso.cycle)
-    if found is None:
+    decision = _CycleDecision(aut, lasso.cycle)
+    if not decision.accepts(layers[-1]):
         return LassoVerdict(accepted=False)
-    parents, anchor, loop_parents, last = found
+    # The least accepting node (q, j) on a cycle, in tuple order: the lowest
+    # state of each position's mask, then the lowest position among equals.
+    anchor = min(((mask & -mask).bit_length() - 1, j) for j, mask in enumerate(decision.anchors) if mask)
+    successors = decision._successors
+    parents, _ = _search(successors, [(q, 0) for q in mask_states(layers[-1])])
+    loop_parents, last = _search(successors, [anchor], goal=anchor)
 
     # Product path from a post-stem node to the anchor, then a stem run into
     # its first state, picked backwards through the stem layers.
@@ -83,15 +87,6 @@ def nba_accepts_lasso(aut: BuchiAutomaton, lasso: Lasso) -> LassoVerdict:
     return LassoVerdict(accepted=True, prefix_states=prefix, loop_states=loop)
 
 
-def _accepts_after(aut: BuchiAutomaton, layer: int, cycle: tuple[str, ...]) -> bool:
-    """Whether ``cycle^ω`` is accepted from some state of the mask ``layer``.
-
-    This is :func:`nba_accepts_lasso`'s decision for a stem that leads to
-    ``layer``, with no witness built; the cycle's symbols are not checked.
-    """
-    return _CycleDecision(aut, cycle).accepts(layer)
-
-
 class _CycleDecision:
     """From which states ``cycle^ω`` is accepted, decided for the roots asked about so far.
 
@@ -100,8 +95,10 @@ class _CycleDecision:
     holds an accepting state, or it has an edge into a good node.  Components
     are emitted sinks first, so every edge out of a component leads to a node
     already decided.  ``good[j]`` is the mask of the states ``q`` with
-    ``(q, j)`` good among the nodes visited, and only nodes reachable from the
-    roots ``(q, 0)`` of the layers passed to :meth:`accepts` are visited.
+    ``(q, j)`` good among the nodes visited, and ``anchors[j]`` the mask of
+    the accepting states ``q`` with ``(q, j)`` in a cyclic component among
+    them.  Only nodes reachable from the roots ``(q, 0)`` of the layers passed
+    to :meth:`accepts` are visited.
     """
 
     def __init__(self, aut: BuchiAutomaton, cycle: tuple[str, ...]):
@@ -110,6 +107,7 @@ class _CycleDecision:
         self._successors = _product(self._rows)
         self._accepting = aut.accepting_mask  # type: ignore[attr-defined]
         self.good = [0] * len(cycle)
+        self.anchors = [0] * len(cycle)
         self._index: dict[tuple[int, int], int] = {}
         self._roots = 0
 
@@ -122,41 +120,16 @@ class _CycleDecision:
         return layer & self.good[0] != 0
 
     def _visit(self, roots: list[tuple[int, int]]) -> None:
-        rows, good, accepting, successors = self._rows, self.good, self._accepting, self._successors
+        rows, good, anchors, accepting = self._rows, self.good, self.anchors, self._accepting
         last = len(rows) - 1
-        for component in components(successors, roots, self._index):
+        for component in components(self._successors, roots, self._index):
             on_accepting_cycle = _cyclic(component, rows) and any(accepting >> q & 1 for q, _ in component)
+            if on_accepting_cycle:
+                for q, j in component:
+                    anchors[j] |= accepting & 1 << q
             if on_accepting_cycle or any(rows[j].get(q, 0) & good[j + 1 if j < last else 0] for q, j in component):
                 for q, j in component:
                     good[j] |= 1 << q
-
-
-def _anchor(aut: BuchiAutomaton, layer: int, cycle: tuple[str, ...]):
-    """The first accepting product node, in sorted order, that lies on a cycle.
-
-    Searches from the nodes ``(q, 0)`` for ``q`` in ``layer``, takes the least
-    accepting node of a cyclic component among those reached, and returns the
-    search's parents, that anchor, and the parents and last node of the
-    cycle search back to it; None when no accepting node lies on a cycle.
-    """
-    tables = aut._tables  # type: ignore[attr-defined]
-    rows = [tables[symbol] for symbol in cycle]
-    successors = _product(rows)
-    starts = [(q, 0) for q in mask_states(layer)]
-    parents, _ = _search(successors, starts)
-    accepting = aut.accepting_mask  # type: ignore[attr-defined]
-    anchors = [
-        node
-        for component in components(successors, starts, {})
-        if _cyclic(component, rows)
-        for node in component
-        if accepting >> node[0] & 1
-    ]
-    if not anchors:
-        return None
-    anchor = min(anchors)
-    loop_parents, last = _search(successors, [anchor], goal=anchor)
-    return parents, anchor, loop_parents, last
 
 
 def _product(rows: list[dict[int, int]]) -> _Successors:

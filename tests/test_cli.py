@@ -387,7 +387,7 @@ def test_check_follows_each_edge_of_a_chain_dpa_a_bounded_number_of_times(tmp_pa
     assert len(follows) <= 4 * n + 10, len(follows)
 
 
-def test_check_bounds_the_nba_orbit_by_the_dpa_size(tmp_path, monkeypatch, capsys):
+def test_check_decides_an_nba_whose_state_sets_repeat_late_without_walking_them(tmp_path, monkeypatch, capsys):
     # Disjoint cycles of every prime length up to 19 (77 states), each entered
     # at one initial state: the state set after a^k repeats only after
     # 2·3·5·7·11·13·17·19 = 9699690 steps.
@@ -409,7 +409,8 @@ def test_check_bounds_the_nba_orbit_by_the_dpa_size(tmp_path, monkeypatch, capsy
     outcome = check_both_ways(
         monkeypatch, capsys, ["-i", str(nba_file), "--dpa", str(dpa_file), "--max-u", "0", "--max-v", "1"]
     )
-    # Walking the whole orbit would take tens of seconds; the bound stops it after two cycles.
+    # Walking the state sets until they repeat would take tens of seconds; the
+    # decision for the cycle visits each of the 77 product nodes once.
     assert time.perf_counter() - began < 5
     assert outcome == (0, "checked 1 lassos: agreement\n", "")
 
@@ -611,6 +612,15 @@ def test_roundtrip_demo():
 
 def test_roundtrip_single():
     result = run_cli("roundtrip", "({0}:1)")
+    assert result.returncode == 0
+    assert result.stdout.splitlines() == ["{0}:1", "({0}:1)"]
+
+
+def test_the_package_runs_as_a_module():
+    # `python -m omegadet`, as the README documents it, runs the package's __main__.
+    result = subprocess.run(
+        [sys.executable, "-m", "omegadet", "roundtrip", "({0}:1)"], capture_output=True, text=True
+    )
     assert result.returncode == 0
     assert result.stdout.splitlines() == ["{0}:1", "({0}:1)"]
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from omegadet.determinize import MULLER_SCHUPP, initial_slice, transition
 from omegadet.nba import BuchiAutomaton, Lasso, UnknownSymbolError, parse_nba, successors, to_mask
 from omegadet import oracle
-from omegadet.oracle import _accepts_after, enumerate_lassos, nba_accepts_lasso, random_nba, sample_lassos
+from omegadet.oracle import enumerate_lassos, nba_accepts_lasso, random_nba, sample_lassos
 
 from .conftest import assert_valid_witness, build_corpus
 from .reference import split_tree_levels
@@ -69,10 +69,10 @@ def test_long_witnesses_are_valid_runs():
     assert_valid_witness(ring, lasso, verdict)
 
 
-def test_a_long_accepting_chain_off_every_cycle_takes_two_searches(monkeypatch):
+def test_a_rejected_lasso_takes_no_search_and_an_accepted_one_two(monkeypatch):
     # States 0 .. n-1 are accepting and lie on no cycle; the chain ends in the
     # non-accepting a-loop n.  One cycle search per accepting node would be
-    # quadratic in n.
+    # quadratic in n, and a rejected lasso builds no witness.
     n = 2000
     transitions = {(q, "a", q + 1) for q in range(n)} | {(n, "a", n)}
     chain = BuchiAutomaton(n + 1, ("a",), transitions, {0}, set(range(n)))
@@ -85,7 +85,7 @@ def test_a_long_accepting_chain_off_every_cycle_takes_two_searches(monkeypatch):
 
     monkeypatch.setattr(oracle, "_search", counted)
     assert not nba_accepts_lasso(chain, Lasso((), ("a",))).accepted
-    assert len(searches) <= 2
+    assert searches == []
 
     # Accepted once the loop state accepts too: the reachability search and one cycle search.
     searches.clear()
@@ -203,7 +203,8 @@ def test_implementations_agree():
 
 
 def test_decision_on_the_post_stem_mask_matches_the_oracle_on_the_corpus():
-    # What check decides from the mask it holds, against the witness-building oracle.
+    # What check decides from the mask it holds, against the witness-building
+    # oracle, which runs the same decision, and the independent boundary powers.
     count = 0
     for aut in build_corpus():
         layers = {(): aut.initial}
@@ -211,8 +212,9 @@ def test_decision_on_the_post_stem_mask_matches_the_oracle_on_the_corpus():
             stem = lasso.stem
             if stem not in layers:
                 layers[stem] = successors(aut, layers[stem[:-1]], stem[-1])
-            decision = _accepts_after(aut, to_mask(layers[stem]), lasso.cycle)
+            decision = oracle._CycleDecision(aut, lasso.cycle).accepts(to_mask(layers[stem]))
             assert decision == nba_accepts_lasso(aut, lasso).accepted, lasso
+            assert decision == nba_accepts_lasso_by_powers(aut, lasso), lasso
             count += 1
     assert count == 33300
 
@@ -252,7 +254,7 @@ def test_decision_on_the_post_stem_mask_matches_boundary_powers(aut, stem, cycle
     for symbol in stem:
         layer = successors(aut, layer, symbol)
     lasso = Lasso(stem, cycle)
-    assert _accepts_after(aut, to_mask(layer), cycle) == nba_accepts_lasso_by_powers(aut, lasso)
+    assert oracle._CycleDecision(aut, cycle).accepts(to_mask(layer)) == nba_accepts_lasso_by_powers(aut, lasso)
 
 
 def test_enumerate_lassos_tiny():
