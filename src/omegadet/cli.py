@@ -1,7 +1,8 @@
 """Command-line frontend: determinize, check, stats, roundtrip, trace.
 
-Exit statuses: 0 on success or agreement, 1 on semantic disagreement or
-invariant failure, 2 on usage or parse errors.
+Exit statuses: 0 on success or agreement, 1 on semantic disagreement,
+invariant failure or an input that does not fit in memory, 2 on usage or
+parse errors.
 
 In-process use: ``main(argv)`` may be called any number of times in one
 process.  The argument parser is built on the first call and reused; each
@@ -147,6 +148,11 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except _SEMANTIC_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except (OverflowError, MemoryError) as exc:
+        # A mask holds one bit per state id, so one wide id can need more memory than there is.
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return 1
 
 

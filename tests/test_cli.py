@@ -387,6 +387,41 @@ def test_check_follows_each_edge_of_a_chain_dpa_a_bounded_number_of_times(tmp_pa
     assert len(follows) <= 4 * n + 10, len(follows)
 
 
+def test_check_walks_each_stem_on_from_its_prefix_and_each_dpa_orbit_once(tmp_path, monkeypatch, capsys):
+    # The stems a^0 .. a^6 on a five-state DPA ring, each with the cycle a.
+    nba_file = tmp_path / "loop.nba"
+    nba_file.write_text("nba\nstates 1\nalphabet a\ninit 0\naccept 0\n0 a 0\n")
+    dpa_file = tmp_path / "ring.dpa"
+    dpa_file.write_text("dpa\nstates 5\nalphabet a\ninit 0\n" + "".join(f"{i} a {(i + 1) % 5} 2\n" for i in range(5)))
+    follows = []
+    cycle_follows = []
+    follow = ParityAutomaton.follow
+    walk_cycle = cli._walk_cycle
+
+    def counted(self, state, symbol):
+        follows.append(state)
+        return follow(self, state, symbol)
+
+    def walk(state, follow, cycle, known):
+        def counted_on_cycle(state, symbol):
+            cycle_follows.append(state)
+            return follow(state, symbol)
+
+        return walk_cycle(state, counted_on_cycle, cycle, known)
+
+    monkeypatch.setattr(ParityAutomaton, "follow", counted)
+    monkeypatch.setattr(cli, "_walk_cycle", walk)
+    argv = ["check", "-i", str(nba_file), "--dpa", str(dpa_file), "--max-u", "6", "--max-v", "1"]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == "checked 7 lassos: agreement\n"
+    # Each stem is its prefix plus one symbol: 6 steps, where walking every
+    # stem from the initial state would take 0 + 1 + ... + 6 = 21.
+    assert len(follows) - len(cycle_follows) == 6
+    # The first cycle walk goes once round the ring and decides all five
+    # states, so the six later stem ends cost nothing (35 steps without it).
+    assert cycle_follows == [0, 1, 2, 3, 4]
+
+
 def test_check_decides_an_nba_whose_state_sets_repeat_late_without_walking_them(tmp_path, monkeypatch, capsys):
     # Disjoint cycles of every prime length up to 19 (77 states), each entered
     # at one initial state: the state set after a^k repeats only after
@@ -413,6 +448,19 @@ def test_check_decides_an_nba_whose_state_sets_repeat_late_without_walking_them(
     # decision for the cycle visits each of the 77 product nodes once.
     assert time.perf_counter() - began < 5
     assert outcome == (0, "checked 1 lassos: agreement\n", "")
+
+
+def test_a_state_id_too_wide_for_memory_exits_1_without_a_traceback(tmp_path, capsys):
+    # A mask holds one bit per state id.  1 << 99999999999999999999 overflows
+    # at once; 1 << 99999999999 needs 12.5 GB, over the child's 1 GiB limit.
+    nba_file = tmp_path / "wide.nba"
+    nba_file.write_text("nba\nstates 100000000000000000000\nalphabet a\ninit 0\naccept\n0 a 99999999999999999999\n")
+    assert cli.main(["determinize", "-i", str(nba_file)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: out of memory") and err.count("\n") == 1, err
+    nba_file.write_text("nba\nstates 100000000000\nalphabet a\ninit 0\naccept\n0 a 99999999999\n")
+    result = run_fresh(f"from omegadet.cli import main\nraise SystemExit(main(['determinize', '-i', {str(nba_file)!r}]))\n")
+    assert (result.returncode, result.stdout, result.stderr) == (1, "", "error: out of memory\n")
 
 
 def test_check_reads_a_dpa_with_many_states_and_few_edges(tmp_path):

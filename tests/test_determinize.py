@@ -243,6 +243,22 @@ def test_adaptive_lookup_matches_uncapped_enumeration(scenario):
     assert choose_partition(pre, k, frozenset(), ADAPTIVE, context) == expected
 
 
+def test_adaptive_probe_hits_need_no_scan(monkeypatch):
+    # Under max a one-state self-loop steps only to its initial macrostate, so
+    # each adaptive edge finds its max successor explored and never scans.
+    scans = []
+    real_reuse = pipeline._reuse
+
+    def reuse(*args):
+        scans.append(args)
+        return real_reuse(*args)
+
+    monkeypatch.setattr(pipeline, "_reuse", reuse)
+    loop = parse_nba(b"nba\nstates 1\nalphabet a\ninit 0\naccept 0\n0 a 0\n")
+    assert determinize(loop, ADAPTIVE).edges == determinize(loop, MAX_COLLAPSE).edges == {(0, "a"): (0, 2)}
+    assert scans == []
+
+
 def test_adaptive_reuse_beyond_the_old_candidate_cap():
     # Fifteen sets with rank 1 last and k = 1: no forced cuts, so 14 free cuts
     # and 2**14 permitted partitions, the all-singleton one last.

@@ -120,6 +120,21 @@ def test_a_decision_visits_only_the_nodes_reachable_from_its_roots():
         assert len(decision._index) <= 2 * len(cycle) + 1
 
 
+def test_a_decision_asked_about_a_decided_layer_runs_no_second_pass(monkeypatch):
+    passes = []
+    components = oracle.components
+
+    def counted(*args):
+        passes.append(args[1])
+        return components(*args)
+
+    monkeypatch.setattr(oracle, "components", counted)
+    ring = BuchiAutomaton(3, ("a",), {(q, "a", (q + 1) % 3) for q in range(3)}, {0}, {2})
+    decision = oracle._CycleDecision(ring, ("a",))
+    assert decision.accepts(to_mask({0, 1})) and decision.accepts(to_mask({0, 1}))
+    assert passes == [[(0, 0), (1, 0)]]
+
+
 def nba_accepts_lasso_by_powers(aut: BuchiAutomaton, lasso: Lasso) -> bool:
     """Reference decision procedure, coded apart from the oracle: powers of the one-cycle boundary relation.
 
