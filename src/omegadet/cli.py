@@ -18,20 +18,15 @@ import itertools
 import sys
 from pathlib import Path
 
-from .determinize import (
-    STRATEGIES,
-    CapacityError,
-    InternalInvariantError,
-    _explore,
-    _slice,
-    determinize,
-    transition,
-)
+from .determinize import STRATEGIES, CapacityError, InternalInvariantError, _explore, determinize
 from .nba import (
     BuchiAutomaton,
+    InvalidSliceError,
+    InvalidTreeError,
     Lasso,
     LassoFormatError,
     NbaFormatError,
+    SliceFormatError,
     UnknownSymbolError,
     check_symbols,
     format_lasso,
@@ -50,8 +45,6 @@ from .parity import (
     run_lasso,
     serialize_dpa,
 )
-from .safra import InvalidTreeError, format_tree, safra_to_slice, slice_to_safra
-from .slices import InvalidSliceError, SliceFormatError, format_set, format_slice, parse_slice
 
 _USAGE_ERRORS = (
     NbaFormatError,
@@ -287,6 +280,9 @@ def cmd_stats(args) -> int:
 
 
 def cmd_roundtrip(args) -> int:
+    from .safra import format_tree, safra_to_slice, slice_to_safra
+    from .slices import format_slice, parse_slice
+
     slice_ = parse_slice(args.slice)
     tree = slice_to_safra(slice_)
     recovered = safra_to_slice(tree)
@@ -296,6 +292,9 @@ def cmd_roundtrip(args) -> int:
 
 
 def cmd_trace(args) -> int:
+    from .slices import format_set, format_slice
+    from .stages import _slice, transition
+
     aut = _load_nba(args.input)
     lasso = parse_lasso(args.lasso)
     check_symbols(aut, lasso.stem + lasso.cycle)

@@ -43,6 +43,20 @@ class LassoFormatError(ValueError):
     """Malformed lasso text (expected ``stem | cycle`` token syntax)."""
 
 
+# The slice and tree errors live here, re-exported by ``slices`` and
+# ``safra``, so the CLI maps them to exit statuses without loading either.
+class InvalidSliceError(ValueError):
+    """A slice or pre-slice invariant is violated."""
+
+
+class SliceFormatError(ValueError):
+    """Canonical slice text cannot be parsed."""
+
+
+class InvalidTreeError(ValueError):
+    """A ranked Safra tree invariant is violated."""
+
+
 _TOKEN_RULE = "must be non-empty UTF-8, without whitespace, '#' or '|'"
 # '#' starts a comment, '|' splits a lasso into stem and cycle, and a lone
 # surrogate has no UTF-8 encoding.

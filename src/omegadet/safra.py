@@ -14,11 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .slices import InvalidSliceError, RankedSlice, _parse_entry, format_set
-
-
-class InvalidTreeError(ValueError):
-    """A ranked Safra tree invariant is violated."""
+from .nba import InvalidSliceError, InvalidTreeError
+from .slices import RankedSlice, _parse_entry, format_set
 
 
 class TreeFormatError(ValueError):

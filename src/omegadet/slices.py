@@ -14,15 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .nba import _decimal
-
-
-class InvalidSliceError(ValueError):
-    """A slice or pre-slice invariant is violated."""
-
-
-class SliceFormatError(ValueError):
-    """Canonical slice text cannot be parsed."""
+from .nba import InvalidSliceError, SliceFormatError, _decimal
 
 
 @dataclass(frozen=True)

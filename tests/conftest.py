@@ -1,4 +1,3 @@
-import importlib
 import random
 import subprocess
 import sys
@@ -7,16 +6,15 @@ import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
-from omegadet.determinize import InternalInvariantError, MergeStrategy, TransitionTrace, as_strategy, determinize
+from omegadet import stages
+from omegadet.determinize import InternalInvariantError, MergeStrategy, UnionIndex, _remember, as_strategy, determinize
 from omegadet.nba import BuchiAutomaton, parse_nba, successors
 from omegadet.oracle import random_nba
 from omegadet.parity import ParityAutomaton
 from omegadet.slices import format_slice, parse_slice
+from omegadet.stages import TransitionTrace
 
 from .reference import is_valid_partition, run_prefix
-
-# The package attribute omegadet.determinize is the function, so reach the module by name.
-pipeline = importlib.import_module("omegadet.determinize")
 
 settings.register_profile("repo", deadline=None, suppress_health_check=[HealthCheck.too_slow])
 settings.load_profile("repo")
@@ -204,13 +202,13 @@ def replay(aut: BuchiAutomaton, strategy: MergeStrategy | str) -> ParityAutomato
     strategy = as_strategy(strategy)
     dpa = determinize(aut, strategy, labels=True)
     slices = [parse_slice(dpa.labels[state]) for state in range(dpa.num_states)]
-    index: pipeline.UnionIndex = {}
-    pipeline._remember(index, pipeline._key(slices[0]))
+    index: UnionIndex = {}
+    _remember(index, stages._key(slices[0]))
     newest = 0
     for source, slice_ in enumerate(slices):
         for symbol in aut.alphabet:
             target, priority = dpa.edges[source, symbol]
-            trace = pipeline._stages(aut, slice_, symbol, strategy, index)
+            trace = stages._stages(aut, slice_, symbol, strategy, index)
             if (trace.successor, trace.priority) != (slices[target], priority):
                 raise InternalInvariantError(
                     f"on {symbol!r} from {format_slice(slice_)} the fused kernel gives "
@@ -220,5 +218,5 @@ def replay(aut: BuchiAutomaton, strategy: MergeStrategy | str) -> ParityAutomato
             check_transition_invariants(aut, trace)
             if target > newest:
                 newest = target
-                pipeline._remember(index, pipeline._key(slices[target]))
+                _remember(index, stages._key(slices[target]))
     return dpa

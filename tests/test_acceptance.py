@@ -14,20 +14,13 @@ from types import SimpleNamespace
 
 import pytest
 
-from omegadet.determinize import (
-    InternalInvariantError,
-    choose_partition,
-    determinize,
-    initial_slice,
-    merge,
-    normalize,
-    transition,
-)
+from omegadet.determinize import InternalInvariantError, determinize
 from omegadet.nba import parse_nba
 from omegadet.oracle import enumerate_lassos, nba_accepts_lasso, random_nba
 from omegadet.parity import run_lasso
 from omegadet.safra import SafraNode, safra_to_slice, slice_to_safra, unflatten
 from omegadet.slices import PreSlice, RankedSlice, format_slice, parse_slice
+from omegadet.stages import choose_partition, initial_slice, merge, normalize, transition
 
 from .conftest import MEDIUM_STAGED_NBA, SMALL_NBA, WIDE_STAGED_NBA, build_corpus, replay
 from .reference import (
@@ -431,7 +424,7 @@ def test_reference_is_independent():
     assert ("omegadet.safra", 0) in imports
     for module, level in imports:
         assert level == 0, f"relative import of {module!r}"
-        assert module != "omegadet" and not module.startswith("omegadet.determinize"), module
+        assert module != "omegadet" and not module.startswith(("omegadet.determinize", "omegadet.stages")), module
 
 
 def test_readme_quick_start_runs():

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import importlib
 import io
 import subprocess
 import sys
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from omegadet import cli
+from omegadet import cli, slices, stages
 from omegadet.cli import cmd_check
 from omegadet.determinize import ADAPTIVE, STRATEGIES, as_strategy, determinize
 from omegadet.nba import (
@@ -26,7 +27,10 @@ from omegadet.parity import ParityAutomaton, _run_lasso, parse_dpa, run_lasso, s
 from omegadet.safra import slice_to_safra
 from omegadet.slices import parse_slice
 
-from .conftest import MEDIUM_STAGED_NBA, SMALL_NBA, WIDE_STAGED_NBA, build_corpus, pipeline, run_fresh
+from .conftest import MEDIUM_STAGED_NBA, SMALL_NBA, WIDE_STAGED_NBA, build_corpus, run_fresh
+
+# The package attribute omegadet.determinize is the function, so reach the kernel module by name.
+kernel = importlib.import_module("omegadet.determinize")
 
 
 def run_cli(*args: str, cwd=None):
@@ -774,8 +778,8 @@ def test_trace_prints_the_adaptive_dpa_edges(corpus170_file, capsys):
 
 def test_trace_fails_on_a_step_that_leaves_the_dpa(corpus170_file, monkeypatch, capsys):
     # Recomputing the adaptive DPA's edges under ms reaches other successors.
-    real = cli.transition
-    monkeypatch.setattr(cli, "transition", lambda aut, slice_, symbol, _, context: real(aut, slice_, symbol, "ms"))
+    real = stages.transition
+    monkeypatch.setattr(stages, "transition", lambda aut, slice_, symbol, _, context: real(aut, slice_, symbol, "ms"))
     assert cli.main(["trace", "-i", str(corpus170_file), "--strategy", "adaptive", "| b a"]) == 1
     assert "but the DPA edge from state" in capsys.readouterr().err
 
@@ -812,8 +816,8 @@ def test_trace_formats_no_labels_and_parses_no_slices(nba, strategy, lasso, requ
     def forbidden(*args, **kwargs):
         raise AssertionError("trace went through label text")
 
-    monkeypatch.setattr(pipeline, "_labels", forbidden)
-    monkeypatch.setattr(cli, "parse_slice", forbidden)
+    monkeypatch.setattr(kernel, "_labels", forbidden)
+    monkeypatch.setattr(slices, "parse_slice", forbidden)
     assert cli.main(argv) == 0
     assert capsys.readouterr() == expected
     assert expected.out.startswith("initial: (") and "verdict: " in expected.out

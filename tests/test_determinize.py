@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import math
 import tracemalloc
 
@@ -15,8 +16,17 @@ from omegadet.determinize import (
     InternalInvariantError,
     MergeStrategy,
     as_strategy,
-    choose_partition,
     determinize,
+)
+from omegadet.nba import BuchiAutomaton, InvalidAutomatonError, UnknownSymbolError, from_mask, parse_nba, to_mask
+from omegadet.oracle import random_nba
+from omegadet.parity import serialize_dpa
+from omegadet.slices import InvalidSliceError, PreSlice, RankedSlice, format_slice, parse_preslice, parse_slice
+from omegadet.stages import (
+    _key,
+    _slice,
+    _stages,
+    choose_partition,
     dominating_rank,
     initial_slice,
     merge,
@@ -25,13 +35,12 @@ from omegadet.determinize import (
     step,
     transition,
 )
-from omegadet.nba import BuchiAutomaton, InvalidAutomatonError, UnknownSymbolError, from_mask, parse_nba, to_mask
-from omegadet.oracle import random_nba
-from omegadet.parity import serialize_dpa
-from omegadet.slices import InvalidSliceError, PreSlice, RankedSlice, format_slice, parse_preslice, parse_slice
 
-from .conftest import build_corpus, check_transition_invariants, pipeline, replay, run_fresh
+from .conftest import build_corpus, check_transition_invariants, replay, run_fresh
 from .reference import is_valid_partition, iter_valid_partitions, restricted_successors
+
+# The package attribute omegadet.determinize is the function, so reach the kernel module by name.
+kernel = importlib.import_module("omegadet.determinize")
 
 # The pruned six-set scenario used across the merge tests: distinct surviving
 # ranks with gaps, green ranks 2 and 6, dominating rank 2.
@@ -247,13 +256,13 @@ def test_adaptive_probe_hits_need_no_scan(monkeypatch):
     # Under max a one-state self-loop steps only to its initial macrostate, so
     # each adaptive edge finds its max successor explored and never scans.
     scans = []
-    real_reuse = pipeline._reuse
+    real_reuse = kernel._reuse
 
     def reuse(*args):
         scans.append(args)
         return real_reuse(*args)
 
-    monkeypatch.setattr(pipeline, "_reuse", reuse)
+    monkeypatch.setattr(kernel, "_reuse", reuse)
     loop = parse_nba(b"nba\nstates 1\nalphabet a\ninit 0\naccept 0\n0 a 0\n")
     assert determinize(loop, ADAPTIVE).edges == determinize(loop, MAX_COLLAPSE).edges == {(0, "a"): (0, 2)}
     assert scans == []
@@ -292,11 +301,11 @@ def test_adaptive_ties_at_one_set_count_go_to_the_first_cuts(context):
     assert (trace.pruned.ranks, trace.dominating, trace.partition) == ((5, 4, 2, 1), 2, ((1, 1), (2, 3), (4, 4)))
     assert trace.successor == TIE_FIRST
     index = {}
-    for key in map(pipeline._key, context):
-        pipeline._remember(index, key)
-    aut, source = TIE_NBA, pipeline._key(TIE_SOURCE)
-    fused, _ = pipeline._successor(aut.post("a"), aut.accepting_mask, aut.num_states, source, ADAPTIVE, index)
-    assert fused == pipeline._key(TIE_FIRST)
+    for key in map(_key, context):
+        kernel._remember(index, key)
+    aut, source = TIE_NBA, _key(TIE_SOURCE)
+    fused, _ = kernel._successor(aut.post("a"), aut.accepting_mask, aut.num_states, source, ADAPTIVE, index)
+    assert fused == _key(TIE_FIRST)
 
 
 @st.composite
@@ -534,13 +543,13 @@ def test_explored_edges_replay_with_the_target_as_context(golden_automata, strat
 def test_validate_rejects_a_fused_result_the_staged_kernels_disagree_with(
     medium_staged_nba, monkeypatch, strategy
 ):
-    real = pipeline._successor
+    real = kernel._successor
 
     def off_by_two(*args):
         successor, priority = real(*args)
         return successor, priority + 2
 
-    monkeypatch.setattr(pipeline, "_successor", off_by_two)
+    monkeypatch.setattr(kernel, "_successor", off_by_two)
     determinize(medium_staged_nba, strategy)
     with pytest.raises(InternalInvariantError, match="the fused kernel gives"):
         replay(medium_staged_nba, strategy)
@@ -550,7 +559,7 @@ def test_exploration_builds_no_stage_records(medium_staged_nba, monkeypatch):
     def no_stages(*args):
         raise AssertionError("exploration ran the staged kernels")
 
-    monkeypatch.setattr(pipeline, "_stages", no_stages)
+    monkeypatch.setattr("omegadet.stages._stages", no_stages)
     with pytest.raises(TypeError):
         determinize(medium_staged_nba, validate=True)
     for strategy in ("ms", "safra", "max", "adaptive"):
@@ -584,10 +593,10 @@ def successor_scenarios(draw):
     adaptive = strategy.kind == "adaptive"
     hit = adaptive and draw(st.booleans())
     if adaptive:
-        stages = pipeline._stages(aut, ranked(masks, ranks), symbol, strategy, {})
+        stages = _stages(aut, ranked(masks, ranks), symbol, strategy, {})
         hit = hit and bool(stages.pruned.sets)
         if hit:
-            context.append(pipeline._key(stages.successor))
+            context.append(_key(stages.successor))
         n = len(stages.pruned)
         for _ in range(draw(st.integers(0, 4)) if n else 0):
             # Merges under arbitrary interval partitions, which may break the
@@ -597,7 +606,7 @@ def successor_scenarios(draw):
             merged = merge(stages.pruned, partition)
             merged_masks = tuple(to_mask(block) for block in merged.sets)
             if draw(st.booleans()):
-                context.append(pipeline._key(normalize(merged)))
+                context.append(_key(normalize(merged)))
             else:
                 order = tuple(draw(st.permutations(range(2, len(merged_masks) + 1))) + [1])
                 context.append((merged_masks, order))
@@ -628,21 +637,21 @@ NESTED_GREEN_SLICE = parse_slice("({6}:7,{0}:4,{1}:2,{2}:5,{5}:6,{3}:3,{4}:1)")
 
 
 def _nested_green_successor(strategy):
-    return pipeline._key(transition(NESTED_GREEN_NBA, NESTED_GREEN_SLICE, "a", strategy).successor)
+    return _key(transition(NESTED_GREEN_NBA, NESTED_GREEN_SLICE, "a", strategy).successor)
 
 
 def _probe_example(other):
     # The max successor is explored next to another strategy's successor, so
     # the adaptive result must be the max successor, found by the probe.
     context = [_nested_green_successor(other), _nested_green_successor("max")]
-    return NESTED_GREEN_NBA, pipeline._key(NESTED_GREEN_SLICE), "a", ADAPTIVE, context, True
+    return NESTED_GREEN_NBA, _key(NESTED_GREEN_SLICE), "a", ADAPTIVE, context, True
 
 
 # The pruned slice is ({4}:4,{5}:2,{6}:3,{7}:1) with green rank 3 only: the
 # green subtree {6} is closed by the non-green set ranked 2, and further left
 # the set ranked 4 must start a run of its own under safra.
 CLOSED_SUBTREE_NBA = parse_nba(b"nba\nstates 8\nalphabet a\ninit 0\naccept 6\n0 a 4\n1 a 5\n2 a 6\n3 a 7\n")
-CLOSED_SUBTREE_SOURCE = pipeline._key(parse_slice("({0}:4,{1}:2,{2}:3,{3}:1)"))
+CLOSED_SUBTREE_SOURCE = _key(parse_slice("({0}:4,{1}:2,{2}:3,{3}:1)"))
 
 
 @settings(max_examples=400)
@@ -655,11 +664,11 @@ def test_fused_successor_matches_the_staged_kernels(scenario):
     aut, source, symbol, strategy, context, hit = scenario
     index = {}
     for key in context:
-        pipeline._remember(index, key)
+        kernel._remember(index, key)
     post = aut.post(symbol)
-    stages = pipeline._stages(aut, ranked(*source), symbol, strategy, index)
-    fused = pipeline._successor(post, aut.accepting_mask, aut.num_states, source, strategy, index)
-    assert fused == (pipeline._key(stages.successor), stages.priority)
+    stages = _stages(aut, ranked(*source), symbol, strategy, index)
+    fused = kernel._successor(post, aut.accepting_mask, aut.num_states, source, strategy, index)
+    assert fused == (_key(stages.successor), stages.priority)
     if hit:
         # The lookup found an explored macrostate: the successor is one of them.
         assert fused[0] in context
@@ -677,9 +686,9 @@ def test_fused_runs_on_a_green_subtree_with_nested_green_and_red_ranks(strategy,
     trace = transition(aut, NESTED_GREEN_SLICE, "a", strategy)
     assert (trace.green, trace.dominating, trace.priority) == ({3, 5}, 3, 6)
     assert 6 in trace.red and format_slice(trace.successor) == expected
-    source = pipeline._key(NESTED_GREEN_SLICE)
-    fused = pipeline._successor(aut.post("a"), aut.accepting_mask, aut.num_states, source, as_strategy(strategy), {})
-    assert fused == (pipeline._key(trace.successor), trace.priority)
+    source = _key(NESTED_GREEN_SLICE)
+    fused = kernel._successor(aut.post("a"), aut.accepting_mask, aut.num_states, source, as_strategy(strategy), {})
+    assert fused == (_key(trace.successor), trace.priority)
 
 
 @pytest.mark.parametrize(
@@ -725,9 +734,9 @@ def test_fused_successor_on_hand_built_ms_edges(nba_text, source, expected, gree
     aut = parse_nba(nba_text)
     trace = transition(aut, parse_slice(source), "a", MULLER_SCHUPP)
     assert (format_slice(trace.successor), trace.green, trace.priority) == (expected, green, priority)
-    key = pipeline._key(parse_slice(source))
-    fused = pipeline._successor(aut.post("a"), aut.accepting_mask, aut.num_states, key, MULLER_SCHUPP, {})
-    assert fused == (pipeline._key(trace.successor), priority)
+    key = _key(parse_slice(source))
+    fused = kernel._successor(aut.post("a"), aut.accepting_mask, aut.num_states, key, MULLER_SCHUPP, {})
+    assert fused == (_key(trace.successor), priority)
 
 
 @pytest.mark.parametrize("strategy", ["ms", "safra", "max", "adaptive"])
@@ -765,7 +774,7 @@ def test_exploration_neither_merges_nor_normalizes(golden_automata, monkeypatch,
     lookups = {"probe": 0, "scan": 0, "miss": 0}
     scans = []
     remembered = set()
-    real_reuse, real_remember, real_successor = pipeline._reuse, pipeline._remember, pipeline._successor
+    real_reuse, real_remember, real_successor = kernel._reuse, kernel._remember, kernel._successor
 
     def reuse(*args):
         found = real_reuse(*args)
@@ -793,11 +802,12 @@ def test_exploration_neither_merges_nor_normalizes(golden_automata, monkeypatch,
 
         return stage
 
-    monkeypatch.setattr(pipeline, "_reuse", reuse)
-    monkeypatch.setattr(pipeline, "_remember", remember)
-    monkeypatch.setattr(pipeline, "_successor", successor)
+    monkeypatch.setattr(kernel, "_reuse", reuse)
+    monkeypatch.setattr(kernel, "_remember", remember)
+    monkeypatch.setattr(kernel, "_successor", successor)
     for name in ("_choose", "step", "prune", "merge", "normalize", "unflatten"):
-        monkeypatch.setattr(pipeline, name, forbidden(name))
+        monkeypatch.setattr(f"omegadet.stages.{name}", forbidden(name))
+    monkeypatch.setattr("omegadet.safra.unflatten", forbidden("unflatten"))
     for aut in golden_automata["grid"]:
         assert determinize(aut, strategy).num_states > 1
     if as_strategy(strategy).kind == "adaptive":
@@ -986,10 +996,10 @@ def test_explored_macrostates_decode_to_their_labels(strategy):
     for n in (12, 14, 16, 18):
         for i in range(6):
             aut = random_nba(n, ("a", "b"), 1.8 / n, 0.5, seed=9100 * n + i)
-            order, _ = pipeline._explore(aut, strategy, 1_000_000)
-            labels = pipeline._labels(order)
+            order, _ = kernel._explore(aut, strategy, 1_000_000)
+            labels = kernel._labels(order)
             assert len(labels) == len(order) > 1
             for state, macrostate in enumerate(order):
-                slice_ = pipeline._slice(macrostate)
-                assert pipeline._key(slice_) == macrostate
+                slice_ = _slice(macrostate)
+                assert _key(slice_) == macrostate
                 assert format_slice(slice_) == labels[state]

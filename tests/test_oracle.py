@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omegadet.determinize import MULLER_SCHUPP, initial_slice, transition
+from omegadet.determinize import MULLER_SCHUPP
 from omegadet.nba import BuchiAutomaton, Lasso, UnknownSymbolError, parse_nba, successors, to_mask
 from omegadet import oracle
 from omegadet.oracle import enumerate_lassos, nba_accepts_lasso, random_nba, sample_lassos
+from omegadet.stages import initial_slice, transition
 
 from .conftest import assert_valid_witness, build_corpus
 from .reference import split_tree_levels

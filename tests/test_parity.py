@@ -366,6 +366,12 @@ def test_edges_iterate_in_serialize_order(small_nba):
         assert len(dpa.edges) == len(lines) == len(list(dpa.edges)) == len(set(dpa.edges))
 
 
+def test_edges_print_as_a_dict_in_serialize_order(small_nba):
+    assert repr(partial_dpa().edges) == "_Edges({(0, 'a'): (1, 1), (0, 'b'): (1, 2), (1, 'a'): (0, 3)})"
+    for dpa in view_cases(small_nba):
+        assert repr(dpa.edges) == f"_Edges({dict(dpa.edges.items())!r})"
+
+
 def test_a_missing_edge_is_a_key_error_and_a_missing_edge_error():
     dpa = partial_dpa()
     with pytest.raises(KeyError):

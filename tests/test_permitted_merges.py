@@ -9,10 +9,10 @@ import random
 from collections import deque
 
 from omegadet.cli import _first_disagreement
-from omegadet.determinize import dominating_rank, initial_slice, merge, normalize, prune, step
 from omegadet.nba import BuchiAutomaton, format_lasso
 from omegadet.oracle import _lasso_words
 from omegadet.parity import ParityAutomaton
+from omegadet.stages import dominating_rank, initial_slice, merge, normalize, prune, step
 
 from .conftest import build_corpus
 from .reference import iter_valid_partitions

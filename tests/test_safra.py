@@ -222,6 +222,13 @@ def test_round_trip_from_random_trees():
         assert slice_to_safra(safra_to_slice(tree)) == tree
 
 
+def test_a_node_equals_no_other_type():
+    # __eq__ hands a foreign type back to Python, which then compares identities.
+    assert BRANCH_TREE.__eq__("{0}:1({1}:2,{2}:3)") is NotImplemented
+    assert BRANCH_TREE != "{0}:1({1}:2,{2}:3)" and BRANCH_TREE != (frozenset({0}), 1)
+    assert BRANCH_TREE == parse_tree("{0}:1({1}:2,{2}:3)")
+
+
 def test_format_tree_branch():
     assert format_tree(BRANCH_TREE) == "{0}:1({1}:2,{2}:3)"
 
