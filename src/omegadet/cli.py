@@ -34,7 +34,7 @@ from .nba import (
     parse_nba,
     to_mask,
 )
-from .oracle import _CycleDecision, _lasso_words, nba_accepts_lasso, sample_lassos
+from .oracle import _CycleDecision, _lasso_words, _rotation_class, nba_accepts_lasso, sample_lassos
 from .parity import (
     DpaFormatError,
     MissingEdgeError,
@@ -202,21 +202,26 @@ def _first_disagreement(aut: BuchiAutomaton, dpa: ParityAutomaton, words) -> tup
     """Count the ``(stem, cycle)`` words up to the first on which the NBA and DPA disagree.
 
     Returns the count and that lasso, or None if all agree.  The NBA verdict
-    depends only on the NBA state set after the stem and the cycle ``v``, and
-    the DPA verdict only on the DPA state after the stem and ``v``, so each
-    side keeps what it learns per cycle:
+    depends only on the NBA state set after the stem and the infinite word
+    ``v^ω``, and the DPA verdict only on the DPA state after the stem and
+    ``v^ω``.  ``v^ω = w^ω`` for the primitive root ``w`` of ``v``, so each
+    side keeps what it learns per infinite word, not per cycle:
 
-    * NBA side: one :class:`~omegadet.oracle._CycleDecision` per cycle marks
-      the states ``q`` from which ``v^ω`` is accepted, with one SCC pass over
-      the product nodes reachable from the state sets asked about, so the
-      verdict for a state set ``layer`` is ``layer & good != 0``.  No witness
-      is built: only the reported disagreement runs
-      :func:`nba_accepts_lasso` for its witness.
-    * DPA side: since ``u·v^ω = (u·v)·v^ω``, a verdict holds along the
-      state's orbit under ``v``.  ``_walk_cycle`` walks ``v`` from the state
-      up to a decided or a repeated state, as a prefix of
-      :func:`run_lasso`'s walk, and the verdict goes to every boundary state
-      on its trail.
+    * NBA side: cycles whose roots are rotations of one another share one
+      :class:`~omegadet.oracle._CycleDecision`, on the least rotation ``c``,
+      and each asks it from its offset ``r`` into ``c``, where
+      ``c[r:] + c[:r] == w`` (:func:`~omegadet.oracle._rotation_class`).
+      The decision marks the product nodes ``(q, r)`` from which ``w^ω`` is
+      accepted, with one SCC pass over the nodes reachable from the state
+      sets and offsets asked about, so the verdict for a state set ``layer``
+      is ``layer & good[r] != 0``.  No witness is built: only the reported
+      disagreement runs :func:`nba_accepts_lasso` for its witness.
+    * DPA side: since ``u·w^ω = (u·w)·w^ω``, a verdict holds along the
+      state's orbit under ``w``, and the cycles ``w``, ``ww``, ... share one
+      verdict memo.  ``_walk_cycle`` walks ``w`` from the state up to a
+      decided or a repeated state; the run it follows is :func:`run_lasso`'s
+      on ``v``, so it needs the same edges, and the verdict goes to every
+      boundary state on its trail.
 
     Only the path of the last stem walked is kept: ``path[k]`` holds the state
     set and state after its first ``k`` symbols, and a new stem is walked on
@@ -228,8 +233,11 @@ def _first_disagreement(aut: BuchiAutomaton, dpa: ParityAutomaton, words) -> tup
     posts = {symbol: aut.post(symbol) for symbol in aut.alphabet}
     walked: tuple[str, ...] = ()
     path = [(to_mask(aut.initial), dpa.initial)]
-    # Per cycle: the NBA decision and the verdicts by DPA state.
-    verdicts: dict[tuple[str, ...], tuple[_CycleDecision, dict[int, bool]]] = {}
+    # Per least rotation, the NBA decision; per primitive root, the verdicts by
+    # DPA state; per cycle, both with the cycle's offset and root.
+    decisions: dict[tuple[str, ...], _CycleDecision] = {}
+    memos: dict[tuple[str, ...], dict[int, bool]] = {}
+    verdicts: dict[tuple[str, ...], tuple[_CycleDecision, int, tuple[str, ...], dict[int, bool]]] = {}
     checked = 0
     for stem, cycle in words:
         if stem is not walked:
@@ -248,12 +256,16 @@ def _first_disagreement(aut: BuchiAutomaton, dpa: ParityAutomaton, words) -> tup
         layer, state = path[-1]
         known = verdicts.get(cycle)
         if known is None:
-            known = verdicts[cycle] = (_CycleDecision(aut, cycle), {})
-        decision, dpa_known = known
-        nba_accepts = decision.accepts(layer)
+            root, canonical, offset = _rotation_class(cycle)
+            decision = decisions.get(canonical)
+            if decision is None:
+                decision = decisions[canonical] = _CycleDecision(aut, canonical)
+            known = verdicts[cycle] = (decision, offset, root, memos.setdefault(root, {}))
+        decision, offset, root, dpa_known = known
+        nba_accepts = decision.accepts(layer, offset)
         dpa_accepts = dpa_known.get(state)
         if dpa_accepts is None:
-            trail, minimums, state = _walk_cycle(state, dpa.follow, cycle, dpa_known)
+            trail, minimums, state = _walk_cycle(state, dpa.follow, root, dpa_known)
             dpa_accepts = dpa_known.get(state)
             if dpa_accepts is None:
                 dpa_accepts = min(minimums[trail[state]:]) % 2 == 0

@@ -11,7 +11,11 @@ the product reachable from its roots.
 One decision, :class:`_CycleDecision`, marks the product nodes that start
 an accepting run; it extends its pass as new post-stem state sets are asked
 about.  ``omegadet check`` decides many lassos per cycle and builds no
-witness, so it keeps one decision per cycle.  :func:`nba_accepts_lasso`
+witness, so it keeps one decision per infinite word: ``v^ω`` depends only
+on the primitive root ``w`` of ``v``, and a rotation of ``w`` reads the same
+product from another position, so every cycle whose root is a rotation of
+one least rotation ``c`` asks ``c``'s decision from its offset into ``c``
+(:func:`_rotation_class`).  :func:`nba_accepts_lasso`
 walks the stem one mask per symbol through :meth:`BuchiAutomaton.post` and
 asks a fresh decision about the post-stem set.  Only an accepted lasso runs
 two breadth-first searches, :func:`_search`: one for the nodes reachable
@@ -97,8 +101,9 @@ class _CycleDecision:
     already decided.  ``good[j]`` is the mask of the states ``q`` with
     ``(q, j)`` good among the nodes visited, and ``anchors[j]`` the mask of
     the accepting states ``q`` with ``(q, j)`` in a cyclic component among
-    them.  Only nodes reachable from the roots ``(q, 0)`` of the layers passed
-    to :meth:`accepts` are visited.
+    them.  Only nodes reachable from the roots ``(q, position)`` of the
+    layers and positions passed to :meth:`accepts` are visited, so one
+    decision serves every rotation of its cycle.
     """
 
     def __init__(self, aut: BuchiAutomaton, cycle: tuple[str, ...]):
@@ -109,15 +114,15 @@ class _CycleDecision:
         self.good = [0] * len(cycle)
         self.anchors = [0] * len(cycle)
         self._index: dict[tuple[int, int], int] = {}
-        self._roots = 0
+        self._roots = [0] * len(cycle)
 
-    def accepts(self, layer: int) -> bool:
-        """Whether ``cycle^ω`` is accepted from some state of the mask ``layer``."""
-        new = layer & ~self._roots
+    def accepts(self, layer: int, position: int = 0) -> bool:
+        """Whether ``(cycle[position:] + cycle[:position])^ω`` is accepted from some state of the mask ``layer``."""
+        new = layer & ~self._roots[position]
         if new:
-            self._roots |= new
-            self._visit([(q, 0) for q in mask_states(new)])
-        return layer & self.good[0] != 0
+            self._roots[position] |= new
+            self._visit([(q, position) for q in mask_states(new)])
+        return layer & self.good[position] != 0
 
     def _visit(self, roots: list[tuple[int, int]]) -> None:
         rows, good, anchors, accepting = self._rows, self.good, self.anchors, self._accepting
@@ -130,6 +135,21 @@ class _CycleDecision:
             if on_accepting_cycle or any(rows[j].get(q, 0) & good[j + 1 if j < last else 0] for q, j in component):
                 for q, j in component:
                     good[j] |= 1 << q
+
+
+def _rotation_class(cycle: tuple[str, ...]) -> tuple[tuple[str, ...], tuple[str, ...], int]:
+    """The primitive root ``w`` of ``cycle``, its least rotation ``c``, and the offset ``r`` with ``c[r:] + c[:r] == w``.
+
+    ``cycle`` is ``w`` repeated, so ``cycle^ω == w^ω``, and ``w^ω`` is
+    ``c^ω`` read from position ``r``: every cycle whose word is a rotation of
+    ``w^ω`` has the same ``c``.  A primitive ``w`` has no two equal
+    rotations, so ``r`` is unique.
+    """
+    n = len(cycle)
+    period = next(p for p in range(1, n + 1) if n % p == 0 and cycle == cycle[:p] * (n // p))
+    root = cycle[:period]
+    start = min(range(period), key=lambda i: root[i:] + root[:i])
+    return root, root[start:] + root[:start], -start % period
 
 
 def _product(rows: list[dict[int, int]]) -> _Successors:

@@ -326,7 +326,40 @@ def test_check_matches_the_unmemoised_loop_on_mutated_dpas(corpus_files, corpus_
     assert min(outcomes.values()) >= 30, outcomes
 
 
-def test_check_builds_one_nba_decision_per_cycle(corpus_files, monkeypatch, capsys, tmp_path):
+def _least_rotations_in_first_occurrence_order(cycles):
+    """The least of the shortest cycles of each infinite word up to rotation, in the order the cycles first reach it.
+
+    Stated without primitive roots: ``x^ω`` and ``y^ω`` are rotations of one
+    another exactly when ``x`` repeated ``|y|`` times is a rotation of ``y``
+    repeated ``|x|`` times.  Symbols must be single characters.
+    """
+    classes: list[list[tuple[str, ...]]] = []
+    for cycle in cycles:
+        y = "".join(cycle)
+        for members in classes:
+            x = "".join(members[0])
+            if x * len(y) in y * len(x) * 2:
+                members.append(cycle)
+                break
+        else:
+            classes.append([cycle])
+    return [min(m for m in members if len(m) == min(map(len, members))) for members in classes]
+
+
+def _necklace_count(letters: int, max_length: int) -> int:
+    """The number of primitive words up to rotation of lengths 1..max_length, by Möbius inversion."""
+
+    def mobius(n: int) -> int:
+        primes = [p for p in range(2, n + 1) if n % p == 0 and all(p % d for d in range(2, p))]
+        return 0 if any(n % (p * p) == 0 for p in primes) else (-1) ** len(primes)
+
+    return sum(
+        sum(mobius(d) * letters ** (n // d) for d in range(1, n + 1) if n % d == 0) // n
+        for n in range(1, max_length + 1)
+    )
+
+
+def test_check_builds_one_nba_decision_per_infinite_word(corpus_files, monkeypatch, capsys, tmp_path):
     paths = [p for p in corpus_files if len(parse_nba(p.read_bytes()).alphabet) == 2][:5]
     decisions = []
     witnesses = []
@@ -351,9 +384,12 @@ def test_check_builds_one_nba_decision_per_cycle(corpus_files, monkeypatch, caps
         witnesses.clear()
         assert cli.main(["check", "-i", str(path), "--max-u", "3", "--max-v", "3"]) == 0
         assert capsys.readouterr().out == f"checked {len(lassos)} lassos: agreement\n"
-        # One decision per cycle, made when the cycle first occurs, however many stems end in it.
-        assert decisions == cycles
-        assert len(cycles) < len(lassos)
+        # One decision per infinite word up to rotation, made when its first
+        # cycle occurs: a, b, ab, aab, abb for the 14 cycles, however many
+        # stems end in them.
+        assert decisions == _least_rotations_in_first_occurrence_order(cycles)
+        assert decisions == [("a",), ("b",), ("a", "b"), ("a", "a", "b"), ("a", "b", "b")]
+        assert len(cycles) == 14
         assert witnesses == []
 
         # Every priority raised by one flips every DPA verdict, so the first lasso disagrees.
@@ -365,6 +401,15 @@ def test_check_builds_one_nba_decision_per_cycle(corpus_files, monkeypatch, caps
         assert capsys.readouterr().out.startswith(f"disagreement on lasso: {format_lasso(lassos[0])}\n")
         assert decisions == [lassos[0].cycle]
         assert witnesses == [lassos[0]]
+
+    # Up to length 8 the 510 cycles over two letters denote 71 words up to rotation.
+    cycles = [lasso.cycle for lasso in enumerate_lassos(("a", "b"), 0, 8)]
+    expected = _least_rotations_in_first_occurrence_order(cycles)
+    assert (len(cycles), len(expected), _necklace_count(2, 8)) == (510, 71, 71)
+    decisions.clear()
+    assert cli.main(["check", "-i", str(paths[0]), "--max-u", "0", "--max-v", "8"]) == 0
+    assert capsys.readouterr().out == "checked 510 lassos: agreement\n"
+    assert decisions == expected
 
 
 def test_check_follows_each_edge_of_a_chain_dpa_a_bounded_number_of_times(tmp_path, monkeypatch, capsys):
@@ -423,6 +468,35 @@ def test_check_walks_each_stem_on_from_its_prefix_and_each_dpa_orbit_once(tmp_pa
     assert len(follows) - len(cycle_follows) == 6
     # The first cycle walk goes once round the ring and decides all five
     # states, so the six later stem ends cost nothing (35 steps without it).
+    assert cycle_follows == [0, 1, 2, 3, 4]
+
+
+def test_check_walks_one_dpa_orbit_per_primitive_root(tmp_path, monkeypatch, capsys):
+    # The stems a^0 .. a^6 with the cycles a, aa and aaa on a five-state DPA ring.
+    nba_file = tmp_path / "loop.nba"
+    nba_file.write_text("nba\nstates 1\nalphabet a\ninit 0\naccept 0\n0 a 0\n")
+    dpa_file = tmp_path / "ring.dpa"
+    dpa_file.write_text("dpa\nstates 5\nalphabet a\ninit 0\n" + "".join(f"{i} a {(i + 1) % 5} 2\n" for i in range(5)))
+    walks = []
+    cycle_follows = []
+    walk_cycle = cli._walk_cycle
+
+    def walk(state, follow, cycle, known):
+        walks.append(cycle)
+
+        def counted_on_cycle(state, symbol):
+            cycle_follows.append(state)
+            return follow(state, symbol)
+
+        return walk_cycle(state, counted_on_cycle, cycle, known)
+
+    monkeypatch.setattr(cli, "_walk_cycle", walk)
+    argv = ["check", "-i", str(nba_file), "--dpa", str(dpa_file), "--max-u", "6", "--max-v", "3"]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == "checked 21 lassos: agreement\n"
+    # aa and aaa have the primitive root a, whose one walk round the ring
+    # decided all five states, so they take no cycle step (30 without).
+    assert walks == [("a",)]
     assert cycle_follows == [0, 1, 2, 3, 4]
 
 

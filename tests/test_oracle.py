@@ -1,4 +1,5 @@
 import hashlib
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -233,6 +234,50 @@ def test_decision_on_the_post_stem_mask_matches_the_oracle_on_the_corpus():
             assert decision == nba_accepts_lasso_by_powers(aut, lasso), lasso
             count += 1
     assert count == 33300
+
+
+def test_a_shared_decision_asked_from_a_rotation_offset_matches_a_fresh_one_on_the_corpus():
+    # check keeps one decision per least rotation c of a cycle's primitive
+    # root w and asks it from the offset r with c[r:] + c[:r] == w.  The
+    # cycles take turns, so each shared decision is asked from every offset.
+    count = 0
+    for aut in build_corpus():
+        layers: dict[int, tuple[str, ...]] = {}  # each post-stem mask, with a stem that reaches it
+        for length in range(4):
+            for stem in product(aut.alphabet, repeat=length):
+                layer = aut.initial
+                for symbol in stem:
+                    layer = successors(aut, layer, symbol)
+                layers.setdefault(to_mask(layer), stem)
+        shared: dict[tuple[str, ...], oracle._CycleDecision] = {}
+        for length in range(1, 5):
+            for cycle in product(aut.alphabet, repeat=length):
+                root, canonical, offset = oracle._rotation_class(cycle)
+                assert root * (length // len(root)) == cycle and canonical[offset:] + canonical[:offset] == root
+                if canonical not in shared:
+                    shared[canonical] = oracle._CycleDecision(aut, canonical)
+                decision = shared[canonical]
+                for mask, stem in layers.items():
+                    verdict = decision.accepts(mask, offset)
+                    assert verdict == oracle._CycleDecision(aut, cycle).accepts(mask), (stem, cycle)
+                    assert verdict == nba_accepts_lasso_by_powers(aut, Lasso(stem, cycle)), (stem, cycle)
+                    count += 1
+    assert count == 22110
+
+
+def test_a_rotation_is_read_from_its_offset():
+    # From state 0, (ab)^ω runs 0 1 0 1 ... through the accepting state 0, and
+    # (ba)^ω dies at once: state 0 has no b edge.
+    aut = BuchiAutomaton(2, ("a", "b"), {(0, "a", 1), (1, "b", 0)}, {0}, {0})
+    start = to_mask({0})
+    assert oracle._rotation_class(("a", "b")) == (("a", "b"), ("a", "b"), 0)
+    assert oracle._rotation_class(("b", "a", "b", "a")) == (("b", "a"), ("a", "b"), 1)
+    decision = oracle._CycleDecision(aut, ("a", "b"))
+    assert not decision.accepts(start, 1)
+    assert decision.accepts(start, 0)
+    assert not decision.accepts(start, 1)
+    assert nba_accepts_lasso(aut, Lasso((), ("a", "b"))).accepted
+    assert not nba_accepts_lasso(aut, Lasso((), ("b", "a"))).accepted
 
 
 @st.composite
