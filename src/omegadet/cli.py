@@ -23,7 +23,6 @@ from .nba import (
     BuchiAutomaton,
     InvalidSliceError,
     InvalidTreeError,
-    Lasso,
     LassoFormatError,
     NbaFormatError,
     SliceFormatError,
@@ -32,19 +31,9 @@ from .nba import (
     format_lasso,
     parse_lasso,
     parse_nba,
-    to_mask,
 )
-from .oracle import _CycleDecision, _lasso_words, _rotation_class, nba_accepts_lasso, sample_lassos
-from .parity import (
-    DpaFormatError,
-    MissingEdgeError,
-    ParityAutomaton,
-    _run_lasso,
-    _walk_cycle,
-    parse_dpa,
-    run_lasso,
-    serialize_dpa,
-)
+from .oracle import _lasso_words, first_disagreement, nba_accepts_lasso, sample_lassos
+from .parity import DpaFormatError, MissingEdgeError, _run_lasso, parse_dpa, run_lasso, serialize_dpa
 
 _USAGE_ERRORS = (
     NbaFormatError,
@@ -182,7 +171,7 @@ def cmd_check(args) -> int:
         words = ((lasso.stem, lasso.cycle) for lasso in lassos)
     else:
         words = _lasso_words(aut.alphabet, args.max_u, args.max_v)
-    checked, lasso = _first_disagreement(aut, dpa, words)
+    checked, lasso = first_disagreement(aut, dpa, words)
     if lasso is None:
         print(f"checked {checked} lassos: agreement")
         return 0
@@ -196,84 +185,6 @@ def cmd_check(args) -> int:
     word = "accepts" if run.accepted else "rejects"
     print(f"  dpa {word}, recurring states {run.loop_states}, min priority {run.min_priority}")
     return 1
-
-
-def _first_disagreement(aut: BuchiAutomaton, dpa: ParityAutomaton, words) -> tuple[int, Lasso | None]:
-    """Count the ``(stem, cycle)`` words up to the first on which the NBA and DPA disagree.
-
-    Returns the count and that lasso, or None if all agree.  The NBA verdict
-    depends only on the NBA state set after the stem and the infinite word
-    ``v^ω``, and the DPA verdict only on the DPA state after the stem and
-    ``v^ω``.  ``v^ω = w^ω`` for the primitive root ``w`` of ``v``, so each
-    side keeps what it learns per infinite word, not per cycle:
-
-    * NBA side: cycles whose roots are rotations of one another share one
-      :class:`~omegadet.oracle._CycleDecision`, on the least rotation ``c``,
-      and each asks it from its offset ``r`` into ``c``, where
-      ``c[r:] + c[:r] == w`` (:func:`~omegadet.oracle._rotation_class`).
-      The decision marks the product nodes ``(q, r)`` from which ``w^ω`` is
-      accepted, with one SCC pass over the nodes reachable from the state
-      sets and offsets asked about, so the verdict for a state set ``layer``
-      is ``layer & good[r] != 0``.  No witness is built: only the reported
-      disagreement runs :func:`nba_accepts_lasso` for its witness.
-    * DPA side: since ``u·w^ω = (u·w)·w^ω``, a verdict holds along the
-      state's orbit under ``w``, and the cycles ``w``, ``ww``, ... share one
-      verdict memo.  ``_walk_cycle`` walks ``w`` from the state up to a
-      decided or a repeated state; the run it follows is :func:`run_lasso`'s
-      on ``v``, so it needs the same edges, and the verdict goes to every
-      boundary state on its trail.
-
-    Only the path of the last stem walked is kept: ``path[k]`` holds the state
-    set and state after its first ``k`` symbols, and a new stem is walked on
-    from the prefix it shares with that stem, so memory stays linear in the
-    longest stem.  A missing DPA edge raises :class:`MissingEdgeError` at the
-    first word whose run needs it, as :func:`run_lasso` on each lasso in turn
-    would.
-    """
-    posts = {symbol: aut.post(symbol) for symbol in aut.alphabet}
-    walked: tuple[str, ...] = ()
-    path = [(to_mask(aut.initial), dpa.initial)]
-    # Per least rotation, the NBA decision; per primitive root, the verdicts by
-    # DPA state; per cycle, both with the cycle's offset and root.
-    decisions: dict[tuple[str, ...], _CycleDecision] = {}
-    memos: dict[tuple[str, ...], dict[int, bool]] = {}
-    verdicts: dict[tuple[str, ...], tuple[_CycleDecision, int, tuple[str, ...], dict[int, bool]]] = {}
-    checked = 0
-    for stem, cycle in words:
-        if stem is not walked:
-            shared = 0
-            for old, new in zip(walked, stem):
-                if old != new:
-                    break
-                shared += 1
-            del path[shared + 1 :]
-            layer, state = path[-1]
-            for symbol in stem[shared:]:
-                layer = posts[symbol][layer]
-                state, _ = dpa.follow(state, symbol)
-                path.append((layer, state))
-            walked = stem
-        layer, state = path[-1]
-        known = verdicts.get(cycle)
-        if known is None:
-            root, canonical, offset = _rotation_class(cycle)
-            decision = decisions.get(canonical)
-            if decision is None:
-                decision = decisions[canonical] = _CycleDecision(aut, canonical)
-            known = verdicts[cycle] = (decision, offset, root, memos.setdefault(root, {}))
-        decision, offset, root, dpa_known = known
-        nba_accepts = decision.accepts(layer, offset)
-        dpa_accepts = dpa_known.get(state)
-        if dpa_accepts is None:
-            trail, minimums, state = _walk_cycle(state, dpa.follow, root, dpa_known)
-            dpa_accepts = dpa_known.get(state)
-            if dpa_accepts is None:
-                dpa_accepts = min(minimums[trail[state]:]) % 2 == 0
-            dpa_known.update(dict.fromkeys(trail, dpa_accepts))
-        checked += 1
-        if nba_accepts != dpa_accepts:
-            return checked, Lasso(stem, cycle)
-    return checked, None
 
 
 def cmd_stats(args) -> int:

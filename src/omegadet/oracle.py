@@ -1,4 +1,4 @@
-"""Ground-truth lasso membership, lasso enumeration, and random automata.
+"""Ground-truth lasso membership, the bounded check, lasso enumeration, and random automata.
 
 The membership decision works on the product of automaton states with cycle
 positions: a lasso is accepted exactly when some product node holding an
@@ -10,22 +10,18 @@ the product reachable from its roots.
 
 One decision, :class:`_CycleDecision`, marks the product nodes that start
 an accepting run; it extends its pass as new post-stem state sets are asked
-about.  ``omegadet check`` decides many lassos per cycle and builds no
-witness, so it keeps one decision per infinite word: ``v^ω`` depends only
-on the primitive root ``w`` of ``v``, and a rotation of ``w`` reads the same
-product from another position, so every cycle whose root is a rotation of
-one least rotation ``c`` asks ``c``'s decision from its offset into ``c``
-(:func:`_rotation_class`).  :func:`nba_accepts_lasso`
-walks the stem one mask per symbol through :meth:`BuchiAutomaton.post` and
-asks a fresh decision about the post-stem set.  Only an accepted lasso runs
-two breadth-first searches, :func:`_search`: one for the nodes reachable
-after the stem, and one for a shortest cycle through the anchor, the least
-accepting node of a cyclic component that the decision's pass reached.
-The witness is rebuilt in time linear in the stem and the product path:
-parent pointers and the stem run are followed by appending, then reversed
-once.  Only the disagreement ``check`` reports runs
-:func:`nba_accepts_lasso`.  The tests compare the decision with an
-independently coded decision procedure based on boundary-relation powers.
+about.  :func:`nba_accepts_lasso` walks the stem one mask per symbol through
+:meth:`BuchiAutomaton.post` and asks a fresh decision about the post-stem
+set.  Only an accepted lasso runs two breadth-first searches,
+:func:`_search`: one for the nodes reachable after the stem, and one for a
+shortest cycle through the anchor, the least accepting node of a cyclic
+component that the decision's pass reached.  The witness is rebuilt in time
+linear in the stem and the product path: parent pointers and the stem run
+are followed by appending, then reversed once.  The bounded check of
+``omegadet check``, :func:`first_disagreement`, shares decisions between
+lassos and builds no witness; its docstring says how.  The tests compare
+the decision with an independently coded decision procedure based on
+boundary-relation powers.
 """
 from __future__ import annotations
 
@@ -36,6 +32,7 @@ from itertools import product
 from typing import Callable
 
 from .nba import BuchiAutomaton, Lasso, check_symbols, mask_states, to_mask
+from .parity import ParityAutomaton, _walk_cycle
 from .scc import components
 
 # The successor function of a product of automaton states with cycle positions.
@@ -89,6 +86,90 @@ def nba_accepts_lasso(aut: BuchiAutomaton, lasso: Lasso) -> LassoVerdict:
     prefix = tuple(run) + tuple(q for q, _ in path[1:])
     loop = tuple(q for q, _ in _path(loop_parents, last)) + (anchor[0],)
     return LassoVerdict(accepted=True, prefix_states=prefix, loop_states=loop)
+
+
+def first_disagreement(aut: BuchiAutomaton, dpa: ParityAutomaton, words) -> tuple[int, Lasso | None]:
+    """Count the ``(stem, cycle)`` words up to the first on which the NBA and DPA disagree.
+
+    Returns the count and that lasso, or None if all agree.  ``words`` is
+    read one word at a time and no further than that lasso, so a check over
+    exponentially many stems stops at its first disagreement.  No witness is
+    built: ``omegadet check`` runs :func:`nba_accepts_lasso` and
+    :func:`~omegadet.parity.run_lasso` on the returned lasso only.
+
+    The NBA verdict depends only on the NBA state set after the stem and the
+    infinite word ``v^ω``, and the DPA verdict only on the DPA state after
+    the stem and ``v^ω``.  ``v^ω = w^ω`` for the primitive root ``w`` of
+    ``v``, so each side keeps what it learns per infinite word, not per
+    cycle:
+
+    * NBA side: a rotation of ``w`` reads the same product from another
+      position, so cycles whose roots are rotations of one another share one
+      :class:`_CycleDecision`, on the least rotation ``c``, and each asks it
+      from its offset ``r`` into ``c``, where ``c[r:] + c[:r] == w``
+      (:func:`_rotation_class`).  The decision marks the product nodes
+      ``(q, r)`` from which ``w^ω`` is accepted, with one SCC pass over the
+      nodes reachable from the state sets and offsets asked about, so the
+      verdict for a state set ``layer`` is ``layer & good[r] != 0``.  At
+      ``--max-v 3`` over two letters the 14 cycles need 5 decisions (``a``,
+      ``b``, ``ab``, ``aab``, ``abb``): one per Lyndon word.
+    * DPA side: since ``u·w^ω = (u·w)·w^ω``, a verdict holds along the
+      state's orbit under ``w``, and the cycles ``w``, ``ww``, ... share one
+      verdict memo.  :func:`~omegadet.parity._walk_cycle` walks ``w`` from
+      the state up to a decided or a repeated state; the run it follows is
+      :func:`~omegadet.parity.run_lasso`'s on ``v``, so it needs the same
+      edges, and the verdict goes to every boundary state on its trail.
+
+    Only the path of the last stem walked is kept: ``path[k]`` holds the state
+    set and state after its first ``k`` symbols, and a new stem is walked on
+    from the prefix it shares with that stem, so memory stays linear in the
+    longest stem.  A missing DPA edge raises
+    :class:`~omegadet.parity.MissingEdgeError` at the first word whose run
+    needs it, as :func:`~omegadet.parity.run_lasso` on each lasso in turn
+    would.
+    """
+    posts = {symbol: aut.post(symbol) for symbol in aut.alphabet}
+    walked: tuple[str, ...] = ()
+    path = [(to_mask(aut.initial), dpa.initial)]
+    # Per least rotation, the NBA decision; per primitive root, the verdicts by
+    # DPA state; per cycle, both with the cycle's offset and root.
+    decisions: dict[tuple[str, ...], _CycleDecision] = {}
+    memos: dict[tuple[str, ...], dict[int, bool]] = {}
+    verdicts: dict[tuple[str, ...], tuple[_CycleDecision, int, tuple[str, ...], dict[int, bool]]] = {}
+    checked = 0
+    for stem, cycle in words:
+        if stem is not walked:
+            shared = 0
+            for old, new in zip(walked, stem):
+                if old != new:
+                    break
+                shared += 1
+            del path[shared + 1 :]
+            layer, state = path[-1]
+            for symbol in stem[shared:]:
+                layer = posts[symbol][layer]
+                state, _ = dpa.follow(state, symbol)
+                path.append((layer, state))
+            walked = stem
+        layer, state = path[-1]
+        known = verdicts.get(cycle)
+        if known is None:
+            root, canonical, offset = _rotation_class(cycle)
+            decision = decisions.get(canonical)
+            if decision is None:
+                decision = decisions[canonical] = _CycleDecision(aut, canonical)
+            known = verdicts[cycle] = (decision, offset, root, memos.setdefault(root, {}))
+        decision, offset, root, dpa_known = known
+        nba_accepts = decision.accepts(layer, offset)
+        dpa_accepts = dpa_known.get(state)
+        if dpa_accepts is None:
+            trail, state, lowest = _walk_cycle(state, dpa.follow, root, dpa_known)
+            dpa_accepts = dpa_known[state] if lowest is None else lowest % 2 == 0
+            dpa_known.update(dict.fromkeys(trail, dpa_accepts))
+        checked += 1
+        if nba_accepts != dpa_accepts:
+            return checked, Lasso(stem, cycle)
+    return checked, None
 
 
 class _CycleDecision:

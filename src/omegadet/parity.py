@@ -197,21 +197,21 @@ def _run_lasso(state: Hashable, follow: Callable[[Any, str], tuple[Any, int]], l
     """The loop of :func:`run_lasso` from ``state`` through any ``follow(state, symbol) -> (state, priority)``."""
     for symbol in lasso.stem:
         state, _ = follow(state, symbol)
-    trail, minimums, state = _walk_cycle(state, follow, lasso.cycle, {})
-    start = trail[state]
-    min_priority = min(minimums[start:])
-    return LassoRun(min_priority % 2 == 0, tuple(trail)[start:], min_priority)
+    trail, state, min_priority = _walk_cycle(state, follow, lasso.cycle, {})
+    return LassoRun(min_priority % 2 == 0, tuple(trail)[trail[state]:], min_priority)
 
 
 def _walk_cycle(
     state: Hashable, follow: Callable[[Any, str], tuple[Any, int]], cycle: tuple[str, ...], known: Container
-) -> tuple[dict, list[int], Any]:
+) -> tuple[dict, Any, int | None]:
     """Iterate ``cycle`` from ``state`` until a boundary state is in ``known`` or repeats.
 
     Returns the boundary states passed, each mapped to the index of the
-    iteration it starts, the minimum priority of each iteration, and the
-    boundary state the walk stopped at.  When that state is not in ``known``,
-    it is in the trail, and the iterations from its index on repeat forever.
+    iteration it starts, the boundary state the walk stopped at, and the
+    least priority that recurs, or None when the walk stopped at a state in
+    ``known``.  Otherwise that state is in the trail, the iterations from its
+    index on repeat forever, and the run is accepting exactly when their
+    least priority is even.
     """
     trail: dict = {}
     minimums: list[int] = []
@@ -223,7 +223,9 @@ def _walk_cycle(
             if lowest is None or priority < lowest:
                 lowest = priority
         minimums.append(lowest)
-    return trail, minimums, state
+    if state not in trail:
+        return trail, state, None
+    return trail, state, min(minimums[trail[state]:])
 
 
 def serialize_dpa(dpa: ParityAutomaton) -> bytes:

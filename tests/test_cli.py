@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from omegadet import cli, slices, stages
+from omegadet import cli, oracle, slices, stages
 from omegadet.cli import cmd_check
 from omegadet.determinize import ADAPTIVE, STRATEGIES, as_strategy, determinize
 from omegadet.nba import (
@@ -364,16 +364,16 @@ def test_check_builds_one_nba_decision_per_infinite_word(corpus_files, monkeypat
     decisions = []
     witnesses = []
 
-    class Counted(cli._CycleDecision):
+    class Counted(oracle._CycleDecision):
         def __init__(self, aut, cycle):
             decisions.append(cycle)
             super().__init__(aut, cycle)
 
     def witnessed(aut, lasso):
-        witnesses.append(lasso)
+        witnesses.append((lasso, len(decisions)))
         return nba_accepts_lasso(aut, lasso)
 
-    monkeypatch.setattr(cli, "_CycleDecision", Counted)
+    monkeypatch.setattr(oracle, "_CycleDecision", Counted)
     monkeypatch.setattr(cli, "nba_accepts_lasso", witnessed)
     for path in paths:
         aut = parse_nba(path.read_bytes())
@@ -399,8 +399,9 @@ def test_check_builds_one_nba_decision_per_infinite_word(corpus_files, monkeypat
         decisions.clear()
         assert cli.main(["check", "-i", str(path), "--dpa", str(dpa_path), "--max-u", "3", "--max-v", "3"]) == 1
         assert capsys.readouterr().out.startswith(f"disagreement on lasso: {format_lasso(lassos[0])}\n")
-        assert decisions == [lassos[0].cycle]
-        assert witnesses == [lassos[0]]
+        # One decision by the check, then the witness oracle's own fresh one.
+        assert decisions == [lassos[0].cycle, lassos[0].cycle]
+        assert witnesses == [(lassos[0], 1)]
 
     # Up to length 8 the 510 cycles over two letters denote 71 words up to rotation.
     cycles = [lasso.cycle for lasso in enumerate_lassos(("a", "b"), 0, 8)]
@@ -445,7 +446,7 @@ def test_check_walks_each_stem_on_from_its_prefix_and_each_dpa_orbit_once(tmp_pa
     follows = []
     cycle_follows = []
     follow = ParityAutomaton.follow
-    walk_cycle = cli._walk_cycle
+    walk_cycle = oracle._walk_cycle
 
     def counted(self, state, symbol):
         follows.append(state)
@@ -459,7 +460,7 @@ def test_check_walks_each_stem_on_from_its_prefix_and_each_dpa_orbit_once(tmp_pa
         return walk_cycle(state, counted_on_cycle, cycle, known)
 
     monkeypatch.setattr(ParityAutomaton, "follow", counted)
-    monkeypatch.setattr(cli, "_walk_cycle", walk)
+    monkeypatch.setattr(oracle, "_walk_cycle", walk)
     argv = ["check", "-i", str(nba_file), "--dpa", str(dpa_file), "--max-u", "6", "--max-v", "1"]
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == "checked 7 lassos: agreement\n"
@@ -479,7 +480,7 @@ def test_check_walks_one_dpa_orbit_per_primitive_root(tmp_path, monkeypatch, cap
     dpa_file.write_text("dpa\nstates 5\nalphabet a\ninit 0\n" + "".join(f"{i} a {(i + 1) % 5} 2\n" for i in range(5)))
     walks = []
     cycle_follows = []
-    walk_cycle = cli._walk_cycle
+    walk_cycle = oracle._walk_cycle
 
     def walk(state, follow, cycle, known):
         walks.append(cycle)
@@ -490,7 +491,7 @@ def test_check_walks_one_dpa_orbit_per_primitive_root(tmp_path, monkeypatch, cap
 
         return walk_cycle(state, counted_on_cycle, cycle, known)
 
-    monkeypatch.setattr(cli, "_walk_cycle", walk)
+    monkeypatch.setattr(oracle, "_walk_cycle", walk)
     argv = ["check", "-i", str(nba_file), "--dpa", str(dpa_file), "--max-u", "6", "--max-v", "3"]
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == "checked 21 lassos: agreement\n"

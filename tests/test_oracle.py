@@ -1,5 +1,5 @@
 import hashlib
-from itertools import product
+from itertools import islice, product
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +9,7 @@ from omegadet.determinize import MULLER_SCHUPP
 from omegadet.nba import BuchiAutomaton, Lasso, UnknownSymbolError, parse_nba, successors, to_mask
 from omegadet import oracle
 from omegadet.oracle import enumerate_lassos, nba_accepts_lasso, random_nba, sample_lassos
+from omegadet.parity import ParityAutomaton, run_lasso
 from omegadet.stages import initial_slice, transition
 
 from .conftest import assert_valid_witness, build_corpus
@@ -278,6 +279,28 @@ def test_a_rotation_is_read_from_its_offset():
     assert not decision.accepts(start, 1)
     assert nba_accepts_lasso(aut, Lasso((), ("a", "b"))).accepted
     assert not nba_accepts_lasso(aut, Lasso((), ("b", "a"))).accepted
+
+
+def test_first_disagreement_reads_no_word_past_the_first_disagreement():
+    # The NBA accepts only a^ω; the DPA accepts every word ending in a^ω, so
+    # the first disagreement is the stem b with the cycle a.
+    aut = BuchiAutomaton(1, ("a", "b"), {(0, "a", 0)}, {0}, {0})
+    dpa = ParityAutomaton(2, ("a", "b"), 0, {(0, "a"): (0, 2), (0, "b"): (1, 1), (1, "a"): (1, 2), (1, "b"): (1, 1)})
+    # Stems up to length 60: 2^61 - 1 of them, so only a lazy reader stops.
+    lassos = enumerate_lassos(aut.alphabet, 60, 3)
+    expected = next(
+        (n, lasso)
+        for n, lasso in enumerate(lassos, 1)
+        if nba_accepts_lasso(aut, lasso).accepted != run_lasso(dpa, lasso).accepted
+    )
+    assert expected == (29, Lasso(("b",), ("a",)))
+
+    def words():
+        for lasso in islice(enumerate_lassos(aut.alphabet, 60, 3), expected[0]):
+            yield lasso.stem, lasso.cycle
+        raise AssertionError("read a word past the first disagreement")
+
+    assert oracle.first_disagreement(aut, dpa, words()) == expected
 
 
 @st.composite

@@ -8,9 +8,8 @@ lasso oracle must agree with it.
 import random
 from collections import deque
 
-from omegadet.cli import _first_disagreement
 from omegadet.nba import BuchiAutomaton, format_lasso
-from omegadet.oracle import _lasso_words
+from omegadet.oracle import _lasso_words, first_disagreement
 from omegadet.parity import ParityAutomaton
 from omegadet.stages import dominating_rank, initial_slice, merge, normalize, prune, step
 
@@ -46,7 +45,7 @@ def test_every_permitted_merge_gives_an_equivalent_dpa():
         rng = random.Random(seed)
         for index, aut in enumerate(build_corpus()):
             dpa = random_permitted_dpa(aut, rng)
-            _, lasso = _first_disagreement(aut, dpa, _lasso_words(aut.alphabet, 3, 3))
+            _, lasso = first_disagreement(aut, dpa, _lasso_words(aut.alphabet, 3, 3))
             if lasso is not None:
                 disagreements.append((seed, index, format_lasso(lasso)))
     assert disagreements == []
